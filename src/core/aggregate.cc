@@ -47,102 +47,106 @@ double Reduce(const Array& array, AggregateOp op) {
   return 0;
 }
 
-// Run-based reduction over `region` inside `array` without a slice copy.
-// The accumulators and visit order are exactly those of `Reduce<T>` over
+// Calls `f(T{})` with the C++ type behind a numeric cell type.
+template <typename F>
+auto DispatchNumeric(CellType cell_type, F&& f) -> decltype(f(uint8_t{})) {
+  switch (cell_type.id()) {
+    case CellTypeId::kUInt8:   return f(uint8_t{});
+    case CellTypeId::kInt8:    return f(int8_t{});
+    case CellTypeId::kUInt16:  return f(uint16_t{});
+    case CellTypeId::kInt16:   return f(int16_t{});
+    case CellTypeId::kUInt32:  return f(uint32_t{});
+    case CellTypeId::kInt32:   return f(int32_t{});
+    case CellTypeId::kUInt64:  return f(uint64_t{});
+    case CellTypeId::kInt64:   return f(int64_t{});
+    case CellTypeId::kFloat32: return f(float{});
+    case CellTypeId::kFloat64: return f(double{});
+    case CellTypeId::kRGB8:
+    case CellTypeId::kOpaque:
+      return Status::InvalidArgument(
+          "cell type does not support numeric aggregation: " +
+          std::string(cell_type.name()));
+  }
+  return Status::Internal("unhandled cell type");
+}
+
+// Run-based reduction over the cells of `region` inside `array` that
+// `keep` accepts, without a slice copy. When every cell is kept, the
+// accumulators and visit order are exactly those of `Reduce<T>` over
 // `array.Slice(region)` (row-major region order, doubles for sum/min/max,
 // uint64 for count), so the result is bit-identical to the slice kernel.
-template <typename T>
-double ReduceRegionRuns(const Array& array, const MInterval& region,
-                        AggregateOp op) {
+// kAvg folds as a sum.
+template <typename T, typename Keep>
+FilteredAggregate ReduceRegionRuns(const Array& array, const MInterval& region,
+                                   AggregateOp op, Keep keep) {
   const T* cells = reinterpret_cast<const T*>(array.data());
   const uint64_t run =
       static_cast<uint64_t>(region.Extent(region.dim() - 1));
   const MInterval& domain = array.domain();
+  FilteredAggregate out;
+  uint64_t matched = 0;
+  auto for_each_kept = [&](auto fold) {
+    ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
+      for (uint64_t c = 0; c < run; ++c) {
+        const T v = cells[off + c];
+        if (!keep(v)) continue;
+        ++matched;
+        fold(v);
+      }
+    });
+  };
   switch (op) {
     case AggregateOp::kSum:
     case AggregateOp::kAvg: {
       double sum = 0;
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          sum += static_cast<double>(cells[off + c]);
-        }
-      });
-      return op == AggregateOp::kSum
-                 ? sum
-                 : sum / static_cast<double>(region.CellCountOrDie());
+      for_each_kept([&](T v) { sum += static_cast<double>(v); });
+      out.value = sum;
+      break;
     }
     case AggregateOp::kMin: {
       double best = std::numeric_limits<double>::infinity();
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          best = std::min(best, static_cast<double>(cells[off + c]));
-        }
-      });
-      return best;
+      for_each_kept(
+          [&](T v) { best = std::min(best, static_cast<double>(v)); });
+      out.value = best;
+      break;
     }
     case AggregateOp::kMax: {
       double best = -std::numeric_limits<double>::infinity();
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          best = std::max(best, static_cast<double>(cells[off + c]));
-        }
-      });
-      return best;
+      for_each_kept(
+          [&](T v) { best = std::max(best, static_cast<double>(v)); });
+      out.value = best;
+      break;
     }
     case AggregateOp::kCount: {
       uint64_t count = 0;
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          if (cells[off + c] != static_cast<T>(0)) ++count;
-        }
+      for_each_kept([&](T v) {
+        if (v != static_cast<T>(0)) ++count;
       });
-      return static_cast<double>(count);
+      out.value = static_cast<double>(count);
+      break;
     }
   }
-  return 0;
+  out.matched = matched;
+  return out;
 }
 
-// Streaming reduction over a PackBits RLE stream. Cells are folded in
-// decode order with `Reduce<T>`'s accumulators; repeat runs spanning whole
-// cells fold without touching memory (sum still adds per cell — the adds
-// must happen in the legacy order for bit-identity — but min/max/count
-// collapse to one operation per run, which is exact: folding one value n
-// times equals folding it once for those ops).
-template <typename T>
-Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
-                               uint64_t cell_count, AggregateOp op) {
-  constexpr size_t kCell = sizeof(T);
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  uint64_t nonzero = 0;
+// Walks a PackBits RLE stream (the byte codec of storage/compression.h)
+// that must decode to exactly `cell_count` cells of `kCell` bytes, without
+// materializing it: `on_cells(cell, n)` receives n >= 1 consecutive cells
+// equal to the `kCell` bytes at `cell`, in decode order. Literal bytes and
+// short repeats are assembled into single cells in a small register
+// buffer; a repeat run spanning whole cells arrives at once.
+template <size_t kCell, typename OnCells>
+Status WalkRleCells(const std::vector<uint8_t>& stream, uint64_t cell_count,
+                    OnCells on_cells) {
   uint8_t buf[kCell];
   size_t fill = 0;
-  auto fold = [&](T v) {
-    switch (op) {
-      case AggregateOp::kSum:
-      case AggregateOp::kAvg:
-        sum += static_cast<double>(v);
-        break;
-      case AggregateOp::kMin:
-        min = std::min(min, static_cast<double>(v));
-        break;
-      case AggregateOp::kMax:
-        max = std::max(max, static_cast<double>(v));
-        break;
-      case AggregateOp::kCount:
-        if (v != static_cast<T>(0)) ++nonzero;
-        break;
-    }
-  };
   auto push_byte = [&](uint8_t b) {
     // fill < kCell is invariant; the modulo makes it provable for the
     // compiler's bounds checking (kCell is a power of two, so it's an AND).
     buf[fill % kCell] = b;
     if (++fill == kCell) {
-      T v;
-      std::memcpy(&v, buf, kCell);
-      fold(v);
+      on_cells(buf, 1);
       fill = 0;
     }
   };
@@ -182,27 +186,9 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
       if (run >= kCell) {
         uint8_t pattern[kCell];
         std::memset(pattern, b, kCell);
-        T v;
-        std::memcpy(&v, pattern, kCell);
         const uint64_t whole = run / kCell;
         run -= static_cast<size_t>(whole) * kCell;
-        switch (op) {
-          case AggregateOp::kSum:
-          case AggregateOp::kAvg:
-            for (uint64_t w = 0; w < whole; ++w) {
-              sum += static_cast<double>(v);
-            }
-            break;
-          case AggregateOp::kMin:
-            min = std::min(min, static_cast<double>(v));
-            break;
-          case AggregateOp::kMax:
-            max = std::max(max, static_cast<double>(v));
-            break;
-          case AggregateOp::kCount:
-            if (v != static_cast<T>(0)) nonzero += whole;
-            break;
-        }
+        on_cells(pattern, whole);
       }
       while (run > 0) {
         push_byte(b);
@@ -213,6 +199,43 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
   if (fill != 0 || bytes_seen != declared_bytes) {
     return Status::Corruption("RLE stream shorter than declared size");
   }
+  return Status::OK();
+}
+
+// Streaming reduction over an RLE stream. Cells are folded in decode order
+// with `Reduce<T>`'s accumulators; repeat runs spanning whole cells fold
+// without touching memory (sum still adds per cell — the adds must happen
+// in the legacy order for bit-identity — but min/max/count collapse to one
+// operation per run, which is exact: folding one value n times equals
+// folding it once for those ops).
+template <typename T>
+Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
+                               uint64_t cell_count, AggregateOp op) {
+  double sum = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  uint64_t nonzero = 0;
+  Status st = WalkRleCells<sizeof(T)>(
+      stream, cell_count, [&](const uint8_t* cell, uint64_t n) {
+        T v;
+        std::memcpy(&v, cell, sizeof(T));
+        switch (op) {
+          case AggregateOp::kSum:
+          case AggregateOp::kAvg:
+            for (uint64_t k = 0; k < n; ++k) sum += static_cast<double>(v);
+            break;
+          case AggregateOp::kMin:
+            min = std::min(min, static_cast<double>(v));
+            break;
+          case AggregateOp::kMax:
+            max = std::max(max, static_cast<double>(v));
+            break;
+          case AggregateOp::kCount:
+            if (v != static_cast<T>(0)) nonzero += n;
+            break;
+        }
+      });
+  if (!st.ok()) return st;
   switch (op) {
     case AggregateOp::kSum:
       return sum;
@@ -226,6 +249,59 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
       return static_cast<double>(nonzero);
   }
   return Status::Internal("unhandled aggregate op");
+}
+
+// Copies the matching cells of an RLE tile into `result`: linear tile cell
+// k lives in innermost-axis run k / L at offset k % L, and the runs'
+// destination offsets are precomputed once.
+template <typename T>
+Result<uint64_t> FilterRleStream(const std::vector<uint8_t>& stream,
+                                 const MInterval& tile_domain,
+                                 const ValuePredicate& pred, Array* result) {
+  const uint64_t run_len =
+      static_cast<uint64_t>(tile_domain.Extent(tile_domain.dim() - 1));
+  const uint64_t cells = tile_domain.CellCountOrDie();
+  std::vector<uint64_t> dst_runs;
+  dst_runs.reserve(cells / run_len);
+  ForEachRun(tile_domain, result->domain(), tile_domain,
+             [&](uint64_t, uint64_t dst) { dst_runs.push_back(dst); });
+  uint8_t* data = result->mutable_data();
+  uint64_t cell_index = 0;
+  uint64_t matched = 0;
+  Status st = WalkRleCells<sizeof(T)>(
+      stream, cells, [&](const uint8_t* cell, uint64_t n) {
+        T v;
+        std::memcpy(&v, cell, sizeof(T));
+        if (!pred.Matches(static_cast<double>(v))) {
+          cell_index += n;
+          return;
+        }
+        matched += n;
+        while (n > 0) {
+          const uint64_t in_run =
+              std::min<uint64_t>(n, run_len - (cell_index % run_len));
+          uint8_t* d = data + (dst_runs[cell_index / run_len] +
+                               (cell_index % run_len)) *
+                                  sizeof(T);
+          for (uint64_t c = 0; c < in_run; ++c) {
+            std::memcpy(d + c * sizeof(T), cell, sizeof(T));
+          }
+          cell_index += in_run;
+          n -= in_run;
+        }
+      });
+  if (!st.ok()) return st;
+  return matched;
+}
+
+Status CheckRegionInside(const MInterval& region, const MInterval& domain) {
+  if (region.dim() != domain.dim() || !region.IsFixed() ||
+      !domain.Contains(region)) {
+    return Status::InvalidArgument("aggregate region " + region.ToString() +
+                                   " not inside array domain " +
+                                   domain.ToString());
+  }
+  return Status::OK();
 }
 
 struct OpName {
@@ -255,131 +331,92 @@ std::string_view AggregateOpToName(AggregateOp op) {
   return "unknown";
 }
 
+bool IsNumericCellType(CellType cell_type) {
+  return cell_type.id() != CellTypeId::kRGB8 &&
+         cell_type.id() != CellTypeId::kOpaque;
+}
+
 Result<double> CellValueAsDouble(CellType cell_type, const uint8_t* cell) {
-  switch (cell_type.id()) {
-    case CellTypeId::kUInt8:
-      return static_cast<double>(*cell);
-    case CellTypeId::kInt8:
-      return static_cast<double>(*reinterpret_cast<const int8_t*>(cell));
-    case CellTypeId::kUInt16: {
-      uint16_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt16: {
-      int16_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kUInt32: {
-      uint32_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt32: {
-      int32_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kUInt64: {
-      uint64_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt64: {
-      int64_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kFloat32: {
-      float v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kFloat64: {
-      double v;
-      std::memcpy(&v, cell, sizeof(v));
-      return v;
-    }
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric interpretation: " +
-          std::string(cell_type.name()));
-  }
-  return Status::Internal("unhandled cell type");
+  return DispatchNumeric(cell_type, [&](auto zero) -> Result<double> {
+    decltype(zero) v;
+    std::memcpy(&v, cell, sizeof(v));
+    return static_cast<double>(v);
+  });
 }
 
 Result<double> AggregateCells(const Array& array, AggregateOp op) {
   if (array.cell_count() == 0) {
     return Status::InvalidArgument("aggregate of empty array");
   }
-  switch (array.cell_type().id()) {
-    case CellTypeId::kUInt8:
-      return Reduce<uint8_t>(array, op);
-    case CellTypeId::kInt8:
-      return Reduce<int8_t>(array, op);
-    case CellTypeId::kUInt16:
-      return Reduce<uint16_t>(array, op);
-    case CellTypeId::kInt16:
-      return Reduce<int16_t>(array, op);
-    case CellTypeId::kUInt32:
-      return Reduce<uint32_t>(array, op);
-    case CellTypeId::kInt32:
-      return Reduce<int32_t>(array, op);
-    case CellTypeId::kUInt64:
-      return Reduce<uint64_t>(array, op);
-    case CellTypeId::kInt64:
-      return Reduce<int64_t>(array, op);
-    case CellTypeId::kFloat32:
-      return Reduce<float>(array, op);
-    case CellTypeId::kFloat64:
-      return Reduce<double>(array, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(array.cell_type().name()));
-  }
-  return Status::Internal("unhandled cell type");
+  return DispatchNumeric(array.cell_type(), [&](auto zero) -> Result<double> {
+    return Reduce<decltype(zero)>(array, op);
+  });
 }
 
 Result<double> AggregateRegion(const Array& array, const MInterval& region,
                                AggregateOp op) {
-  if (region.dim() != array.domain().dim() || !region.IsFixed() ||
-      !array.domain().Contains(region)) {
-    return Status::InvalidArgument("aggregate region " + region.ToString() +
-                                   " not inside array domain " +
-                                   array.domain().ToString());
+  Status st = CheckRegionInside(region, array.domain());
+  if (!st.ok()) return st;
+  return DispatchNumeric(array.cell_type(), [&](auto zero) -> Result<double> {
+    using T = decltype(zero);
+    const double value =
+        ReduceRegionRuns<T>(array, region, op, [](T) { return true; }).value;
+    return op == AggregateOp::kAvg
+               ? value / static_cast<double>(region.CellCountOrDie())
+               : value;
+  });
+}
+
+Result<FilteredAggregate> AggregateRegionFiltered(const Array& array,
+                                                  const MInterval& region,
+                                                  const ValuePredicate& pred,
+                                                  AggregateOp op) {
+  Status st = CheckRegionInside(region, array.domain());
+  if (!st.ok()) return st;
+  return DispatchNumeric(
+      array.cell_type(), [&](auto zero) -> Result<FilteredAggregate> {
+        using T = decltype(zero);
+        return ReduceRegionRuns<T>(array, region, op, [&](T v) {
+          return pred.Matches(static_cast<double>(v));
+        });
+      });
+}
+
+Status FilterRegionInto(const Array& tile, const MInterval& part,
+                        const ValuePredicate& pred, Array* result) {
+  Status st = CheckRegionInside(part, tile.domain());
+  if (st.ok()) st = CheckRegionInside(part, result->domain());
+  if (!st.ok()) return st;
+  if (tile.cell_type() != result->cell_type()) {
+    return Status::InvalidArgument("filter cell types differ");
   }
-  switch (array.cell_type().id()) {
-    case CellTypeId::kUInt8:
-      return ReduceRegionRuns<uint8_t>(array, region, op);
-    case CellTypeId::kInt8:
-      return ReduceRegionRuns<int8_t>(array, region, op);
-    case CellTypeId::kUInt16:
-      return ReduceRegionRuns<uint16_t>(array, region, op);
-    case CellTypeId::kInt16:
-      return ReduceRegionRuns<int16_t>(array, region, op);
-    case CellTypeId::kUInt32:
-      return ReduceRegionRuns<uint32_t>(array, region, op);
-    case CellTypeId::kInt32:
-      return ReduceRegionRuns<int32_t>(array, region, op);
-    case CellTypeId::kUInt64:
-      return ReduceRegionRuns<uint64_t>(array, region, op);
-    case CellTypeId::kInt64:
-      return ReduceRegionRuns<int64_t>(array, region, op);
-    case CellTypeId::kFloat32:
-      return ReduceRegionRuns<float>(array, region, op);
-    case CellTypeId::kFloat64:
-      return ReduceRegionRuns<double>(array, region, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(array.cell_type().name()));
-  }
-  return Status::Internal("unhandled cell type");
+  const uint64_t run = static_cast<uint64_t>(part.Extent(part.dim() - 1));
+  return DispatchNumeric(tile.cell_type(), [&](auto zero) -> Status {
+    using T = decltype(zero);
+    const T* src = reinterpret_cast<const T*>(tile.data());
+    T* dst = reinterpret_cast<T*>(result->mutable_data());
+    ForEachRun(tile.domain(), result->domain(), part,
+               [&](uint64_t src_off, uint64_t dst_off) {
+                 for (uint64_t i = 0; i < run; ++i) {
+                   const T v = src[src_off + i];
+                   if (pred.Matches(static_cast<double>(v))) {
+                     dst[dst_off + i] = v;
+                   }
+                 }
+               });
+    return Status::OK();
+  });
+}
+
+Result<uint64_t> FilterRleStreamInto(const std::vector<uint8_t>& stream,
+                                     const MInterval& tile_domain,
+                                     const ValuePredicate& pred,
+                                     Array* result) {
+  Status st = CheckRegionInside(tile_domain, result->domain());
+  if (!st.ok()) return st;
+  return DispatchNumeric(result->cell_type(), [&](auto zero) {
+    return FilterRleStream<decltype(zero)>(stream, tile_domain, pred, result);
+  });
 }
 
 Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
@@ -388,34 +425,9 @@ Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
   if (cell_count == 0) {
     return Status::InvalidArgument("aggregate of empty array");
   }
-  switch (cell_type.id()) {
-    case CellTypeId::kUInt8:
-      return ReduceRleStream<uint8_t>(stream, cell_count, op);
-    case CellTypeId::kInt8:
-      return ReduceRleStream<int8_t>(stream, cell_count, op);
-    case CellTypeId::kUInt16:
-      return ReduceRleStream<uint16_t>(stream, cell_count, op);
-    case CellTypeId::kInt16:
-      return ReduceRleStream<int16_t>(stream, cell_count, op);
-    case CellTypeId::kUInt32:
-      return ReduceRleStream<uint32_t>(stream, cell_count, op);
-    case CellTypeId::kInt32:
-      return ReduceRleStream<int32_t>(stream, cell_count, op);
-    case CellTypeId::kUInt64:
-      return ReduceRleStream<uint64_t>(stream, cell_count, op);
-    case CellTypeId::kInt64:
-      return ReduceRleStream<int64_t>(stream, cell_count, op);
-    case CellTypeId::kFloat32:
-      return ReduceRleStream<float>(stream, cell_count, op);
-    case CellTypeId::kFloat64:
-      return ReduceRleStream<double>(stream, cell_count, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(cell_type.name()));
-  }
-  return Status::Internal("unhandled cell type");
+  return DispatchNumeric(cell_type, [&](auto zero) {
+    return ReduceRleStream<decltype(zero)>(stream, cell_count, op);
+  });
 }
 
 }  // namespace tilestore

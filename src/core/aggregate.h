@@ -8,12 +8,15 @@
 #include "common/result.h"
 #include "core/array.h"
 #include "core/minterval.h"
+#include "core/predicate.h"
 
 namespace tilestore {
 
 /// Cell-condensing operations over arrays — the reductions behind OLAP
 /// sub-aggregation queries (Section 5.1 access type (c): "to perform a
-/// subaggregation"). Mirrors RasQL's condenser functions.
+/// subaggregation"). Mirrors RasQL's condenser functions. The kernels
+/// below also apply value predicates (DESIGN.md §15); cells are widened
+/// to double for every comparison and fold.
 enum class AggregateOp {
   kSum,    // add_cells
   kMin,    // min_cells
@@ -57,6 +60,42 @@ Result<double> AggregateRegion(const Array& array, const MInterval& region,
 Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
                                   CellType cell_type, uint64_t cell_count,
                                   AggregateOp op);
+
+/// A reduction over the cells that matched a predicate.
+struct FilteredAggregate {
+  double value = 0;  // meaningless when `matched` is 0
+  uint64_t matched = 0;
+};
+
+/// `AggregateRegion` over the cells of `region` that match `pred` only,
+/// visited in the same order with the same accumulators — so when every
+/// cell matches, `value` is bit-identical to `AggregateRegion`. `kAvg`
+/// folds as `kSum`; divide by `matched`.
+Result<FilteredAggregate> AggregateRegionFiltered(const Array& array,
+                                                  const MInterval& region,
+                                                  const ValuePredicate& pred,
+                                                  AggregateOp op);
+
+/// Copies the cells of `part` that match `pred` from `tile` into the same
+/// cells of `result`; the other cells of `result` keep their bytes (the
+/// default fill). `part` must lie inside both domains; the cell types must
+/// agree. Distinct calls may write disjoint parts of one `result`
+/// concurrently.
+Status FilterRegionInto(const Array& tile, const MInterval& part,
+                        const ValuePredicate& pred, Array* result);
+
+/// `FilterRegionInto` for a whole RLE tile (`tile_domain`, wholly inside
+/// `result`), straight off its compressed stream: runs are tested against
+/// the predicate before any cell is materialized, so a repeat run of
+/// non-matching cells costs one comparison. Returns the matched cells.
+Result<uint64_t> FilterRleStreamInto(const std::vector<uint8_t>& stream,
+                                     const MInterval& tile_domain,
+                                     const ValuePredicate& pred,
+                                     Array* result);
+
+/// True for the built-in numeric cell types — everything the kernels
+/// above accept (not rgb8/opaque).
+bool IsNumericCellType(CellType cell_type);
 
 /// Interprets one cell (`cell_type.size()` bytes at `cell`) as a double.
 /// Used to fold an object's default cell value into aggregations over

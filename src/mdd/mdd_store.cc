@@ -142,45 +142,6 @@ ThreadPool* MDDStore::thread_pool() {
   return workers_.get();
 }
 
-Result<std::vector<Tile>> MDDStore::FetchTiles(
-    const MDDObject& object, std::span<const TileEntry> entries,
-    int parallelism, TileIOStats* stats, uint64_t trace_id, bool use_cache) {
-  std::vector<Tile> tiles(entries.size());
-  TileIOOptions io;
-  io.parallelism = parallelism;
-  io.pool = parallelism > 1 ? thread_pool() : nullptr;
-  io.trace = trace_id != 0 ? &trace_ : nullptr;
-  io.trace_id = trace_id;
-  if (use_cache && tile_cache_->enabled()) {
-    io.cache = tile_cache_.get();
-    io.cache_object_id = object.cache_id();
-    Status st = scheduler_->FetchBatchShared(
-        entries, object.cell_type(), io,
-        [&tiles](size_t i, const Tile& tile) {
-          // The vector owns its tiles, so hits are copied out of the cache.
-          Result<Tile> copy = Tile::FromBuffer(
-              tile.domain(), tile.cell_type(),
-              std::vector<uint8_t>(tile.data(),
-                                   tile.data() + tile.size_bytes()));
-          if (!copy.ok()) return copy.status();
-          tiles[i] = std::move(copy).MoveValue();
-          return Status::OK();
-        },
-        stats);
-    if (!st.ok()) return st;
-    return tiles;
-  }
-  Status st = scheduler_->FetchBatch(
-      entries, object.cell_type(), io,
-      [&tiles](size_t i, Tile&& tile) {
-        tiles[i] = std::move(tile);
-        return Status::OK();
-      },
-      stats);
-  if (!st.ok()) return st;
-  return tiles;
-}
-
 void MDDStore::InvalidateTileCache(uint64_t cache_id) {
   if (cache_id == 0) return;
   tile_cache_->InvalidateObject(cache_id);

@@ -154,26 +154,6 @@ class MDDStore {
   /// In unlogged mode this is a plain `PageFile::Flush`.
   Status Checkpoint();
 
-  /// Batched tile retrieval through the `TileIOScheduler`: fetches every
-  /// entry (typically an index probe's hits) and returns the decoded tiles
-  /// in the same order as `entries`. `parallelism = 1` runs the exact
-  /// serial tile-at-a-time path; higher values coalesce page runs and
-  /// spread decode over the worker pool. The read path is thread-safe, so
-  /// concurrent callers may overlap.
-  /// `trace_id`, when nonzero, groups the batch's per-tile spans into the
-  /// store's trace ring under that query id.
-  /// With `use_cache` set (and a nonzero `tile_cache_bytes` budget),
-  /// entries already in the decoded-tile cache skip the BLOB read and
-  /// decode, and misses populate the cache; the returned tiles are always
-  /// private copies. Off by default so existing callers keep the exact
-  /// uncached path.
-  Result<std::vector<Tile>> FetchTiles(const MDDObject& object,
-                                       std::span<const TileEntry> entries,
-                                       int parallelism = 1,
-                                       TileIOStats* stats = nullptr,
-                                       uint64_t trace_id = 0,
-                                       bool use_cache = false);
-
   /// The worker pool behind parallel fetches (created on first use).
   ThreadPool* thread_pool();
 

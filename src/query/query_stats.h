@@ -85,10 +85,11 @@ struct QueryStats {
   double t_ix_measured_ms = 0;
   double t_o_measured_ms = 0;
   double t_cpu_measured_ms = 0;
-  /// Wall clock of the whole retrieval phase. Equals `t_o_measured_ms` on
-  /// the serial path; under parallelism the summed per-tile time
-  /// (`t_o_measured_ms`) exceeds this — their ratio is the effective
-  /// retrieval overlap.
+  /// Wall clock of the whole fetch step: reads, decode and the per-tile
+  /// composition. `t_o_measured_ms` is the read time alone and
+  /// `t_cpu_measured_ms` includes decode and composition summed over
+  /// workers, so under parallelism their sum exceeds this — the ratio is
+  /// the effective overlap.
   double t_o_wall_ms = 0;
   double total_access_measured_ms() const {
     return t_ix_measured_ms + t_o_measured_ms;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <optional>
 
-#include "core/linearizer.h"
 #include "core/region.h"
 #include "storage/compression.h"
 #include "storage/io_scheduler.h"
@@ -24,250 +22,309 @@ double ElapsedMs(Clock::time_point start) {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// Filtered-query kernels (DESIGN.md §15). Cells are widened to double for
-// the comparison, exactly like the aggregation kernels, so a predicate
-// means the same thing for every numeric cell type — and matches the
-// min/max reasoning `ClassifyTile` does on summaries.
-
-bool IsNumericCellType(CellType cell_type) {
-  switch (cell_type.id()) {
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return false;
-    default:
-      return true;
-  }
-}
-
-using WidenFn = double (*)(const uint8_t*);
-
-template <typename T>
-double WidenAs(const uint8_t* cell) {
-  T v;
-  std::memcpy(&v, cell, sizeof(T));
-  return static_cast<double>(v);
-}
-
-WidenFn WidenFor(CellTypeId id) {
-  switch (id) {
-    case CellTypeId::kUInt8:   return &WidenAs<uint8_t>;
-    case CellTypeId::kInt8:    return &WidenAs<int8_t>;
-    case CellTypeId::kUInt16:  return &WidenAs<uint16_t>;
-    case CellTypeId::kInt16:   return &WidenAs<int16_t>;
-    case CellTypeId::kUInt32:  return &WidenAs<uint32_t>;
-    case CellTypeId::kInt32:   return &WidenAs<int32_t>;
-    case CellTypeId::kUInt64:  return &WidenAs<uint64_t>;
-    case CellTypeId::kInt64:   return &WidenAs<int64_t>;
-    case CellTypeId::kFloat32: return &WidenAs<float>;
-    case CellTypeId::kFloat64: return &WidenAs<double>;
-    default:                   return nullptr;
-  }
-}
-
-// Copies the matching cells of one contiguous run; non-matching cells keep
-// whatever `dst` holds (the default fill).
-using FilterRunFn = void (*)(const uint8_t*, uint8_t*, uint64_t,
-                             const ValuePredicate&);
-
-template <typename T>
-void FilterRunTyped(const uint8_t* src, uint8_t* dst, uint64_t cells,
-                    const ValuePredicate& pred) {
-  const T* s = reinterpret_cast<const T*>(src);
-  T* d = reinterpret_cast<T*>(dst);
-  for (uint64_t i = 0; i < cells; ++i) {
-    if (pred.Matches(static_cast<double>(s[i]))) d[i] = s[i];
-  }
-}
-
-FilterRunFn FilterRunFor(CellTypeId id) {
-  switch (id) {
-    case CellTypeId::kUInt8:   return &FilterRunTyped<uint8_t>;
-    case CellTypeId::kInt8:    return &FilterRunTyped<int8_t>;
-    case CellTypeId::kUInt16:  return &FilterRunTyped<uint16_t>;
-    case CellTypeId::kInt16:   return &FilterRunTyped<int16_t>;
-    case CellTypeId::kUInt32:  return &FilterRunTyped<uint32_t>;
-    case CellTypeId::kInt32:   return &FilterRunTyped<int32_t>;
-    case CellTypeId::kUInt64:  return &FilterRunTyped<uint64_t>;
-    case CellTypeId::kInt64:   return &FilterRunTyped<int64_t>;
-    case CellTypeId::kFloat32: return &FilterRunTyped<float>;
-    case CellTypeId::kFloat64: return &FilterRunTyped<double>;
-    default:                   return nullptr;
-  }
-}
-
-// Filters an RLE tile straight off its compressed stream into the result
-// buffer: runs are tested against the predicate *before* any cell is
-// materialized, so a repeat run of non-matching cells costs one comparison.
-// The tile must lie wholly inside `result_domain`. Returns matched cells.
-Result<uint64_t> FilterRleStreamInto(const std::vector<uint8_t>& stream,
-                                     const MInterval& tile_domain,
-                                     CellTypeId type_id, size_t cell_size,
-                                     const ValuePredicate& pred,
-                                     const MInterval& result_domain,
-                                     uint8_t* result_data) {
-  const WidenFn widen = WidenFor(type_id);
-  if (widen == nullptr || cell_size == 0 || cell_size > 8) {
-    return Status::InvalidArgument("filtered RLE needs a numeric cell type");
-  }
-  // Linear tile cell k lives in innermost-axis run k / L at offset k % L;
-  // the runs' destination offsets are precomputed once.
-  const uint64_t run_len =
-      static_cast<uint64_t>(tile_domain.Extent(tile_domain.dim() - 1));
-  std::vector<uint64_t> dst_runs;
-  dst_runs.reserve(tile_domain.CellCountOrDie() / run_len);
-  ForEachRun(tile_domain, result_domain, tile_domain,
-             [&](uint64_t, uint64_t dst) { dst_runs.push_back(dst); });
-  auto dst_for = [&](uint64_t k) {
-    return result_data + (dst_runs[k / run_len] + (k % run_len)) * cell_size;
-  };
-
-  const uint64_t cells = tile_domain.CellCountOrDie();
-  const uint64_t declared_bytes = cells * cell_size;
-  uint8_t buf[8];
-  size_t fill = 0;
-  uint64_t cell_index = 0;
-  uint64_t matched = 0;
-  auto emit_cell = [&](const uint8_t* cell) {
-    if (pred.Matches(widen(cell))) {
-      std::memcpy(dst_for(cell_index), cell, cell_size);
-      ++matched;
-    }
-    ++cell_index;
-  };
-  auto push_byte = [&](uint8_t b) {
-    buf[fill % sizeof(buf)] = b;
-    if (++fill == cell_size) {
-      emit_cell(buf);
-      fill = 0;
-    }
-  };
-
-  uint64_t bytes_seen = 0;
-  size_t i = 0;
-  const size_t n = stream.size();
-  while (i < n) {
-    const uint8_t control = stream[i++];
-    if (control == 0x80) {
-      return Status::Corruption("reserved RLE control byte");
-    }
-    if (control < 0x80) {
-      const size_t lit = static_cast<size_t>(control) + 1;
-      if (i + lit > n) return Status::Corruption("truncated RLE literal run");
-      bytes_seen += lit;
-      if (bytes_seen > declared_bytes) {
-        return Status::Corruption("RLE stream longer than declared size");
-      }
-      for (size_t k = 0; k < lit; ++k) push_byte(stream[i + k]);
-      i += lit;
-    } else {
-      if (i >= n) return Status::Corruption("truncated RLE repeat run");
-      size_t run = 257 - static_cast<size_t>(control);
-      const uint8_t b = stream[i++];
-      bytes_seen += run;
-      if (bytes_seen > declared_bytes) {
-        return Status::Corruption("RLE stream longer than declared size");
-      }
-      // Finish the partial cell, test whole repeated cells once, then
-      // start the next partial cell.
-      while (run > 0 && fill != 0) {
-        push_byte(b);
-        --run;
-      }
-      if (run >= cell_size) {
-        uint8_t cell[8];
-        std::memset(cell, b, cell_size);
-        uint64_t whole = run / cell_size;
-        run -= static_cast<size_t>(whole * cell_size);
-        if (pred.Matches(widen(cell))) {
-          matched += whole;
-          while (whole > 0) {
-            const uint64_t in_run =
-                std::min<uint64_t>(whole, run_len - (cell_index % run_len));
-            uint8_t* d = dst_for(cell_index);
-            for (uint64_t c = 0; c < in_run; ++c) {
-              std::memcpy(d + c * cell_size, cell, cell_size);
-            }
-            cell_index += in_run;
-            whole -= in_run;
-          }
-        } else {
-          cell_index += whole;
-        }
-      }
-      while (run > 0) {
-        push_byte(b);
-        --run;
-      }
-    }
-  }
-  if (fill != 0 || bytes_seen != declared_bytes) {
-    return Status::Corruption("RLE stream shorter than declared size");
-  }
-  return matched;
-}
-
-// Per-tile filtered fold: matching cells of `part`, visited in the exact
-// row-major run order of `ReduceRegionRuns`, with the same accumulator
-// types — so when every cell matches (the summaries-off degenerate case of
-// an accept-all tile) the partial is bit-identical to `AggregateRegion`.
-struct FilterPartial {
-  double value = 0;
-  uint64_t matched = 0;
+// The disk model's counters at the start of a query; `FinishStats` turns
+// them into the query's deltas.
+struct DiskMark {
+  explicit DiskMark(const DiskModel& disk)
+      : read_ms(disk.read_ms()),
+        pages(disk.pages_read()),
+        seeks(disk.read_seeks()) {}
+  double read_ms;
+  uint64_t pages;
+  uint64_t seeks;
 };
 
-FilterPartial FilterFoldRegion(const Array& tile, const MInterval& part,
-                               const ValuePredicate& pred, AggregateOp op,
-                               WidenFn widen, size_t cell_size) {
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  uint64_t nonzero = 0;
-  uint64_t matched = 0;
-  const uint64_t run = static_cast<uint64_t>(part.Extent(part.dim() - 1));
-  const uint8_t* data = tile.data();
-  ForEachRun(tile.domain(), tile.domain(), part,
-             [&](uint64_t off, uint64_t) {
-               const uint8_t* p = data + off * cell_size;
-               for (uint64_t c = 0; c < run; ++c, p += cell_size) {
-                 const double v = widen(p);
-                 if (!pred.Matches(v)) continue;
-                 ++matched;
-                 switch (op) {
-                   case AggregateOp::kSum:
-                   case AggregateOp::kAvg:
-                     sum += v;
-                     break;
-                   case AggregateOp::kMin:
-                     min = std::min(min, v);
-                     break;
-                   case AggregateOp::kMax:
-                     max = std::max(max, v);
-                     break;
-                   case AggregateOp::kCount:
-                     if (v != 0.0) ++nonzero;
-                     break;
-                 }
-               }
-             });
-  FilterPartial out;
-  out.matched = matched;
-  switch (op) {
-    case AggregateOp::kSum:
-    case AggregateOp::kAvg:
-      out.value = sum;
-      break;
-    case AggregateOp::kMin:
-      out.value = min;
-      break;
-    case AggregateOp::kMax:
-      out.value = max;
-      break;
-    case AggregateOp::kCount:
-      out.value = static_cast<double>(nonzero);
-      break;
+// How the pipeline hands one planned tile to the sink. Without a predicate
+// every tile is accept-all.
+enum class TileMode : uint8_t {
+  kAcceptAll,  // every cell matches: plain copy / fold
+  kInspect,    // filter cell by cell
+  kBackfill,   // inspect, and summarize the decoded tile for next time
+};
+
+// A query after planning (steps 1-3): the resolved region and the tiles to
+// fetch, in ascending BLOB-id order, each with its mode.
+struct QueryPlan {
+  MInterval region;
+  std::vector<TileEntry> tiles;
+  std::vector<TileMode> modes;
+  // Region cells under any index hit, skipped tiles included.
+  uint64_t covered_cells = 0;
+};
+
+}  // namespace
+
+// Step 5 of the pipeline. `Begin` runs before the fetch and `Finish` after
+// it; in between, plan tile `i` arrives at `Consume`, or at
+// `ConsumeEncoded` when `TakesEncoded` accepts its mode and the tile is an
+// RLE stream wholly inside the region. Both run on worker threads at
+// parallelism > 1, never twice for one `i`.
+class QuerySink {
+ public:
+  QuerySink(const MDDObject& object, const std::optional<ValuePredicate>& pred)
+      : object_(object), pred_(pred.has_value() ? &*pred : nullptr) {}
+  virtual ~QuerySink() = default;
+
+  virtual Status Begin(const QueryPlan& plan) = 0;
+  virtual bool TakesEncoded(TileMode mode) const = 0;
+  virtual Status ConsumeEncoded(size_t i,
+                                const std::vector<uint8_t>& stream) = 0;
+  virtual Status Consume(size_t i, const Tile& tile) = 0;
+  virtual Status Finish() = 0;
+  virtual uint64_t result_bytes() const = 0;
+
+  // Null when every cell matches.
+  const ValuePredicate* predicate() const { return pred_; }
+  uint64_t useful_bytes() const {
+    return useful_bytes_.load(std::memory_order_relaxed);
   }
-  return out;
+
+ protected:
+  void AddUseful(uint64_t cells) {
+    useful_bytes_.fetch_add(cells * object_.cell_size(),
+                            std::memory_order_relaxed);
+  }
+
+  const MDDObject& object_;
+  const ValuePredicate* const pred_;
+  const QueryPlan* plan_ = nullptr;
+
+ private:
+  std::atomic<uint64_t> useful_bytes_{0};
+};
+
+namespace {
+
+// Composes the tiles into the result array.
+class ArraySink final : public QuerySink {
+ public:
+  using QuerySink::QuerySink;
+
+  // The one fill rule: default every cell no accept-all tile overwrites.
+  // Tiles are disjoint, inspect tiles write matching cells only and
+  // skipped tiles nothing, so a cell's bytes depend on (stored value,
+  // predicate) alone — never on summaries, cache state or parallelism.
+  Status Begin(const QueryPlan& plan) override {
+    plan_ = &plan;
+    Result<Array> created = Array::Create(plan.region, object_.cell_type());
+    if (!created.ok()) return created.status();
+    result_ = std::move(created).MoveValue();
+    std::vector<MInterval> accepted;
+    accepted.reserve(plan.tiles.size());
+    for (size_t i = 0; i < plan.tiles.size(); ++i) {
+      if (plan.modes[i] != TileMode::kAcceptAll) continue;
+      std::optional<MInterval> part =
+          plan.tiles[i].domain.Intersection(plan.region);
+      if (part.has_value()) accepted.push_back(*std::move(part));
+    }
+    for (const MInterval& piece : Subtract(plan.region, accepted)) {
+      Status st = result_.Fill(piece, object_.default_cell().data());
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
+  }
+
+  // Inspect tiles filter straight off the compressed stream (runs tested
+  // before materializing).
+  bool TakesEncoded(TileMode mode) const override {
+    return mode != TileMode::kAcceptAll;
+  }
+
+  Status ConsumeEncoded(size_t i,
+                        const std::vector<uint8_t>& stream) override {
+    Result<uint64_t> matched = FilterRleStreamInto(
+        stream, plan_->tiles[i].domain, *pred_, &result_);
+    if (!matched.ok()) return matched.status();
+    AddUseful(*matched);
+    return Status::OK();
+  }
+
+  Status Consume(size_t i, const Tile& tile) override {
+    const std::optional<MInterval> part =
+        tile.domain().Intersection(plan_->region);
+    if (!part.has_value()) return Status::OK();
+    Status st = plan_->modes[i] == TileMode::kAcceptAll
+                    ? result_.CopyFrom(tile, *part)
+                    : FilterRegionInto(tile, *part, *pred_, &result_);
+    if (!st.ok()) return st;
+    AddUseful(part->CellCountOrDie());
+    return Status::OK();
+  }
+
+  Status Finish() override { return Status::OK(); }
+  uint64_t result_bytes() const override { return result_.size_bytes(); }
+  Array TakeResult() { return std::move(result_); }
+
+ private:
+  Array result_;
+};
+
+// Condenses each tile into a per-tile partial the moment it arrives, then
+// folds the partials into one value.
+class FoldSink final : public QuerySink {
+ public:
+  FoldSink(const MDDObject& object, const std::optional<ValuePredicate>& pred,
+           AggregateOp op, bool run_kernel)
+      : QuerySink(object, pred),
+        op_(op),
+        tile_op_(op == AggregateOp::kAvg ? AggregateOp::kSum : op),
+        run_kernel_(run_kernel) {}
+
+  Status Begin(const QueryPlan& plan) override {
+    plan_ = &plan;
+    partials_.assign(plan.tiles.size(), FilteredAggregate{});
+    return Status::OK();
+  }
+
+  // Accept-all tiles fold over the compressed stream with the unfiltered
+  // run kernel — no decoded buffer at all. (A cached decoded copy still
+  // wins; the scheduler checks the cache first.)
+  bool TakesEncoded(TileMode mode) const override {
+    return run_kernel_ && mode == TileMode::kAcceptAll;
+  }
+
+  Status ConsumeEncoded(size_t i,
+                        const std::vector<uint8_t>& stream) override {
+    const uint64_t cells = plan_->tiles[i].domain.CellCountOrDie();
+    Result<double> value =
+        AggregateRleStream(stream, object_.cell_type(), cells, tile_op_);
+    if (!value.ok()) return value.status();
+    partials_[i] = FilteredAggregate{*value, cells};
+    return Status::OK();
+  }
+
+  Status Consume(size_t i, const Tile& tile) override {
+    const std::optional<MInterval> part =
+        tile.domain().Intersection(plan_->region);
+    if (!part.has_value()) return Status::OK();
+    if (plan_->modes[i] != TileMode::kAcceptAll) {
+      Result<FilteredAggregate> partial =
+          AggregateRegionFiltered(tile, *part, *pred_, tile_op_);
+      if (!partial.ok()) return partial.status();
+      partials_[i] = *partial;
+      return Status::OK();
+    }
+    // kAvg folds as a running sum. The run kernel reduces the part in
+    // place; the slice kernel materializes it first. Same cell order, same
+    // accumulators — bit-identical values.
+    Result<double> value = [&]() -> Result<double> {
+      if (run_kernel_) return AggregateRegion(tile, *part, tile_op_);
+      Result<Array> slice = tile.Slice(*part);
+      if (!slice.ok()) return slice.status();
+      return AggregateCells(*slice, tile_op_);
+    }();
+    if (!value.ok()) return value.status();
+    partials_[i] = FilteredAggregate{*value, part->CellCountOrDie()};
+    return Status::OK();
+  }
+
+  // The one fold rule: partials serially in ascending BLOB-id order, then
+  // the default value once per uncovered cell if it matches — identical at
+  // every parallelism. Without a predicate every cell matches, so kAvg
+  // divides by the region's cell count.
+  Status Finish() override {
+    double sum = 0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+    double nonzero = 0;
+    auto fold = [&](double sum_term, double extreme, double nonzero_term) {
+      switch (op_) {
+        case AggregateOp::kSum:
+        case AggregateOp::kAvg:
+          sum += sum_term;
+          break;
+        case AggregateOp::kMin:
+          min = std::min(min, extreme);
+          break;
+        case AggregateOp::kMax:
+          max = std::max(max, extreme);
+          break;
+        case AggregateOp::kCount:
+          nonzero += nonzero_term;
+          break;
+      }
+    };
+    uint64_t matched = 0;
+    for (const FilteredAggregate& partial : partials_) {
+      matched += partial.matched;
+      if (partial.matched == 0) continue;
+      fold(partial.value, partial.value, partial.value);
+    }
+    AddUseful(matched);
+
+    const uint64_t uncovered =
+        plan_->region.CellCountOrDie() - plan_->covered_cells;
+    if (uncovered > 0) {
+      Result<double> dflt = CellValueAsDouble(object_.cell_type(),
+                                              object_.default_cell().data());
+      if (!dflt.ok()) return dflt.status();
+      if (pred_ == nullptr || pred_->Matches(*dflt)) {
+        matched += uncovered;
+        const double cells = static_cast<double>(uncovered);
+        fold(*dflt * cells, *dflt, *dflt != 0.0 ? cells : 0.0);
+      }
+    }
+
+    // No matching cell: 0 by definition for every op (a filtered aggregate
+    // over the empty set has no natural min/max/avg).
+    value_ = 0.0;
+    if (matched == 0) return Status::OK();
+    switch (op_) {
+      case AggregateOp::kSum:
+        value_ = sum;
+        return Status::OK();
+      case AggregateOp::kAvg:
+        value_ = sum / static_cast<double>(matched);
+        return Status::OK();
+      case AggregateOp::kMin:
+        value_ = min;
+        return Status::OK();
+      case AggregateOp::kMax:
+        value_ = max;
+        return Status::OK();
+      case AggregateOp::kCount:
+        value_ = nonzero;
+        return Status::OK();
+    }
+    return Status::Internal("unhandled aggregate op");
+  }
+
+  uint64_t result_bytes() const override { return sizeof(double); }
+  double value() const { return value_; }
+
+ private:
+  const AggregateOp op_;
+  const AggregateOp tile_op_;
+  const bool run_kernel_;
+  std::vector<FilteredAggregate> partials_;
+  double value_ = 0;
+};
+
+// Step 6: the paper's breakdown from the fetch's accounting and the disk
+// model's deltas over the query.
+void FinishStats(const TileIOStats& io, const DiskModel& disk,
+                 const DiskMark& before, double sink_ms,
+                 const QuerySink& sink, const CostParams& cost,
+                 QueryStats* stats) {
+  stats->t_o_measured_ms = io.io_summed_ms;
+  stats->t_o_wall_ms = io.wall_ms;
+  stats->t_cpu_measured_ms = io.decode_summed_ms + sink_ms;
+  stats->t_o_model_ms = disk.read_ms() - before.read_ms;
+  stats->pages_read = disk.pages_read() - before.pages;
+  stats->seeks = disk.read_seeks() - before.seeks;
+  stats->io_runs = io.coalesced_runs;
+  stats->tilecache_hits = io.cache_hits;
+  stats->tiles_accessed = io.tiles;
+  stats->tile_bytes_read = io.tile_bytes;
+  stats->useful_bytes = sink.useful_bytes();
+  stats->result_bytes = sink.result_bytes();
+  // t_cpu model: every retrieved byte passes through the composition layer
+  // once, plus a fixed dispatch overhead per tile. Skipped tiles cost
+  // nothing — the model-side face of predicate pushdown.
+  stats->t_cpu_model_ms =
+      static_cast<double>(stats->tile_bytes_read) /
+          (cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
+      static_cast<double>(stats->tiles_accessed) * cost.per_tile_cpu_ms;
 }
 
 }  // namespace
@@ -321,614 +378,134 @@ Result<MInterval> RangeQueryExecutor::ResolveRegion(const MDDObject& object,
 Result<Array> RangeQueryExecutor::Execute(MDDObject* object,
                                           const MInterval& region,
                                           QueryStats* stats) {
-  if (options_.predicate.has_value()) {
-    return ExecuteFiltered(object, region, stats);
-  }
-  Result<MInterval> resolved_or = ResolveRegion(*object, region);
-  if (!resolved_or.ok()) return resolved_or.status();
-  const MInterval resolved = std::move(resolved_or).MoveValue();
-
-  if (options_.log != nullptr) options_.log->Record(resolved);
-  // Feed the store's workload recorder — the observe side of the
-  // re-tiling loop (the retiler mines these boxes for migrations).
-  store_->workload()->Record(object->name(), resolved);
-
-  DiskModel* disk = store_->disk_model();
-  if (options_.cold) {
-    store_->buffer_pool()->Clear();
-    disk->Reset();
-  }
-  const double disk_ms_before = disk->read_ms();
-  const uint64_t pages_before = disk->pages_read();
-  const uint64_t seeks_before = disk->read_seeks();
-
-  obs::TraceRing* trace = store_->trace();
-  const uint64_t trace_id = trace->NextTraceId();
-  obs::TraceScope query_span(trace, trace_id, "query");
-  queries_->Add(1);
-
-  QueryStats local;
-  const int parallelism = std::max(options_.parallelism, 1);
-  local.parallelism = static_cast<uint64_t>(parallelism);
-
-  // Warm runs may serve decoded tiles straight from the cache; cold runs
-  // always bypass it so the cost model keeps measuring physical retrieval.
-  const bool use_cache = options_.use_tile_cache && !options_.cold &&
-                         store_->tile_cache()->enabled() &&
-                         object->cache_id() != 0;
-  // Negative cache: a warm region remembered as intersecting no tiles
-  // skips the index walk; the query falls through with zero hits and
-  // default-fills as usual.
-  const bool known_empty =
-      use_cache && store_->tile_cache()->LookupNegativeRegion(
-                       object->cache_id(), resolved.ToString());
-
-  // Phase 1 (t_ix): probe the tile index.
-  const Clock::time_point ix_start = Clock::now();
-  std::vector<TileEntry> hits;
-  if (!known_empty) {
-    obs::TraceScope span(trace, trace_id, "index_probe");
-    hits = object->FindTiles(resolved);
-    local.index_nodes_visited = object->index()->last_nodes_visited();
-    index_probes_->Add(1);
-    index_nodes_visited_->Add(local.index_nodes_visited);
-    if (use_cache && hits.empty()) {
-      store_->tile_cache()->InsertNegativeRegion(object->cache_id(),
-                                                 resolved.ToString());
-    }
-  }
-  local.t_ix_measured_ms = ElapsedMs(ix_start);
-  local.t_ix_model_ms = static_cast<double>(local.index_nodes_visited) *
-                        options_.cost.index_node_ms;
-
-  // Phase 2 (t_o): retrieve the intersected tiles from the storage system,
-  // in physical order (ascending BLOB id = ascending page position) so
-  // that large scans read sequentially instead of seeking per tile.
-  std::sort(hits.begin(), hits.end(),
-            [](const TileEntry& a, const TileEntry& b) {
-              return a.blob < b.blob;
-            });
-
-  TileIOStats io;
-  if (parallelism <= 1 && use_cache) {
-    // Serial cached path: tile-at-a-time like the legacy pipeline, but
-    // composing straight from the shared decoded copy — a hit pays neither
-    // the BLOB read, nor the decode, nor a private tile copy. Like the
-    // parallel path, only the pieces no tile covers are default-filled;
-    // tiles are disjoint, so the bytes equal the legacy fill-then-
-    // overwrite result.
-    const Clock::time_point o_start = Clock::now();
-    Result<Array> result_or = Array::Create(resolved, object->cell_type());
-    if (!result_or.ok()) return result_or.status();
-    Array result = std::move(result_or).MoveValue();
-    Status st = Status::OK();
-    {
-      std::vector<MInterval> covered;
-      covered.reserve(hits.size());
-      for (const TileEntry& entry : hits) {
-        const std::optional<MInterval> part =
-            entry.domain.Intersection(resolved);
-        if (part.has_value()) covered.push_back(*part);
-      }
-      for (const MInterval& piece : Subtract(resolved, covered)) {
-        st = result.Fill(piece, object->default_cell().data());
-        if (!st.ok()) return st;
-      }
-    }
-
-    TileIOOptions io_options;
-    io_options.parallelism = 1;
-    io_options.trace = trace;
-    io_options.trace_id = trace_id;
-    io_options.cache = store_->tile_cache();
-    io_options.cache_object_id = object->cache_id();
-    double compose_ms = 0;
-    {
-      obs::TraceScope fetch_span(trace, trace_id, "fetch");
-      st = store_->io_scheduler()->FetchBatchShared(
-          hits, object->cell_type(), io_options,
-          [&](size_t, const Tile& tile) -> Status {
-            const std::optional<MInterval> part =
-                tile.domain().Intersection(resolved);
-            if (!part.has_value()) return Status::OK();
-            const Clock::time_point compose_start = Clock::now();
-            Status copy = result.CopyFrom(tile, *part);
-            if (!copy.ok()) return copy;
-            local.useful_bytes +=
-                part->CellCountOrDie() * object->cell_size();
-            compose_ms += ElapsedMs(compose_start);
-            return Status::OK();
-          },
-          &io);
-    }
-    if (!st.ok()) return st;
-    local.t_o_measured_ms = ElapsedMs(o_start) - compose_ms;
-    local.t_o_wall_ms = local.t_o_measured_ms;
-    local.t_cpu_measured_ms = compose_ms;
-    local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-    local.pages_read = disk->pages_read() - pages_before;
-    local.seeks = disk->read_seeks() - seeks_before;
-    local.io_runs = io.coalesced_runs;
-    local.tilecache_hits = io.cache_hits;
-    local.tiles_accessed = io.tiles;
-    local.tile_bytes_read = io.tile_bytes;
-    local.result_cells = resolved.CellCountOrDie();
-    local.result_bytes = local.result_cells * object->cell_size();
-    local.t_cpu_model_ms =
-        static_cast<double>(local.tile_bytes_read) /
-            (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-        static_cast<double>(local.tiles_accessed) *
-            options_.cost.per_tile_cpu_ms;
-
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-  if (parallelism <= 1) {
-    // Serial path: fetch everything, then compose — the paper's pipeline,
-    // bit-identical in storage behavior and model cost to the original
-    // tile-at-a-time loop.
-    const Clock::time_point o_start = Clock::now();
-    Result<std::vector<Tile>> tiles_or = [&] {
-      obs::TraceScope span(trace, trace_id, "fetch");
-      return store_->FetchTiles(*object, hits, /*parallelism=*/1, &io,
-                                trace_id, use_cache);
-    }();
-    if (!tiles_or.ok()) return tiles_or.status();
-    const std::vector<Tile>& tiles = tiles_or.value();
-    local.t_o_measured_ms = ElapsedMs(o_start);
-    local.t_o_wall_ms = local.t_o_measured_ms;
-    local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-    local.pages_read = disk->pages_read() - pages_before;
-    local.seeks = disk->read_seeks() - seeks_before;
-    local.io_runs = io.coalesced_runs;
-    local.tilecache_hits = io.cache_hits;
-    local.tiles_accessed = tiles.size();
-    for (const Tile& tile : tiles) {
-      local.tile_bytes_read += tile.size_bytes();
-    }
-
-    // Phase 3 (t_cpu): compose the tile parts into the result array.
-    const Clock::time_point cpu_start = Clock::now();
-    obs::TraceScope compose_span(trace, trace_id, "compose");
-    Result<Array> result_or = Array::Create(resolved, object->cell_type());
-    if (!result_or.ok()) return result_or.status();
-    Array result = std::move(result_or).MoveValue();
-    // Start from the default value; covered parts are overwritten below.
-    // (Cheap relative to the copies; covered-only fill would complicate
-    // the kernel for no measurable gain at tile granularity.)
-    Status st = result.Fill(resolved, object->default_cell().data());
-    if (!st.ok()) return st;
-    for (const Tile& tile : tiles) {
-      const std::optional<MInterval> part =
-          tile.domain().Intersection(resolved);
-      if (!part.has_value()) continue;  // cannot happen for index hits
-      st = result.CopyFrom(tile, *part);
-      if (!st.ok()) return st;
-      local.useful_bytes += part->CellCountOrDie() * object->cell_size();
-    }
-    local.t_cpu_measured_ms = ElapsedMs(cpu_start);
-
-    local.result_cells = resolved.CellCountOrDie();
-    local.result_bytes = local.result_cells * object->cell_size();
-    // t_cpu model: every retrieved byte passes through the composition
-    // layer once, plus a fixed dispatch overhead per tile.
-    local.t_cpu_model_ms =
-        static_cast<double>(local.tile_bytes_read) /
-            (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-        static_cast<double>(local.tiles_accessed) *
-            options_.cost.per_tile_cpu_ms;
-
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-
-  // Parallel path: allocate the result up front and default-fill only the
-  // pieces no tile covers (the serial path fills everything and then
-  // overwrites the covered parts — same bytes, more traffic), then fuse
-  // fetch + decode + composition in the scheduler's consume callback.
-  // Tiles are disjoint, so workers compose into disjoint cell ranges of
-  // the result buffer; the result is byte-identical to the serial path.
-  const Clock::time_point prep_start = Clock::now();
-  Result<Array> result_or = Array::Create(resolved, object->cell_type());
-  if (!result_or.ok()) return result_or.status();
-  Array result = std::move(result_or).MoveValue();
-  {
-    obs::TraceScope compose_span(trace, trace_id, "compose");
-    std::vector<MInterval> covered;
-    covered.reserve(hits.size());
-    for (const TileEntry& entry : hits) {
-      const std::optional<MInterval> part =
-          entry.domain.Intersection(resolved);
-      if (part.has_value()) covered.push_back(*part);
-    }
-    for (const MInterval& piece : Subtract(resolved, covered)) {
-      Status st = result.Fill(piece, object->default_cell().data());
-      if (!st.ok()) return st;
-    }
-  }
-  const double prep_ms = ElapsedMs(prep_start);
-
-  std::atomic<uint64_t> useful_bytes{0};
-  const size_t cell_size = object->cell_size();
-  TileIOOptions io_options;
-  io_options.parallelism = parallelism;
-  io_options.pool = store_->thread_pool();
-  io_options.trace = trace;
-  io_options.trace_id = trace_id;
-  Status st = Status::OK();
-  {
-    obs::TraceScope fetch_span(trace, trace_id, "fetch");
-    if (use_cache) {
-      // Cache-aware batch: hits compose straight from the shared decoded
-      // copy; misses decode once and populate the cache for the next
-      // query. Same compose kernel either way, so bytes are identical.
-      io_options.cache = store_->tile_cache();
-      io_options.cache_object_id = object->cache_id();
-      st = store_->io_scheduler()->FetchBatchShared(
-          hits, object->cell_type(), io_options,
-          [&](size_t, const Tile& tile) -> Status {
-            const std::optional<MInterval> part =
-                tile.domain().Intersection(resolved);
-            if (!part.has_value()) return Status::OK();
-            Status copy = result.CopyFrom(tile, *part);
-            if (!copy.ok()) return copy;
-            useful_bytes.fetch_add(part->CellCountOrDie() * cell_size,
-                                   std::memory_order_relaxed);
-            return Status::OK();
-          },
-          &io);
-    } else {
-      st = store_->io_scheduler()->FetchBatch(
-          hits, object->cell_type(), io_options,
-          [&](size_t, Tile&& tile) -> Status {
-            const std::optional<MInterval> part =
-                tile.domain().Intersection(resolved);
-            if (!part.has_value()) return Status::OK();
-            Status copy = result.CopyFrom(tile, *part);
-            if (!copy.ok()) return copy;
-            useful_bytes.fetch_add(part->CellCountOrDie() * cell_size,
-                                   std::memory_order_relaxed);
-            return Status::OK();
-          },
-          &io);
-    }
-  }
+  ArraySink sink(*object, options_.predicate);
+  Status st = Run(object, region,
+                  options_.predicate.has_value() ? "filter_query" : "query",
+                  &sink, stats);
   if (!st.ok()) return st;
-
-  local.t_o_measured_ms = io.io_summed_ms;
-  local.t_o_wall_ms = io.wall_ms;
-  local.t_cpu_measured_ms = prep_ms + io.decode_summed_ms;
-  local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-  local.pages_read = disk->pages_read() - pages_before;
-  local.seeks = disk->read_seeks() - seeks_before;
-  local.io_runs = io.coalesced_runs;
-  local.tilecache_hits = io.cache_hits;
-  local.tiles_accessed = io.tiles;
-  local.tile_bytes_read = io.tile_bytes;
-  local.useful_bytes = useful_bytes.load(std::memory_order_relaxed);
-
-  local.result_cells = resolved.CellCountOrDie();
-  local.result_bytes = local.result_cells * object->cell_size();
-  local.t_cpu_model_ms =
-      static_cast<double>(local.tile_bytes_read) /
-          (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-      static_cast<double>(local.tiles_accessed) *
-          options_.cost.per_tile_cpu_ms;
-
-  if (stats != nullptr) *stats = local;
-  return result;
+  return sink.TakeResult();
 }
 
 Result<double> RangeQueryExecutor::ExecuteAggregate(MDDObject* object,
                                                     const MInterval& region,
                                                     AggregateOp op,
                                                     QueryStats* stats) {
-  if (options_.predicate.has_value()) {
-    return ExecuteAggregateFiltered(object, region, op, stats);
-  }
-  Result<MInterval> resolved_or = ResolveRegion(*object, region);
-  if (!resolved_or.ok()) return resolved_or.status();
-  const MInterval resolved = std::move(resolved_or).MoveValue();
-
-  if (options_.log != nullptr) options_.log->Record(resolved);
-  store_->workload()->Record(object->name(), resolved);
-
-  DiskModel* disk = store_->disk_model();
-  if (options_.cold) {
-    store_->buffer_pool()->Clear();
-    disk->Reset();
-  }
-  const double disk_ms_before = disk->read_ms();
-  const uint64_t pages_before = disk->pages_read();
-  const uint64_t seeks_before = disk->read_seeks();
-
-  obs::TraceRing* trace = store_->trace();
-  const uint64_t trace_id = trace->NextTraceId();
-  obs::TraceScope query_span(trace, trace_id, "query");
-  queries_->Add(1);
-
-  QueryStats local;
-  const int parallelism = std::max(options_.parallelism, 1);
-  local.parallelism = static_cast<uint64_t>(parallelism);
-
-  const bool use_cache = options_.use_tile_cache && !options_.cold &&
-                         store_->tile_cache()->enabled() &&
-                         object->cache_id() != 0;
-  // Negative cache, as in Execute: a region known empty skips the index
-  // walk and folds straight over default cells below.
-  const bool known_empty =
-      use_cache && store_->tile_cache()->LookupNegativeRegion(
-                       object->cache_id(), resolved.ToString());
-
-  // Phase 1 (t_ix): probe the tile index.
-  const Clock::time_point ix_start = Clock::now();
-  std::vector<TileEntry> hits;
-  if (!known_empty) {
-    obs::TraceScope span(trace, trace_id, "index_probe");
-    hits = object->FindTiles(resolved);
-    local.index_nodes_visited = object->index()->last_nodes_visited();
-    index_probes_->Add(1);
-    index_nodes_visited_->Add(local.index_nodes_visited);
-    if (use_cache && hits.empty()) {
-      store_->tile_cache()->InsertNegativeRegion(object->cache_id(),
-                                                 resolved.ToString());
-    }
-  }
-  local.t_ix_measured_ms = ElapsedMs(ix_start);
-  local.t_ix_model_ms = static_cast<double>(local.index_nodes_visited) *
-                        options_.cost.index_node_ms;
-
-  std::sort(hits.begin(), hits.end(),
-            [](const TileEntry& a, const TileEntry& b) {
-              return a.blob < b.blob;
-            });
-
-  // Phases 2+3 fused in the scheduler's consume callback: each tile is
-  // fetched (t_o), its intersecting part condensed into a per-tile partial
-  // (t_cpu), then discarded — peak memory stays at `parallelism` tiles.
-  // Partials are folded serially afterwards in ascending BLOB-id order, so
-  // the floating-point accumulation order — and hence the result — is
-  // identical at every parallelism.
-  struct TilePartial {
-    double value = 0;
-    uint64_t cells = 0;
-  };
-  std::vector<TilePartial> partials(hits.size());
-  const AggregateOp tile_op =
-      op == AggregateOp::kAvg ? AggregateOp::kSum : op;
-  const bool run_kernel =
-      options_.aggregate_kernel == RangeQueryOptions::AggregateKernel::kRun;
-
-  TileIOStats io;
-  TileIOOptions io_options;
-  io_options.parallelism = parallelism;
-  io_options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
-  io_options.trace = trace;
-  io_options.trace_id = trace_id;
-  if (use_cache) {
-    io_options.cache = store_->tile_cache();
-    io_options.cache_object_id = object->cache_id();
-  }
-  if (run_kernel) {
-    // RLE fast path: a tile wholly inside the region whose stream is
-    // already run-encoded folds directly over the compressed bytes — no
-    // decoded buffer at all. (A cached decoded copy still wins when one
-    // exists; the scheduler checks the cache first and never populates it
-    // from this path.)
-    io_options.encoded_filter = [&hits, &resolved](size_t i) {
-      return hits[i].compression == Compression::kRle &&
-             resolved.Contains(hits[i].domain);
-    };
-    io_options.consume_encoded =
-        [&](size_t i, const std::vector<uint8_t>& stream) -> Status {
-      const uint64_t cells = hits[i].domain.CellCountOrDie();
-      Result<double> value =
-          AggregateRleStream(stream, object->cell_type(), cells, tile_op);
-      if (!value.ok()) return value.status();
-      partials[i] = TilePartial{*value, cells};
-      return Status::OK();
-    };
-  }
-  Status st = Status::OK();
-  {
-    obs::TraceScope fetch_span(trace, trace_id, "fetch");
-    st = store_->io_scheduler()->FetchBatchShared(
-        hits, object->cell_type(), io_options,
-        [&](size_t i, const Tile& tile) -> Status {
-          const std::optional<MInterval> part =
-              tile.domain().Intersection(resolved);
-          // Condense via the primitive reductions; kAvg folds as a running
-          // sum. The run kernel reduces the part in place; the legacy
-          // slice kernel materializes it first. Same cell order, same
-          // accumulators — bit-identical values.
-          Result<double> value = [&]() -> Result<double> {
-            if (run_kernel) return AggregateRegion(tile, *part, tile_op);
-            Result<Array> slice = tile.Slice(*part);
-            if (!slice.ok()) return slice.status();
-            return AggregateCells(*slice, tile_op);
-          }();
-          if (!value.ok()) return value.status();
-          partials[i] = TilePartial{*value, part->CellCountOrDie()};
-          return Status::OK();
-        },
-        &io);
-  }
+  FoldSink sink(*object, options_.predicate, op,
+                options_.aggregate_kernel ==
+                    RangeQueryOptions::AggregateKernel::kRun);
+  Status st = Run(object, region,
+                  options_.predicate.has_value() ? "filter_aggregate" : "query",
+                  &sink, stats);
   if (!st.ok()) return st;
-
-  local.t_o_measured_ms = io.io_summed_ms;
-  local.t_o_wall_ms = io.wall_ms;
-  local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-  local.pages_read = disk->pages_read() - pages_before;
-  local.seeks = disk->read_seeks() - seeks_before;
-  local.io_runs = io.coalesced_runs;
-  local.tilecache_hits = io.cache_hits;
-  local.tiles_accessed = io.tiles;
-  local.tile_bytes_read = io.tile_bytes;
-
-  const Clock::time_point fold_start = Clock::now();
-  obs::TraceScope compose_span(trace, trace_id, "compose");
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  double nonzero = 0;
-  uint64_t covered_cells = 0;
-  for (const TilePartial& partial : partials) {
-    covered_cells += partial.cells;
-    local.useful_bytes += partial.cells * object->cell_size();
-    switch (op) {
-      case AggregateOp::kSum:
-      case AggregateOp::kAvg:
-        sum += partial.value;
-        break;
-      case AggregateOp::kMin:
-        min = std::min(min, partial.value);
-        break;
-      case AggregateOp::kMax:
-        max = std::max(max, partial.value);
-        break;
-      case AggregateOp::kCount:
-        nonzero += partial.value;
-        break;
-    }
-  }
-
-  // Fold uncovered cells (the default value).
-  const uint64_t total_cells = resolved.CellCountOrDie();
-  const uint64_t uncovered = total_cells - covered_cells;
-  if (uncovered > 0 || total_cells == 0) {
-    Result<double> default_value = CellValueAsDouble(
-        object->cell_type(), object->default_cell().data());
-    if (!default_value.ok()) return default_value.status();
-    switch (op) {
-      case AggregateOp::kSum:
-      case AggregateOp::kAvg:
-        sum += *default_value * static_cast<double>(uncovered);
-        break;
-      case AggregateOp::kMin:
-        min = std::min(min, *default_value);
-        break;
-      case AggregateOp::kMax:
-        max = std::max(max, *default_value);
-        break;
-      case AggregateOp::kCount:
-        if (*default_value != 0.0) {
-          nonzero += static_cast<double>(uncovered);
-        }
-        break;
-    }
-  }
-  local.t_cpu_measured_ms = io.decode_summed_ms + ElapsedMs(fold_start);
-
-  local.result_cells = total_cells;
-  local.result_bytes = sizeof(double);  // a scalar comes back
-  local.t_cpu_model_ms =
-      static_cast<double>(local.tile_bytes_read) /
-          (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-      static_cast<double>(local.tiles_accessed) *
-          options_.cost.per_tile_cpu_ms;
-  if (stats != nullptr) *stats = local;
-
-  switch (op) {
-    case AggregateOp::kSum:
-      return sum;
-    case AggregateOp::kAvg:
-      return sum / static_cast<double>(total_cells);
-    case AggregateOp::kMin:
-      return min;
-    case AggregateOp::kMax:
-      return max;
-    case AggregateOp::kCount:
-      return nonzero;
-  }
-  return Status::Internal("unhandled aggregate op");
+  return sink.value();
 }
 
-Result<Array> RangeQueryExecutor::ExecuteFiltered(MDDObject* object,
-                                                  const MInterval& region,
-                                                  QueryStats* stats) {
-  const ValuePredicate pred = *options_.predicate;
-  Status vst = pred.Validate();
-  if (!vst.ok()) return vst;
-  if (!IsNumericCellType(object->cell_type())) {
-    return Status::InvalidArgument(
-        "filtered query needs a numeric cell type; object '" +
-        object->name() + "' is " + std::string(object->cell_type().name()));
+Status RangeQueryExecutor::Run(MDDObject* object, const MInterval& region,
+                               const char* span, QuerySink* sink,
+                               QueryStats* stats) {
+  const ValuePredicate* pred = sink->predicate();
+  if (pred != nullptr) {
+    Status st = pred->Validate();
+    if (!st.ok()) return st;
+    if (!IsNumericCellType(object->cell_type())) {
+      return Status::InvalidArgument(
+          "filtered query needs a numeric cell type; object '" +
+          object->name() + "' is " + std::string(object->cell_type().name()));
+    }
   }
-  Result<MInterval> resolved_or = ResolveRegion(*object, region);
-  if (!resolved_or.ok()) return resolved_or.status();
-  const MInterval resolved = std::move(resolved_or).MoveValue();
 
-  if (options_.log != nullptr) options_.log->Record(resolved);
-  store_->workload()->Record(object->name(), resolved);
+  // Step 1: resolve the region and record it — the access log feeds
+  // statistic tiling, the workload recorder the re-tiling loop.
+  Result<MInterval> resolved = ResolveRegion(*object, region);
+  if (!resolved.ok()) return resolved.status();
+  QueryPlan plan;
+  plan.region = std::move(resolved).MoveValue();
+  if (options_.log != nullptr) options_.log->Record(plan.region);
+  store_->workload()->Record(object->name(), plan.region);
 
   DiskModel* disk = store_->disk_model();
   if (options_.cold) {
     store_->buffer_pool()->Clear();
     disk->Reset();
   }
-  const double disk_ms_before = disk->read_ms();
-  const uint64_t pages_before = disk->pages_read();
-  const uint64_t seeks_before = disk->read_seeks();
+  const DiskMark disk_before(*disk);
 
   obs::TraceRing* trace = store_->trace();
   const uint64_t trace_id = trace->NextTraceId();
-  obs::TraceScope query_span(trace, trace_id, "filter_query");
+  obs::TraceScope query_span(trace, trace_id, span);
   queries_->Add(1);
 
   QueryStats local;
   const int parallelism = std::max(options_.parallelism, 1);
   local.parallelism = static_cast<uint64_t>(parallelism);
-
+  local.result_cells = plan.region.CellCountOrDie();
+  // Warm runs may serve decoded tiles straight from the cache; cold runs
+  // always bypass it so the cost model keeps measuring physical retrieval.
+  TileCache* cache = store_->tile_cache();
   const bool use_cache = options_.use_tile_cache && !options_.cold &&
-                         store_->tile_cache()->enabled() &&
-                         object->cache_id() != 0;
+                         cache->enabled() && object->cache_id() != 0;
 
-  // Phase 1 (t_ix): index probe + summary classification. Skipped tiles
-  // end here — no fetch, no decode, no model charge beyond this probe.
+  // Step 2 (t_ix): probe the tile index. A warm region remembered as
+  // intersecting no tiles skips the walk and falls through with zero hits.
   const Clock::time_point ix_start = Clock::now();
   std::vector<TileEntry> hits;
   {
-    obs::TraceScope span(trace, trace_id, "index_probe");
-    hits = object->FindTiles(resolved);
-    local.index_nodes_visited = object->index()->last_nodes_visited();
-    index_probes_->Add(1);
-    index_nodes_visited_->Add(local.index_nodes_visited);
+    obs::TraceScope probe_span(trace, trace_id, "index_probe");
+    const std::string key = use_cache ? plan.region.ToString() : "";
+    if (!use_cache || !cache->LookupNegativeRegion(object->cache_id(), key)) {
+      hits = object->FindTiles(plan.region);
+      local.index_nodes_visited = object->index()->last_nodes_visited();
+      index_probes_->Add(1);
+      index_nodes_visited_->Add(local.index_nodes_visited);
+      if (use_cache && hits.empty()) {
+        cache->InsertNegativeRegion(object->cache_id(), key);
+      }
+    }
   }
+  // Physical order (ascending BLOB id = ascending page position), so large
+  // scans read sequentially and partials fold in a fixed order.
   std::sort(hits.begin(), hits.end(),
             [](const TileEntry& a, const TileEntry& b) {
               return a.blob < b.blob;
             });
 
+  // Step 3: classify each hit against its summary. Skipped tiles end here
+  // — no fetch, no decode, no model charge beyond the probe.
   TileSummaryIndex* summaries = store_->tile_summaries();
-  const bool probe = summaries->enabled() && object->cache_id() != 0;
-  // Per fetched tile: 0 = accept-all (plain copy), 1 = inspect with a
-  // summary present, 2 = inspect with none (lazy-backfill candidate).
-  std::vector<TileEntry> fetch;
-  std::vector<uint8_t> mode;
-  fetch.reserve(hits.size());
-  mode.reserve(hits.size());
+  const bool probe =
+      pred != nullptr && summaries->enabled() && object->cache_id() != 0;
+  plan.tiles.reserve(hits.size());
+  plan.modes.reserve(hits.size());
   {
-    obs::TraceScope span(trace, trace_id, "summary_probe");
-    for (const TileEntry& entry : hits) {
-      TilePrune prune = TilePrune::kInspect;
-      bool had_summary = false;
+    obs::TraceScope summary_span(pred != nullptr ? trace : nullptr, trace_id,
+                                 "summary_probe");
+    for (TileEntry& entry : hits) {
+      const std::optional<MInterval> part =
+          entry.domain.Intersection(plan.region);
+      if (part.has_value()) plan.covered_cells += part->CellCountOrDie();
+      TilePrune prune =
+          pred == nullptr ? TilePrune::kAcceptAll : TilePrune::kInspect;
+      bool backfill = probe;
       if (probe) {
         ++local.summary_probes;
         std::optional<TileSummary> summary =
             summaries->Lookup(object->cache_id(), entry.blob);
         if (summary.has_value()) {
-          had_summary = true;
-          prune = ClassifyTile(*summary, pred);
+          prune = ClassifyTile(*summary, *pred);
+          backfill = false;
         }
       }
       if (prune == TilePrune::kSkip) {
         ++local.summary_skips;
         continue;
       }
-      if (prune == TilePrune::kInspect) ++local.summary_inspects;
-      fetch.push_back(entry);
-      mode.push_back(prune == TilePrune::kAcceptAll ? 0
-                                                    : (had_summary ? 1 : 2));
+      TileMode mode = TileMode::kAcceptAll;
+      if (prune == TilePrune::kInspect) {
+        ++local.summary_inspects;
+        mode = backfill ? TileMode::kBackfill : TileMode::kInspect;
+      }
+      plan.tiles.push_back(std::move(entry));
+      plan.modes.push_back(mode);
     }
   }
   summary_probes_->Add(local.summary_probes);
@@ -938,383 +515,65 @@ Result<Array> RangeQueryExecutor::ExecuteFiltered(MDDObject* object,
   local.t_ix_model_ms = static_cast<double>(local.index_nodes_visited) *
                         options_.cost.index_node_ms;
 
-  // The result starts as the default value everywhere; accept-all parts
-  // are overwritten wholesale, inspect parts cell by matching cell, and
-  // skipped tiles touch nothing. A cell's final bytes therefore depend
-  // only on (stored value, predicate) — never on the classification — so
-  // results are byte-identical with summaries on, off, or discarded.
-  const Clock::time_point prep_start = Clock::now();
-  Result<Array> result_or = Array::Create(resolved, object->cell_type());
-  if (!result_or.ok()) return result_or.status();
-  Array result = std::move(result_or).MoveValue();
-  Status st = result.Fill(resolved, object->default_cell().data());
-  if (!st.ok()) return st;
-  const double prep_ms = ElapsedMs(prep_start);
-
-  const CellTypeId type_id = object->cell_type().id();
-  const FilterRunFn filter_run = FilterRunFor(type_id);
-  const size_t cell_size = object->cell_size();
-  std::atomic<uint64_t> useful_bytes{0};
-
+  // Steps 4+5 (t_o, t_cpu): one batched fetch feeding the sink. At
+  // parallelism 1 the scheduler reads tile by tile, page by page, so cold
+  // model costs equal those of a `FetchTile` loop over the sorted hits.
   TileIOOptions io_options;
   io_options.parallelism = parallelism;
   io_options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
   io_options.trace = trace;
   io_options.trace_id = trace_id;
   if (use_cache) {
-    io_options.cache = store_->tile_cache();
+    io_options.cache = cache;
     io_options.cache_object_id = object->cache_id();
   }
-  // Inspect tiles stored RLE and wholly inside the region filter straight
-  // off the compressed stream (runs tested before materializing).
   io_options.encoded_filter = [&](size_t i) {
-    return mode[i] != 0 && fetch[i].compression == Compression::kRle &&
-           resolved.Contains(fetch[i].domain);
+    const TileEntry& entry = plan.tiles[i];
+    return entry.compression == Compression::kRle &&
+           plan.region.Contains(entry.domain) &&
+           sink->TakesEncoded(plan.modes[i]);
   };
   io_options.consume_encoded =
-      [&](size_t i, const std::vector<uint8_t>& stream) -> Status {
-    Result<uint64_t> matched =
-        FilterRleStreamInto(stream, fetch[i].domain, type_id, cell_size,
-                            pred, resolved, result.mutable_data());
-    if (!matched.ok()) return matched.status();
-    useful_bytes.fetch_add(*matched * cell_size, std::memory_order_relaxed);
-    return Status::OK();
+      [sink](size_t i, const std::vector<uint8_t>& stream) {
+        return sink->ConsumeEncoded(i, stream);
+      };
+  auto consume = [&](size_t i, const Tile& tile) -> Status {
+    if (plan.modes[i] == TileMode::kBackfill) {
+      // Lazy backfill: the tile is decoded anyway, so summarizing it now
+      // lets the next filtered query classify it outright.
+      std::optional<TileSummary> summary = BuildTileSummary(
+          object->cell_type(), tile.data(), tile.domain().CellCountOrDie(),
+          object->default_cell().data());
+      if (summary.has_value()) {
+        summaries->Put(object->cache_id(), plan.tiles[i].blob, *summary);
+      }
+    }
+    return sink->Consume(i, tile);
   };
 
   TileIOStats io;
+  double sink_ms = 0;  // the sink's own work outside the fetch
   {
-    obs::TraceScope fetch_span(trace, trace_id, "fetch");
-    st = store_->io_scheduler()->FetchBatchShared(
-        fetch, object->cell_type(), io_options,
-        [&](size_t i, const Tile& tile) -> Status {
-          const std::optional<MInterval> part =
-              tile.domain().Intersection(resolved);
-          if (!part.has_value()) return Status::OK();
-          if (mode[i] == 0) {
-            Status copy = result.CopyFrom(tile, *part);
-            if (!copy.ok()) return copy;
-            useful_bytes.fetch_add(part->CellCountOrDie() * cell_size,
-                                   std::memory_order_relaxed);
-            return Status::OK();
-          }
-          if (mode[i] == 2 && probe) {
-            // Lazy backfill: the tile is decoded anyway, so summarizing it
-            // now lets the next filtered query classify it outright.
-            std::optional<TileSummary> summary = BuildTileSummary(
-                object->cell_type(), tile.data(),
-                tile.domain().CellCountOrDie(),
-                object->default_cell().data());
-            if (summary.has_value()) {
-              summaries->Put(object->cache_id(), fetch[i].blob, *summary);
-            }
-          }
-          const uint64_t run =
-              static_cast<uint64_t>(part->Extent(part->dim() - 1));
-          ForEachRun(tile.domain(), resolved, *part,
-                     [&](uint64_t src_off, uint64_t dst_off) {
-                       filter_run(tile.data() + src_off * cell_size,
-                                  result.mutable_data() + dst_off * cell_size,
-                                  run, pred);
-                     });
-          useful_bytes.fetch_add(part->CellCountOrDie() * cell_size,
-                                 std::memory_order_relaxed);
-          return Status::OK();
-        },
-        &io);
+    obs::TraceScope compose_span(trace, trace_id, "compose");
+    Clock::time_point start = Clock::now();
+    Status st = sink->Begin(plan);
+    if (!st.ok()) return st;
+    sink_ms += ElapsedMs(start);
+    {
+      obs::TraceScope fetch_span(trace, trace_id, "fetch");
+      st = store_->io_scheduler()->FetchBatch(plan.tiles, object->cell_type(),
+                                              io_options, consume, &io);
+    }
+    if (!st.ok()) return st;
+    start = Clock::now();
+    st = sink->Finish();
+    if (!st.ok()) return st;
+    sink_ms += ElapsedMs(start);
   }
-  if (!st.ok()) return st;
 
-  local.t_o_measured_ms = io.io_summed_ms;
-  local.t_o_wall_ms = io.wall_ms;
-  local.t_cpu_measured_ms = prep_ms + io.decode_summed_ms;
-  local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-  local.pages_read = disk->pages_read() - pages_before;
-  local.seeks = disk->read_seeks() - seeks_before;
-  local.io_runs = io.coalesced_runs;
-  local.tilecache_hits = io.cache_hits;
-  local.tiles_accessed = io.tiles;
-  local.tile_bytes_read = io.tile_bytes;
-  local.useful_bytes = useful_bytes.load(std::memory_order_relaxed);
-  local.result_cells = resolved.CellCountOrDie();
-  local.result_bytes = local.result_cells * cell_size;
-  // Only fetched tiles charge t_cpu; skipped tiles cost nothing — the
-  // model-side face of predicate pushdown.
-  local.t_cpu_model_ms =
-      static_cast<double>(local.tile_bytes_read) /
-          (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-      static_cast<double>(local.tiles_accessed) *
-          options_.cost.per_tile_cpu_ms;
-
+  FinishStats(io, *disk, disk_before, sink_ms, *sink, options_.cost, &local);
   if (stats != nullptr) *stats = local;
-  return result;
-}
-
-Result<double> RangeQueryExecutor::ExecuteAggregateFiltered(
-    MDDObject* object, const MInterval& region, AggregateOp op,
-    QueryStats* stats) {
-  const ValuePredicate pred = *options_.predicate;
-  Status vst = pred.Validate();
-  if (!vst.ok()) return vst;
-  if (!IsNumericCellType(object->cell_type())) {
-    return Status::InvalidArgument(
-        "filtered aggregate needs a numeric cell type; object '" +
-        object->name() + "' is " + std::string(object->cell_type().name()));
-  }
-  Result<MInterval> resolved_or = ResolveRegion(*object, region);
-  if (!resolved_or.ok()) return resolved_or.status();
-  const MInterval resolved = std::move(resolved_or).MoveValue();
-
-  if (options_.log != nullptr) options_.log->Record(resolved);
-  store_->workload()->Record(object->name(), resolved);
-
-  DiskModel* disk = store_->disk_model();
-  if (options_.cold) {
-    store_->buffer_pool()->Clear();
-    disk->Reset();
-  }
-  const double disk_ms_before = disk->read_ms();
-  const uint64_t pages_before = disk->pages_read();
-  const uint64_t seeks_before = disk->read_seeks();
-
-  obs::TraceRing* trace = store_->trace();
-  const uint64_t trace_id = trace->NextTraceId();
-  obs::TraceScope query_span(trace, trace_id, "filter_aggregate");
-  queries_->Add(1);
-
-  QueryStats local;
-  const int parallelism = std::max(options_.parallelism, 1);
-  local.parallelism = static_cast<uint64_t>(parallelism);
-
-  const bool use_cache = options_.use_tile_cache && !options_.cold &&
-                         store_->tile_cache()->enabled() &&
-                         object->cache_id() != 0;
-
-  const Clock::time_point ix_start = Clock::now();
-  std::vector<TileEntry> hits;
-  {
-    obs::TraceScope span(trace, trace_id, "index_probe");
-    hits = object->FindTiles(resolved);
-    local.index_nodes_visited = object->index()->last_nodes_visited();
-    index_probes_->Add(1);
-    index_nodes_visited_->Add(local.index_nodes_visited);
-  }
-  std::sort(hits.begin(), hits.end(),
-            [](const TileEntry& a, const TileEntry& b) {
-              return a.blob < b.blob;
-            });
-
-  // Every hit covers its cells whether fetched or skipped; the uncovered
-  // remainder folds the default value below (iff the default matches).
-  uint64_t covered_cells = 0;
-  for (const TileEntry& entry : hits) {
-    const std::optional<MInterval> part = entry.domain.Intersection(resolved);
-    if (part.has_value()) covered_cells += part->CellCountOrDie();
-  }
-
-  TileSummaryIndex* summaries = store_->tile_summaries();
-  const bool probe = summaries->enabled() && object->cache_id() != 0;
-  std::vector<TileEntry> fetch;
-  std::vector<uint8_t> mode;  // 0 accept-all, 1 inspect, 2 inspect+backfill
-  fetch.reserve(hits.size());
-  mode.reserve(hits.size());
-  {
-    obs::TraceScope span(trace, trace_id, "summary_probe");
-    for (const TileEntry& entry : hits) {
-      TilePrune prune = TilePrune::kInspect;
-      bool had_summary = false;
-      if (probe) {
-        ++local.summary_probes;
-        std::optional<TileSummary> summary =
-            summaries->Lookup(object->cache_id(), entry.blob);
-        if (summary.has_value()) {
-          had_summary = true;
-          prune = ClassifyTile(*summary, pred);
-        }
-      }
-      if (prune == TilePrune::kSkip) {
-        ++local.summary_skips;
-        continue;
-      }
-      if (prune == TilePrune::kInspect) ++local.summary_inspects;
-      fetch.push_back(entry);
-      mode.push_back(prune == TilePrune::kAcceptAll ? 0
-                                                    : (had_summary ? 1 : 2));
-    }
-  }
-  summary_probes_->Add(local.summary_probes);
-  summary_skips_->Add(local.summary_skips);
-  summary_inspects_->Add(local.summary_inspects);
-  local.t_ix_measured_ms = ElapsedMs(ix_start);
-  local.t_ix_model_ms = static_cast<double>(local.index_nodes_visited) *
-                        options_.cost.index_node_ms;
-
-  const AggregateOp tile_op =
-      op == AggregateOp::kAvg ? AggregateOp::kSum : op;
-  const bool run_kernel =
-      options_.aggregate_kernel == RangeQueryOptions::AggregateKernel::kRun;
-  const WidenFn widen = WidenFor(object->cell_type().id());
-  const size_t cell_size = object->cell_size();
-  std::vector<FilterPartial> partials(fetch.size());
-
-  TileIOOptions io_options;
-  io_options.parallelism = parallelism;
-  io_options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
-  io_options.trace = trace;
-  io_options.trace_id = trace_id;
-  if (use_cache) {
-    io_options.cache = store_->tile_cache();
-    io_options.cache_object_id = object->cache_id();
-  }
-  if (run_kernel) {
-    // Accept-all RLE tiles wholly inside the region fold straight over the
-    // compressed stream with the *unfiltered* kernel — every cell matches,
-    // so the existing bit-identical fast path applies untouched.
-    io_options.encoded_filter = [&](size_t i) {
-      return mode[i] == 0 && fetch[i].compression == Compression::kRle &&
-             resolved.Contains(fetch[i].domain);
-    };
-    io_options.consume_encoded =
-        [&](size_t i, const std::vector<uint8_t>& stream) -> Status {
-      const uint64_t cells = fetch[i].domain.CellCountOrDie();
-      Result<double> value =
-          AggregateRleStream(stream, object->cell_type(), cells, tile_op);
-      if (!value.ok()) return value.status();
-      partials[i] = FilterPartial{*value, cells};
-      return Status::OK();
-    };
-  }
-  TileIOStats io;
-  Status st = Status::OK();
-  {
-    obs::TraceScope fetch_span(trace, trace_id, "fetch");
-    st = store_->io_scheduler()->FetchBatchShared(
-        fetch, object->cell_type(), io_options,
-        [&](size_t i, const Tile& tile) -> Status {
-          const std::optional<MInterval> part =
-              tile.domain().Intersection(resolved);
-          if (!part.has_value()) return Status::OK();
-          if (mode[i] == 0) {
-            Result<double> value = [&]() -> Result<double> {
-              if (run_kernel) return AggregateRegion(tile, *part, tile_op);
-              Result<Array> slice = tile.Slice(*part);
-              if (!slice.ok()) return slice.status();
-              return AggregateCells(*slice, tile_op);
-            }();
-            if (!value.ok()) return value.status();
-            partials[i] = FilterPartial{*value, part->CellCountOrDie()};
-            return Status::OK();
-          }
-          if (mode[i] == 2 && probe) {
-            std::optional<TileSummary> summary = BuildTileSummary(
-                object->cell_type(), tile.data(),
-                tile.domain().CellCountOrDie(),
-                object->default_cell().data());
-            if (summary.has_value()) {
-              summaries->Put(object->cache_id(), fetch[i].blob, *summary);
-            }
-          }
-          partials[i] =
-              FilterFoldRegion(tile, *part, pred, tile_op, widen, cell_size);
-          return Status::OK();
-        },
-        &io);
-  }
-  if (!st.ok()) return st;
-
-  local.t_o_measured_ms = io.io_summed_ms;
-  local.t_o_wall_ms = io.wall_ms;
-  local.t_o_model_ms = disk->read_ms() - disk_ms_before;
-  local.pages_read = disk->pages_read() - pages_before;
-  local.seeks = disk->read_seeks() - seeks_before;
-  local.io_runs = io.coalesced_runs;
-  local.tilecache_hits = io.cache_hits;
-  local.tiles_accessed = io.tiles;
-  local.tile_bytes_read = io.tile_bytes;
-
-  // Fold the partials serially in ascending BLOB-id order, then the
-  // uncovered default cells — deterministic at every parallelism.
-  const Clock::time_point fold_start = Clock::now();
-  obs::TraceScope compose_span(trace, trace_id, "compose");
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  double nonzero = 0;
-  uint64_t matched_total = 0;
-  for (const FilterPartial& partial : partials) {
-    matched_total += partial.matched;
-    local.useful_bytes += partial.matched * cell_size;
-    if (partial.matched == 0) continue;
-    switch (op) {
-      case AggregateOp::kSum:
-      case AggregateOp::kAvg:
-        sum += partial.value;
-        break;
-      case AggregateOp::kMin:
-        min = std::min(min, partial.value);
-        break;
-      case AggregateOp::kMax:
-        max = std::max(max, partial.value);
-        break;
-      case AggregateOp::kCount:
-        nonzero += partial.value;
-        break;
-    }
-  }
-
-  const uint64_t total_cells = resolved.CellCountOrDie();
-  const uint64_t uncovered = total_cells - covered_cells;
-  if (uncovered > 0) {
-    Result<double> default_value = CellValueAsDouble(
-        object->cell_type(), object->default_cell().data());
-    if (!default_value.ok()) return default_value.status();
-    if (pred.Matches(*default_value)) {
-      matched_total += uncovered;
-      switch (op) {
-        case AggregateOp::kSum:
-        case AggregateOp::kAvg:
-          sum += *default_value * static_cast<double>(uncovered);
-          break;
-        case AggregateOp::kMin:
-          min = std::min(min, *default_value);
-          break;
-        case AggregateOp::kMax:
-          max = std::max(max, *default_value);
-          break;
-        case AggregateOp::kCount:
-          if (*default_value != 0.0) {
-            nonzero += static_cast<double>(uncovered);
-          }
-          break;
-      }
-    }
-  }
-  local.t_cpu_measured_ms = io.decode_summed_ms + ElapsedMs(fold_start);
-
-  local.result_cells = total_cells;
-  local.result_bytes = sizeof(double);
-  local.t_cpu_model_ms =
-      static_cast<double>(local.tile_bytes_read) /
-          (options_.cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
-      static_cast<double>(local.tiles_accessed) *
-          options_.cost.per_tile_cpu_ms;
-  if (stats != nullptr) *stats = local;
-
-  // No matching cell: 0 by definition for every op (documented — a
-  // filtered aggregate over the empty set has no natural min/max/avg).
-  if (matched_total == 0) return 0.0;
-  switch (op) {
-    case AggregateOp::kSum:
-      return sum;
-    case AggregateOp::kAvg:
-      return sum / static_cast<double>(matched_total);
-    case AggregateOp::kMin:
-      return min;
-    case AggregateOp::kMax:
-      return max;
-    case AggregateOp::kCount:
-      return nonzero;
-  }
-  return Status::Internal("unhandled aggregate op");
+  return Status::OK();
 }
 
 Result<Array> ReadRegion(MDDStore* store, MDDObject* object,

@@ -60,24 +60,40 @@ struct RangeQueryOptions {
   std::optional<ValuePredicate> predicate;
 };
 
+/// The last stage of the executor pipeline (defined in range_query.cc).
+class QuerySink;
+
 /// \brief Executes range queries (access types (a)-(c) of Section 5.1)
 /// against MDD objects, instrumented with the paper's t_ix / t_o / t_cpu
 /// breakdown.
 ///
-/// Execution pipeline, exactly as in Section 5: (1) probe the tile index
-/// for the tiles intersecting the query region (t_ix); (2) retrieve those
-/// tiles' BLOBs from the storage system (t_o); (3) compose the intersected
-/// tile parts into the result array (t_cpu). Cells of the region covered
-/// by no tile are filled with the object's default value.
+/// Every entry point — `Execute` and `ExecuteAggregate`, with or without
+/// `options.predicate` — runs the same pipeline (Section 5, DESIGN.md §6):
+///  1. resolve the region and record it (access log, workload recorder);
+///  2. probe the tile index (t_ix), answering known-empty warm regions
+///     from the negative region cache;
+///  3. classify each hit as skip, accept-all or inspect against its tile
+///     summary — without a predicate every hit is accept-all and no
+///     summary is looked up;
+///  4. fetch the accept-all and inspect tiles in one scheduler batch (t_o);
+///  5. hand each tile to a sink (t_cpu) that either composes it into the
+///     result array or folds it into a per-tile partial.
+/// The array sink default-fills every cell no accept-all tile covers
+/// before the fetch; inspect tiles then overwrite matching cells only. The
+/// fold sink folds partials serially in ascending BLOB-id order, then the
+/// default value once per uncovered cell; "no predicate" means every cell
+/// matches, so both rules reduce exactly to the unfiltered ones.
 ///
-/// Observability: each query gets a fresh trace id and emits nested
-/// "query" / "index_probe" / "fetch" / "compose" spans into the store's
-/// trace ring (the scheduler adds per-tile "tile_fetch"/"tile_decode"
-/// spans on worker threads). Query and index-probe counts go to the
-/// store registry under `query.*` / `index.*`, and the `QueryStats`
-/// storage counters (`pages_read`, `seeks`, `index_nodes_visited`) are
-/// deltas of the same registry counters the store exports — a snapshot
-/// taken around a cold query reconciles exactly with its `QueryStats`.
+/// Observability: each query gets a fresh trace id and emits one top-level
+/// span ("query"; "filter_query" / "filter_aggregate" with a predicate)
+/// holding "index_probe", "summary_probe" (predicate only) and "compose",
+/// which encloses the sink's own work and the nested "fetch" (the
+/// scheduler adds per-tile "tile_*" spans, on worker threads when
+/// parallel). Query and index-probe counts go to the store registry under
+/// `query.*` / `index.*`, and the `QueryStats` storage counters
+/// (`pages_read`, `seeks`, `index_nodes_visited`) are deltas of the same
+/// registry counters the store exports — a snapshot taken around a cold
+/// query reconciles exactly with its `QueryStats`.
 class RangeQueryExecutor {
  public:
   explicit RangeQueryExecutor(MDDStore* store,
@@ -96,7 +112,8 @@ class RangeQueryExecutor {
   /// `parallelism` tiles regardless of the region size. Partials are
   /// folded serially in fetch order, so the result is bit-identical at
   /// every parallelism. Uncovered cells contribute the object's default
-  /// value. Numeric cell types only.
+  /// value. Numeric cell types only. With a predicate, only matching cells
+  /// fold, and an aggregate over no matching cell is 0.
   Result<double> ExecuteAggregate(MDDObject* object, const MInterval& region,
                                   AggregateOp op,
                                   QueryStats* stats = nullptr);
@@ -109,14 +126,10 @@ class RangeQueryExecutor {
   RangeQueryOptions* mutable_options() { return &options_; }
 
  private:
-  /// Filtered variants taken when `options_.predicate` is set: classify
-  /// every index hit against its tile summary, fetch only accept/inspect
-  /// tiles, and compose/fold with the predicate applied.
-  Result<Array> ExecuteFiltered(MDDObject* object, const MInterval& region,
-                                QueryStats* stats);
-  Result<double> ExecuteAggregateFiltered(MDDObject* object,
-                                          const MInterval& region,
-                                          AggregateOp op, QueryStats* stats);
+  /// The pipeline behind every entry point; `span` names the top-level
+  /// trace span. On success `sink` holds the result.
+  Status Run(MDDObject* object, const MInterval& region, const char* span,
+             QuerySink* sink, QueryStats* stats);
 
   MDDStore* store_;
   RangeQueryOptions options_;

@@ -333,7 +333,8 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
   // a kernel rejection can fall back to ReadAt instead of failing).
   std::vector<int8_t> slot_of(ops.size(), -1);
   std::vector<uint8_t> fastpath(ops.size(), 0);
-  size_t next = 0;  // next op to place into the ring
+  size_t next = 0;      // next op to place into the ring
+  unsigned inflight = 0;  // submitted but not yet reaped
   while (completed < ops.size()) {
     // Fill available SQ slots.
     unsigned head = LoadAcquire(ring.sq_head);
@@ -395,11 +396,13 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       ++next;
     }
     StoreRelease(ring.sq_tail, tail);
+    inflight += filled;
 
-    const unsigned outstanding =
-        static_cast<unsigned>(ops.size() - completed);
-    const int ret = SysIoUringEnter(ring.fd, filled, outstanding,
-                                    IORING_ENTER_GETEVENTS);
+    // Submit whatever the kernel has not consumed yet (an interrupted
+    // enter leaves entries behind) and wait for the reads in the ring
+    // only: a batch larger than the ring still has ops queued behind it.
+    const int ret = SysIoUringEnter(ring.fd, tail - LoadAcquire(ring.sq_head),
+                                    inflight, IORING_ENTER_GETEVENTS);
     if (ret < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       // The ring is wedged; fail every op still outstanding.
@@ -454,6 +457,7 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       }
       ++chead;
       ++completed;
+      --inflight;
     }
     StoreRelease(ring.cq_head, chead);
   }

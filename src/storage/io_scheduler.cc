@@ -96,176 +96,12 @@ Result<Tile> TileIOScheduler::DecodePayload(const TileEntry& entry,
 Status TileIOScheduler::FetchBatch(
     std::span<const TileEntry> entries, CellType cell_type,
     const TileIOOptions& options,
-    const std::function<Status(size_t, Tile&&)>& consume,
+    const std::function<Status(size_t, const Tile&)>& consume,
     TileIOStats* stats) {
   const Clock::time_point wall_start = Clock::now();
 
   // Physical page order: ascending BLOB id (BLOB pages are allocated front
   // to back). Stable so equal ids keep their submission order.
-  std::vector<size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return entries[a].blob < entries[b].blob;
-  });
-
-  const int parallelism =
-      options.pool != nullptr
-          ? std::min<int>(std::max(options.parallelism, 1),
-                          static_cast<int>(options.pool->size()))
-          : 1;
-
-  if (metrics_.batches != nullptr) {
-    metrics_.batches->Add(1);
-    metrics_.batch_tiles->Observe(static_cast<double>(entries.size()));
-    metrics_.queue_depth->Add(static_cast<int64_t>(entries.size()));
-  }
-  // The queue-depth gauge must come back down on every exit path,
-  // including errors, by whatever is still outstanding.
-  uint64_t completed = 0;
-  auto settle_queue = [&]() {
-    if (metrics_.queue_depth != nullptr) {
-      metrics_.queue_depth->Add(-static_cast<int64_t>(entries.size() -
-                                                      completed));
-    }
-  };
-
-  if (parallelism <= 1) {
-    // Serial mode: byte-for-byte the original tile-at-a-time loop — page
-    // by page through the pool, no speculative reads — so the paper's
-    // deterministic cost numbers are reproduced exactly.
-    TileIOStats local;
-    for (size_t idx : order) {
-      const Clock::time_point fetch_start = Clock::now();
-      Result<Tile> tile = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        return FetchOne(entries[idx], cell_type, /*coalesce=*/false, &local);
-      }();
-      if (metrics_.fetch_ms != nullptr) {
-        metrics_.fetch_ms->Observe(ElapsedMs(fetch_start));
-      }
-      if (!tile.ok()) {
-        settle_queue();
-        return tile.status();
-      }
-      const Clock::time_point consume_start = Clock::now();
-      Status st = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_decode");
-        return consume(idx, std::move(tile).MoveValue());
-      }();
-      if (!st.ok()) {
-        settle_queue();
-        return st;
-      }
-      local.decode_summed_ms += ElapsedMs(consume_start);
-      ++completed;
-      if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
-    }
-    local.wall_ms = ElapsedMs(wall_start);
-    if (stats != nullptr) stats->Add(local);
-    if (metrics_.tiles != nullptr) {
-      metrics_.tiles->Add(local.tiles);
-      metrics_.coalesced_runs->Add(local.coalesced_runs);
-      metrics_.chain_fallbacks->Add(local.chain_fallbacks);
-    }
-    return Status::OK();
-  }
-
-  // Parallel mode: one `GetBatch` covers the whole sorted batch, so every
-  // miss span is handed to the page file's IoBackend in a single
-  // submission; `parallelism` workers then drain decode + composition
-  // through a shared cursor. Charges were replayed inside GetBatch in
-  // sorted-id order, identical to a sequential coalesced loop.
-  std::vector<BlobId> ids(order.size());
-  for (size_t i = 0; i < order.size(); ++i) ids[i] = entries[order[i]].blob;
-
-  const Clock::time_point io_start = Clock::now();
-  std::vector<std::vector<uint8_t>> payloads;
-  BlobReadStats batch_stats;
-  Status batch_status = blobs_->GetBatch(ids, &payloads, &batch_stats);
-  const double batch_io_ms = ElapsedMs(io_start);
-  if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(batch_io_ms);
-  if (!batch_status.ok()) {
-    settle_queue();
-    return batch_status;
-  }
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<uint64_t> done{0};
-  std::atomic<bool> failed{false};
-  std::mutex result_mu;
-  Status first_error;
-  TileIOStats merged;
-
-  TaskGroup group(options.pool);
-  for (int w = 0; w < parallelism; ++w) {
-    group.Run([&] {
-      TileIOStats local;
-      size_t i;
-      while (!failed.load(std::memory_order_acquire) &&
-             (i = cursor.fetch_add(1, std::memory_order_relaxed)) <
-                 order.size()) {
-        const size_t idx = order[i];
-        // The payload is already in memory; the span marks the per-tile
-        // handoff + decode so traces keep one tile_fetch per tile.
-        Result<Tile> tile = [&] {
-          obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-          return DecodePayload(entries[idx], cell_type,
-                               std::move(payloads[i]), &local);
-        }();
-        Status st = tile.ok()
-                        ? [&] {
-                            obs::TraceScope span(options.trace,
-                                                 options.trace_id,
-                                                 "tile_decode");
-                            const Clock::time_point consume_start =
-                                Clock::now();
-                            Status cs =
-                                consume(idx, std::move(tile).MoveValue());
-                            local.decode_summed_ms += ElapsedMs(consume_start);
-                            return cs;
-                          }()
-                        : tile.status();
-        if (!st.ok()) {
-          failed.store(true, std::memory_order_release);
-          std::lock_guard<std::mutex> lock(result_mu);
-          if (first_error.ok()) first_error = st;
-          break;
-        }
-        done.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
-      }
-      std::lock_guard<std::mutex> lock(result_mu);
-      merged.Add(local);
-    });
-  }
-  group.Wait();
-  completed = done.load(std::memory_order_relaxed);
-
-  merged.coalesced_runs += batch_stats.physical_runs;
-  merged.chain_fallbacks += batch_stats.fallback_chains;
-  merged.cross_object_coalesced += batch_stats.cross_object_coalesced;
-  merged.io_summed_ms += batch_io_ms;
-  if (metrics_.tiles != nullptr) {
-    metrics_.tiles->Add(merged.tiles);
-    metrics_.coalesced_runs->Add(merged.coalesced_runs);
-    metrics_.chain_fallbacks->Add(merged.chain_fallbacks);
-    metrics_.cross_object_coalesced->Add(merged.cross_object_coalesced);
-  }
-  settle_queue();
-  if (!first_error.ok()) return first_error;
-  merged.wall_ms = ElapsedMs(wall_start);
-  if (stats != nullptr) stats->Add(merged);
-  return Status::OK();
-}
-
-Status TileIOScheduler::FetchBatchShared(
-    std::span<const TileEntry> entries, CellType cell_type,
-    const TileIOOptions& options,
-    const std::function<Status(size_t, const Tile&)>& consume,
-    TileIOStats* stats) {
-  const Clock::time_point wall_start = Clock::now();
-
-  // Physical page order, exactly as in FetchBatch.
   std::vector<size_t> order(entries.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -296,42 +132,43 @@ Status TileIOScheduler::FetchBatchShared(
     }
   };
 
-  // One entry end to end: cache hit > encoded fast path > fetch + decode
-  // (+ optional populate). Runs on the caller (serial) or a worker.
-  auto process = [&](size_t idx, bool coalesce, TileIOStats* local) {
+  auto consume_hit = [&](size_t idx, const Tile& hit, TileIOStats* local) {
+    // Traffic totals stay identical to the uncached path; only the
+    // measured io/decode times (and fetch_ms) reflect the skip.
+    ++local->tiles;
+    local->tile_bytes += hit.size_bytes();
+    ++local->cache_hits;
+    obs::TraceScope span(options.trace, options.trace_id, "tile_cache_hit");
+    return consume(idx, hit);
+  };
+
+  // One entry end to end: cache hit > encoded fast path > decode (+
+  // optional populate). `payload` holds the BLOB bytes when the parallel
+  // path already read them in its batch (after resolving cache hits);
+  // otherwise they are read here, page by page — the serial loop.
+  auto process = [&](size_t idx, std::vector<uint8_t>* payload,
+                     TileIOStats* local) -> Status {
     const TileEntry& entry = entries[idx];
-    if (cache != nullptr) {
+    if (payload == nullptr && cache != nullptr) {
       std::shared_ptr<const Tile> hit =
           cache->Lookup(options.cache_object_id, entry.blob);
-      if (hit != nullptr) {
-        // Traffic totals stay identical to the uncached path; only the
-        // measured io/decode times (and fetch_ms) reflect the skip.
-        ++local->tiles;
-        local->tile_bytes += hit->size_bytes();
-        ++local->cache_hits;
-        obs::TraceScope span(options.trace, options.trace_id,
-                             "tile_cache_hit");
-        return consume(idx, *hit);
-      }
+      if (hit != nullptr) return consume_hit(idx, *hit, local);
     }
     if (options.encoded_filter && options.encoded_filter(idx)) {
       const Clock::time_point io_start = Clock::now();
-      Result<std::vector<uint8_t>> data = [&] {
+      Result<std::vector<uint8_t>> data =
+          [&]() -> Result<std::vector<uint8_t>> {
+        // Already-read bytes still get the span: one tile_fetch per tile.
         obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        if (!coalesce) return blobs_->Get(entry.blob);
-        BlobReadStats blob_stats;
-        Result<std::vector<uint8_t>> r =
-            blobs_->GetCoalesced(entry.blob, &blob_stats);
-        local->coalesced_runs += blob_stats.physical_runs;
-        if (blob_stats.fell_back) ++local->chain_fallbacks;
-        return r;
+        if (payload != nullptr) return std::move(*payload);
+        return blobs_->Get(entry.blob);
       }();
       if (!data.ok()) return data.status();
       ++local->tiles;
       // Charge the logical decoded size: the cost model's t_cpu is a
       // function of cells processed, not of the codec that carried them.
       local->tile_bytes += entry.domain.CellCountOrDie() * cell_type.size();
-      local->io_summed_ms += ElapsedMs(io_start);
+      if (payload == nullptr) local->io_summed_ms += ElapsedMs(io_start);
       const Clock::time_point consume_start = Clock::now();
       Status st = [&] {
         obs::TraceScope span(options.trace, options.trace_id,
@@ -344,9 +181,12 @@ Status TileIOScheduler::FetchBatchShared(
     const Clock::time_point fetch_start = Clock::now();
     Result<Tile> tile = [&] {
       obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-      return FetchOne(entry, cell_type, coalesce, local);
+      if (payload != nullptr) {
+        return DecodePayload(entry, cell_type, std::move(*payload), local);
+      }
+      return FetchOne(entry, cell_type, /*coalesce=*/false, local);
     }();
-    if (metrics_.fetch_ms != nullptr) {
+    if (payload == nullptr && metrics_.fetch_ms != nullptr) {
       metrics_.fetch_ms->Observe(ElapsedMs(fetch_start));
     }
     if (!tile.ok()) return tile.status();
@@ -369,7 +209,7 @@ Status TileIOScheduler::FetchBatchShared(
   if (parallelism <= 1) {
     TileIOStats local;
     for (size_t idx : order) {
-      Status st = process(idx, /*coalesce=*/false, &local);
+      Status st = process(idx, /*payload=*/nullptr, &local);
       if (!st.ok()) {
         settle_queue();
         return st;
@@ -417,13 +257,7 @@ Status TileIOScheduler::FetchBatchShared(
       miss_idx.push_back(idx);
       continue;
     }
-    ++merged.tiles;
-    merged.tile_bytes += hit->size_bytes();
-    ++merged.cache_hits;
-    Status st = [&] {
-      obs::TraceScope span(options.trace, options.trace_id, "tile_cache_hit");
-      return consume(idx, *hit);
-    }();
+    Status st = consume_hit(idx, *hit, &merged);
     if (!st.ok()) {
       publish_metrics();
       settle_queue();
@@ -465,54 +299,7 @@ Status TileIOScheduler::FetchBatchShared(
              (i = cursor.fetch_add(1, std::memory_order_relaxed)) <
                  miss_idx.size()) {
         const size_t idx = miss_idx[i];
-        const TileEntry& entry = entries[idx];
-        Status st;
-        if (options.encoded_filter && options.encoded_filter(idx)) {
-          {
-            // The raw bytes were fetched in the batch; the empty span
-            // keeps traces at one tile_fetch per tile.
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_fetch");
-          }
-          ++local.tiles;
-          local.tile_bytes +=
-              entry.domain.CellCountOrDie() * cell_type.size();
-          const Clock::time_point consume_start = Clock::now();
-          st = [&] {
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_reduce_encoded");
-            return options.consume_encoded(idx, payloads[i]);
-          }();
-          local.decode_summed_ms += ElapsedMs(consume_start);
-        } else {
-          Result<Tile> tile = [&] {
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_fetch");
-            return DecodePayload(entry, cell_type, std::move(payloads[i]),
-                                 &local);
-          }();
-          st = tile.ok()
-                   ? [&] {
-                       obs::TraceScope span(options.trace, options.trace_id,
-                                            "tile_decode");
-                       const Clock::time_point consume_start = Clock::now();
-                       Status cs;
-                       if (cache != nullptr && options.cache_populate) {
-                         std::shared_ptr<const Tile> canonical =
-                             cache->Insert(options.cache_object_id,
-                                           entry.blob,
-                                           std::make_shared<const Tile>(
-                                               std::move(tile).MoveValue()));
-                         cs = consume(idx, *canonical);
-                       } else {
-                         const Tile owned = std::move(tile).MoveValue();
-                         cs = consume(idx, owned);
-                       }
-                       local.decode_summed_ms += ElapsedMs(consume_start);
-                       return cs;
-                     }()
-                   : tile.status();
-        }
+        Status st = process(idx, &payloads[i], &local);
         if (!st.ok()) {
           failed.store(true, std::memory_order_release);
           std::lock_guard<std::mutex> lock(result_mu);

@@ -36,8 +36,6 @@ struct TileIOOptions {
   /// Trace id grouping this batch's spans with the enclosing query.
   uint64_t trace_id = 0;
 
-  // --- FetchBatchShared only (ignored by FetchBatch) ---
-
   /// Decoded-tile cache consulted before any BLOB read. Inactive when
   /// null, disabled (capacity 0), or `cache_object_id` is 0.
   TileCache* cache = nullptr;
@@ -117,33 +115,25 @@ class TileIOScheduler {
   /// Attach before sharing the scheduler across threads.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Fetches and decodes every entry of the batch, handing each tile to
-  /// `consume(i, tile)` where `i` indexes into `entries`. Tiles are
-  /// processed in ascending BLOB-id order; with `parallelism > 1`,
-  /// `consume` runs on worker threads and must be safe for concurrent
-  /// invocations with distinct `i` (invocations with the same `i` never
-  /// happen). The first error aborts the batch and is returned.
+  /// Fetches every entry of the batch and hands each tile to
+  /// `consume(i, tile)`, where `i` indexes into `entries`. Per entry, in
+  /// order of preference: cache hit (`options.cache`; no BLOB read, no
+  /// decode, not re-inserted), encoded fast path
+  /// (`options.encoded_filter`/`consume_encoded`: raw BLOB bytes, no
+  /// decode, never cached), or fetch + decode with an optional cache
+  /// populate. Tiles are processed in ascending BLOB-id order; with
+  /// `parallelism > 1`, the callbacks run on worker threads and must be
+  /// safe for concurrent invocations with distinct `i` (invocations with
+  /// the same `i` never happen). The first error aborts the batch and is
+  /// returned. Cache hits skip the measured `scheduler.fetch_ms`
+  /// histogram. Tiles are handed out as `const Tile&` so one decoded copy
+  /// can be shared between the consumer and the cache; the reference is
+  /// only valid for the duration of the `consume` call — copy or reduce,
+  /// don't keep the pointer.
   Status FetchBatch(std::span<const TileEntry> entries, CellType cell_type,
                     const TileIOOptions& options,
-                    const std::function<Status(size_t, Tile&&)>& consume,
+                    const std::function<Status(size_t, const Tile&)>& consume,
                     TileIOStats* stats = nullptr);
-
-  /// Cache-aware sibling of `FetchBatch`: tiles are handed out as
-  /// `const Tile&` so one decoded copy can be shared between the consumer
-  /// and the decoded-tile cache (`options.cache`). Per entry, in order of
-  /// preference: cache hit (no BLOB read, no decode, not re-inserted),
-  /// encoded fast path (`options.encoded_filter`/`consume_encoded`: raw
-  /// BLOB bytes, no decode, never cached), or fetch + decode with an
-  /// optional cache populate. Ordering, parallelism, error, and metrics
-  /// semantics match `FetchBatch`; cache hits skip the measured
-  /// `scheduler.fetch_ms` histogram. The referenced tile is only valid for
-  /// the duration of the `consume` call — copy or reduce, don't keep the
-  /// pointer.
-  Status FetchBatchShared(std::span<const TileEntry> entries,
-                          CellType cell_type, const TileIOOptions& options,
-                          const std::function<Status(size_t, const Tile&)>&
-                              consume,
-                          TileIOStats* stats = nullptr);
 
   /// Asynchronous single-tile fetch, the building block of the
   /// `TileScan` prefetch window. With a pool the work runs on a worker and

@@ -9,6 +9,7 @@
 #include "test_paths.h"
 
 #include <memory>
+#include <ostream>
 
 #include "common/random.h"
 #include "mdd/mdd_store.h"
@@ -26,6 +27,11 @@ struct EndToEndCase {
   IndexKind index_kind;
   uint64_t seed;
 };
+
+// Without this, gtest prints the parameter as a raw byte dump that embeds
+// the address of `name`, so the listed test name changes with every
+// relink of the binary.
+void PrintTo(const EndToEndCase& c, std::ostream* os) { *os << c.name; }
 
 class EndToEndTest : public ::testing::TestWithParam<EndToEndCase> {
  protected:

@@ -187,5 +187,86 @@ TEST(QueryTraceTest, SerialQuerySpansNestInsideQuerySpan) {
   (void)RemoveFile(path);
 }
 
+// The span contract of the executor's one pipeline: every entry point,
+// with and without a predicate, serial and parallel, with the tile cache
+// on and off, emits exactly one top-level span, one "index_probe", one
+// "fetch" and one "compose" — plus one "summary_probe" exactly when a
+// predicate is set.
+TEST(QueryTraceTest, EveryEntryPointEmitsOneSpanPerPhase) {
+  const std::string path = UniqueTestPath("trace_contract_test.db");
+  (void)RemoveFile(path);
+  MDDStoreOptions store_options;
+  store_options.page_size = 512;
+  store_options.worker_threads = 4;
+  store_options.tile_cache_bytes = 8u << 20;
+  auto store = MDDStore::Create(path, store_options).MoveValue();
+
+  const MInterval domain({{0, 63}, {0, 63}});
+  Array data = Array::Create(domain, CellType::Of(CellTypeId::kUInt16)).value();
+  ForEachPoint(domain, [&](const Point& p) {
+    data.Set<uint16_t>(p, static_cast<uint16_t>(p[0] + p[1]));
+  });
+  MDDObject* object =
+      store->CreateMDD("obj", domain, data.cell_type()).value();
+  ASSERT_TRUE(object->Load(data, AlignedTiling::Regular(2, 1024)).ok());
+
+  const MInterval region({{5, 60}, {3, 50}});
+  ValuePredicate predicate;
+  predicate.kind = ValuePredicate::Kind::kGreater;
+  predicate.a = 40;
+  for (const bool aggregate : {false, true}) {
+    for (const bool filtered : {false, true}) {
+      for (const int parallelism : {1, 4}) {
+        for (const bool cached : {false, true}) {
+          SCOPED_TRACE(std::string(aggregate ? "aggregate" : "execute") +
+                       (filtered ? " filtered" : "") + " p=" +
+                       std::to_string(parallelism) +
+                       (cached ? " cached" : " uncached"));
+          RangeQueryOptions options;
+          options.parallelism = parallelism;
+          options.use_tile_cache = cached;
+          if (filtered) options.predicate = predicate;
+          RangeQueryExecutor executor(store.get(), options);
+          auto run = [&] {
+            return aggregate ? executor
+                                   .ExecuteAggregate(object, region,
+                                                     AggregateOp::kSum)
+                                   .status()
+                             : executor.Execute(object, region).status();
+          };
+          if (cached) {
+            ASSERT_TRUE(run().ok());  // warm the cache
+          }
+          (void)store->trace()->Drain();
+          ASSERT_TRUE(run().ok());
+
+          std::vector<TraceEvent> events = store->trace()->Drain();
+          std::map<std::string, int> begins;
+          for (const TraceEvent& e : events) {
+            if (e.begin) ++begins[e.name];
+          }
+          const char* top = !filtered   ? "query"
+                            : aggregate ? "filter_aggregate"
+                                        : "filter_query";
+          EXPECT_EQ(begins[top], 1);
+          EXPECT_EQ(begins["query"] + begins["filter_query"] +
+                        begins["filter_aggregate"],
+                    1);
+          EXPECT_EQ(begins["index_probe"], 1);
+          EXPECT_EQ(begins["summary_probe"], filtered ? 1 : 0);
+          EXPECT_EQ(begins["fetch"], 1);
+          EXPECT_EQ(begins["compose"], 1);
+          ASSERT_FALSE(events.empty());
+          EXPECT_STREQ(events.front().name, top);
+          CheckPerThreadNesting(events);
+        }
+      }
+    }
+  }
+
+  store.reset();
+  (void)RemoveFile(path);
+}
+
 }  // namespace
 }  // namespace tilestore

@@ -11,6 +11,8 @@
 
 #include "query/range_query.h"
 #include "query/tile_scan.h"
+#include "storage/compression.h"
+#include "storage/tile_cache.h"
 #include "tiling/aligned.h"
 
 namespace tilestore {
@@ -130,35 +132,90 @@ TEST_F(ConcurrentQueryTest, ParallelAggregateIsBitIdenticalToSerial) {
 
 TEST_F(ConcurrentQueryTest, SerialSchedulerPathCostMatchesLegacyLoop) {
   // Replay the pre-scheduler fetch loop by hand and compare the disk-model
-  // charges against a cold `parallelism = 1` Execute: the refactor must
-  // reproduce the paper's cost numbers exactly.
-  const MInterval region({{10, 49}, {20, 44}});
-  DiskModel* disk = store_->disk_model();
+  // charges against a cold `parallelism = 1` run of every entry point: the
+  // one pipeline must reproduce the paper's cost numbers exactly. The
+  // filtered entry points use a predicate every uint32 matches, with
+  // summaries off so every tile is inspected; the RLE object takes the
+  // encoded fast paths (filter and fold straight off the stream).
+  const std::string path = UniqueTestPath("concurrent_query_cost_test.db");
+  (void)RemoveFile(path);
+  MDDStoreOptions store_options;
+  store_options.page_size = 512;
+  store_options.tile_summaries = false;
+  auto store = MDDStore::Create(path, store_options).MoveValue();
+  const MInterval domain = data_.domain();
+  MDDObject* plain =
+      store->CreateMDD("plain", domain, data_.cell_type()).value();
+  ASSERT_TRUE(plain->Load(data_, AlignedTiling::Regular(2, 2048)).ok());
+  Array runs = Array::Create(domain, data_.cell_type()).value();
+  ForEachPoint(domain, [&](const Point& p) {
+    runs.Set<uint32_t>(p, static_cast<uint32_t>(p[0] / 7));
+  });
+  MDDObject* rle = store->CreateMDD("rle", domain, runs.cell_type()).value();
+  rle->SetCompression(Compression::kRle);
+  ASSERT_TRUE(rle->Load(runs, AlignedTiling::Regular(2, 2048)).ok());
 
-  store_->buffer_pool()->Clear();
-  disk->Reset();
-  std::vector<TileEntry> hits = object_->FindTiles(region);
-  std::sort(hits.begin(), hits.end(),
-            [](const TileEntry& a, const TileEntry& b) {
-              return a.blob < b.blob;
-            });
-  for (const TileEntry& entry : hits) {
-    ASSERT_TRUE(object_->FetchTile(entry).ok());
+  // Whole tiles along the low edges, partial ones along the high edges.
+  const MInterval region({{0, 49}, {0, 44}});
+  ValuePredicate match_all;
+  match_all.kind = ValuePredicate::Kind::kBetween;
+  match_all.a = 0;
+  match_all.b = 4294967295.0;
+  DiskModel* disk = store->disk_model();
+  for (MDDObject* object : {plain, rle}) {
+    SCOPED_TRACE(object->name());
+    store->buffer_pool()->Clear();
+    disk->Reset();
+    std::vector<TileEntry> hits = object->FindTiles(region);
+    std::sort(hits.begin(), hits.end(),
+              [](const TileEntry& a, const TileEntry& b) {
+                return a.blob < b.blob;
+              });
+    for (const TileEntry& entry : hits) {
+      ASSERT_TRUE(object->FetchTile(entry).ok());
+    }
+    const double legacy_read_ms = disk->read_ms();
+    const uint64_t legacy_pages = disk->pages_read();
+    const uint64_t legacy_seeks = disk->read_seeks();
+    if (object == rle) {
+      ASSERT_TRUE(std::any_of(hits.begin(), hits.end(),
+                              [&](const TileEntry& entry) {
+                                return entry.compression ==
+                                           Compression::kRle &&
+                                       region.Contains(entry.domain);
+                              }))
+          << "no tile takes the encoded fast path";
+    }
+
+    std::vector<QueryStats> all;
+    for (const bool filtered : {false, true}) {
+      RangeQueryOptions options;
+      options.cold = true;
+      if (filtered) options.predicate = match_all;
+      RangeQueryExecutor executor(store.get(), options);
+      QueryStats array_stats;
+      ASSERT_TRUE(executor.Execute(object, region, &array_stats).ok());
+      all.push_back(array_stats);
+      QueryStats fold_stats;
+      ASSERT_TRUE(executor
+                      .ExecuteAggregate(object, region, AggregateOp::kSum,
+                                        &fold_stats)
+                      .ok());
+      all.push_back(fold_stats);
+    }
+    for (size_t i = 0; i < all.size(); ++i) {
+      SCOPED_TRACE("entry point " + std::to_string(i));
+      const QueryStats& stats = all[i];
+      EXPECT_EQ(stats.t_o_model_ms, legacy_read_ms);  // exact, not approximate
+      EXPECT_EQ(stats.pages_read, legacy_pages);
+      EXPECT_EQ(stats.seeks, legacy_seeks);
+      EXPECT_EQ(stats.parallelism, 1u);
+      EXPECT_EQ(stats.io_runs, 0u);  // serial path reads page by page
+      EXPECT_EQ(stats.t_cpu_model_ms, all.front().t_cpu_model_ms);
+    }
   }
-  const double legacy_read_ms = disk->read_ms();
-  const uint64_t legacy_pages = disk->pages_read();
-  const uint64_t legacy_seeks = disk->read_seeks();
-
-  RangeQueryOptions options;
-  options.cold = true;
-  RangeQueryExecutor executor(store_.get(), options);
-  QueryStats stats;
-  ASSERT_TRUE(executor.Execute(object_, region, &stats).ok());
-  EXPECT_EQ(stats.t_o_model_ms, legacy_read_ms);  // exact, not approximate
-  EXPECT_EQ(stats.pages_read, legacy_pages);
-  EXPECT_EQ(stats.seeks, legacy_seeks);
-  EXPECT_EQ(stats.parallelism, 1u);
-  EXPECT_EQ(stats.io_runs, 0u);  // serial path reads page by page
+  store.reset();
+  (void)RemoveFile(path);
 }
 
 TEST_F(ConcurrentQueryTest, ParallelColdQueryTotalsMatchSerialTransfer) {
@@ -240,20 +297,44 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
     expected.push_back(std::move(tile).MoveValue());
   }
 
-  for (int parallelism : {1, 4}) {
-    TileIOStats io;
-    Result<std::vector<Tile>> tiles =
-        store_->FetchTiles(*object_, hits, parallelism, &io);
-    ASSERT_TRUE(tiles.ok()) << tiles.status();
-    ASSERT_EQ(tiles->size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ((*tiles)[i].domain(), expected[i].domain());
-      ASSERT_EQ((*tiles)[i].size_bytes(), expected[i].size_bytes());
-      EXPECT_EQ(std::memcmp((*tiles)[i].data(), expected[i].data(),
-                            expected[i].size_bytes()),
-                0);
+  for (const bool cached : {false, true}) {
+    // A fresh cache per pass: the first batch populates it, the second
+    // is served from it.
+    TileCache cache(cached ? 8u << 20 : 0);
+    bool populated = false;
+    for (int parallelism : {1, 4, 1, 4}) {
+      SCOPED_TRACE("cached " + std::to_string(cached) + " parallelism " +
+                   std::to_string(parallelism));
+      TileIOOptions options;
+      options.parallelism = parallelism;
+      options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
+      options.cache = &cache;
+      options.cache_object_id = object_->cache_id();
+      std::vector<std::vector<uint8_t>> cells(hits.size());
+      std::vector<MInterval> domains(hits.size());
+      TileIOStats io;
+      ASSERT_TRUE(store_->io_scheduler()
+                      ->FetchBatch(hits, object_->cell_type(), options,
+                                   [&](size_t i, const Tile& tile) {
+                                     domains[i] = tile.domain();
+                                     cells[i].assign(
+                                         tile.data(),
+                                         tile.data() + tile.size_bytes());
+                                     return Status::OK();
+                                   },
+                                   &io)
+                      .ok());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(domains[i], expected[i].domain());
+        ASSERT_EQ(cells[i].size(), expected[i].size_bytes());
+        EXPECT_EQ(std::memcmp(cells[i].data(), expected[i].data(),
+                              expected[i].size_bytes()),
+                  0);
+      }
+      EXPECT_EQ(io.tiles, hits.size());
+      EXPECT_EQ(io.cache_hits, populated ? hits.size() : 0u);
+      populated = cached;
     }
-    EXPECT_EQ(io.tiles, hits.size());
   }
 }
 

@@ -95,6 +95,35 @@ TEST_F(IoBackendTest, IoUringBatchMatchesSequentialReads) {
   CheckBatchMatchesSequential(backend.get(), file.get());
 }
 
+// A batch larger than the ring goes through in waves: each wave waits for
+// the reads it submitted, never for ones still queued behind the ring.
+TEST_F(IoBackendTest, IoUringBatchLargerThanRingCompletes) {
+  if (!IoUringBackend::Available()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  }
+  constexpr unsigned kRing = 4;
+  auto file = MakeFile(16384);
+  auto backend = IoUringBackend::Create(kRing).MoveValue();
+  for (const size_t n : {kRing + 1, 3 * kRing}) {
+    std::vector<std::vector<uint8_t>> batched(n, std::vector<uint8_t>(300));
+    std::vector<ReadOp> ops(n);
+    for (size_t i = 0; i < n; ++i) {
+      ops[i].file = file.get();
+      ops[i].offset = (i * 1237) % (16384 - 300);
+      ops[i].size = batched[i].size();
+      ops[i].out = batched[i].data();
+    }
+    ASSERT_TRUE(backend->SubmitBatch(std::span<ReadOp>(ops)).ok()) << n;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(ops[i].status.ok()) << "batch " << n << " op " << i;
+      std::vector<uint8_t> expected(batched[i].size());
+      ASSERT_TRUE(
+          file->ReadAt(ops[i].offset, expected.size(), expected.data()).ok());
+      EXPECT_EQ(batched[i], expected) << "batch " << n << " op " << i;
+    }
+  }
+}
+
 TEST_F(IoBackendTest, ShortReadIsAnErrorOnEveryBackend) {
   auto file = MakeFile(1000);
   std::vector<IoBackend*> backends;
