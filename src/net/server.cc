@@ -20,37 +20,17 @@ double ElapsedMs(Clock::time_point since) {
       .count();
 }
 
+// Request-execution workers: as configured, else clamp(hw threads, 2, 8).
+size_t WorkerCount(const TileServerOptions& options) {
+  return options.event_loop_workers != 0
+             ? options.event_loop_workers
+             : std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
+}
+
 }  // namespace
 
-bool TileServer::Admission::Acquire(int wait_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (inflight_ < capacity_) {
-    ++inflight_;
-    return true;
-  }
-  if (waiting_ >= queue_limit_) return false;
-  ++waiting_;
-  const bool got = cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                                [this] { return inflight_ < capacity_; });
-  --waiting_;
-  if (!got) return false;
-  ++inflight_;
-  return true;
-}
-
-void TileServer::Admission::Release() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
-  }
-  cv_.notify_one();
-}
-
 TileServer::TileServer(MDDStore* store, TileServerOptions options)
-    : store_(store),
-      options_(options),
-      admission_(std::max<size_t>(options.max_inflight_requests, 1),
-                 options.admission_queue_limit) {
+    : store_(store), options_(options) {
   obs::MetricsRegistry* m = store_->metrics();
   accepted_ = m->counter("net.connections_accepted");
   refused_ = m->counter("net.connections_refused");
@@ -120,19 +100,6 @@ Status TileServer::Start() {
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).MoveValue();
   port_ = listener_.port();
-  if (options_.event_loop) return StartEventLoop();
-  pool_ =
-      std::make_unique<ThreadPool>(std::max<size_t>(options_.max_connections,
-                                                    1));
-  threads_gauge_->Set(1 + static_cast<int64_t>(pool_->size()));
-  running_.store(true, std::memory_order_release);
-  listen_thread_ = std::thread([this] { ListenLoop(); });
-  if (options_.auto_retile) retiler_->Start();
-  if (options_.auto_compact) compactor_->Start();
-  return Status::OK();
-}
-
-Status TileServer::StartEventLoop() {
   Result<std::unique_ptr<EventLoop>> loop = EventLoop::Create();
   if (!loop.ok()) return loop.status();
   loop_ = std::move(loop).MoveValue();
@@ -142,11 +109,7 @@ Status TileServer::StartEventLoop() {
   Status st = loop_->Add(listener_.fd(), /*want_read=*/true,
                          /*want_write=*/false, &listener_);
   if (!st.ok()) return st;
-  const size_t workers =
-      options_.event_loop_workers != 0
-          ? options_.event_loop_workers
-          : std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
-  pool_ = std::make_unique<ThreadPool>(workers);
+  pool_ = std::make_unique<ThreadPool>(WorkerCount(options_));
   threads_gauge_->Set(1 + static_cast<int64_t>(pool_->size()));
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { EventLoopMain(); });
@@ -163,169 +126,26 @@ void TileServer::Stop() {
   // are parked — the object is left in a valid state either way.
   if (retiler_) retiler_->Stop();
   if (compactor_) compactor_->Stop();
-  if (options_.event_loop) {
-    StopEventLoop();
-    return;
-  }
-  if (listen_thread_.joinable()) listen_thread_.join();
-  listener_.Close();
-
-  // Grace period: connections notice `stopping_` within one poll slice,
-  // finish (and answer) their in-flight request, then close themselves.
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_for(lock,
-                       std::chrono::milliseconds(options_.drain_timeout_ms),
-                       [this] { return active_conns_ == 0; });
-  }
-  // Anything still alive is blocked on a dead peer: force it shut.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (Socket* sock : conns_) sock->ShutdownBoth();
-  }
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [this] { return active_conns_ == 0; });
-  }
+  // The loop notices `stopping_`, closes the listener and idle
+  // connections, and returns once in-flight requests have answered (or
+  // `drain_timeout_ms` passed).
+  loop_->Wake();
+  loop_thread_.join();
+  // Joining the workers guarantees no one references loop_ or the
+  // connection objects afterwards; late completions just settle gauges.
   pool_.reset();
-}
-
-void TileServer::ListenLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Result<Socket> accepted = listener_.Accept(/*timeout_ms=*/100);
-    if (!accepted.ok()) {
-      if (accepted.status().IsDeadlineExceeded()) continue;
-      if (stopping_.load(std::memory_order_acquire)) break;
-      // Listener broke (fd closed, FD exhaustion burst): brief pause, try
-      // again rather than spinning.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      continue;
-    }
-    bool admit = false;
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      if (active_conns_ < options_.max_connections &&
-          !stopping_.load(std::memory_order_acquire)) {
-        ++active_conns_;
-        admit = true;
-      }
-    }
-    if (!admit) {
-      refused_->Add(1);
-      continue;  // RAII-closes the socket: explicit refusal, no queue
-    }
-    accepted_->Add(1);
-    auto sock = std::make_shared<Socket>(std::move(accepted).MoveValue());
-    pool_->Submit([this, sock] { ServeConnection(sock); });
-  }
-}
-
-void TileServer::ServeConnection(std::shared_ptr<Socket> sock) {
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.insert(sock.get());
-  }
-  conns_gauge_->Add(1);
-
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Wait for the next request header, bounded by the idle timeout.
-    uint8_t header_buf[kHeaderBytes];
-    Status st = sock->RecvAll(header_buf, kHeaderBytes,
-                              DeadlineAfterMs(options_.idle_timeout_ms),
-                              &stopping_);
-    if (!st.ok()) {
-      if (st.IsDeadlineExceeded()) idle_disconnects_->Add(1);
-      // NotFound("eof") is the peer hanging up cleanly; Unavailable is our
-      // own shutdown; both close quietly.
-      break;
-    }
-    const Clock::time_point start = Clock::now();
-    const Deadline deadline = DeadlineAfterMs(options_.request_timeout_ms);
-
-    FrameHeader header;
-    st = DecodeHeader(header_buf, &header);
-    if (st.ok() && header.response) {
-      st = Status::Corruption("unexpected response frame from client");
-    }
-    if (!st.ok()) {
-      // Without a trusted header there is no request to answer; the
-      // stream is unsynchronized, so drop the connection.
-      frame_errors_->Add(1);
-      break;
-    }
-    std::vector<uint8_t> payload(header.payload_len);
-    st = sock->RecvAll(payload.data(), payload.size(), deadline, &stopping_);
-    if (st.ok()) st = VerifyPayload(header, payload);
-    if (!st.ok()) {
-      frame_errors_->Add(1);
-      break;
-    }
-    bytes_received_->Add(kHeaderBytes + payload.size());
-    requests_->Add(1);
-
-    // Admission control: bounded queue, explicit rejection.
-    std::vector<uint8_t> response_payload;
-    bool close_after_send = false;
-    if (!admission_.Acquire(options_.admission_wait_ms)) {
-      rejected_overload_->Add(1);
-      response_payload = EncodeErrorResponse(Status::Unavailable(
-          "overloaded: in-flight request limit reached"));
-    } else {
-      inflight_gauge_->Add(1);
-      const uint64_t trace_id = store_->trace()->NextTraceId();
-      {
-        obs::TraceScope span(store_->trace(), trace_id,
-                             WireOpName(header.op).data());
-        if (options_.debug_handler_delay_ms > 0) {
-          // Sliced so shutdown is never held up by the debug delay.
-          const Deadline wake =
-              DeadlineAfterMs(options_.debug_handler_delay_ms);
-          while (Clock::now() < wake &&
-                 !stopping_.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          }
-        }
-        response_payload = Dispatch(header.op, payload, trace_id);
-      }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    for (auto& completion : completions_) {
+      (void)completion;
       inflight_gauge_->Add(-1);
-      admission_.Release();
-      op_latency_ms_[static_cast<size_t>(header.op)]->Observe(
-          ElapsedMs(start));
-      if (Clock::now() > deadline) {
-        // The work finished after its deadline: the client has likely
-        // given up; answer with a timeout status and drop the connection.
-        request_timeouts_->Add(1);
-        response_payload = EncodeErrorResponse(Status::DeadlineExceeded(
-            "request deadline expired on the server"));
-        close_after_send = true;
-      }
     }
-
-    const std::vector<uint8_t> frame = EncodeFrame(
-        header.op, /*response=*/true, header.request_id, response_payload);
-    // Responses flush even during shutdown (no cancel flag): a drain must
-    // not swallow the answer of a request it admitted. A timeout answer
-    // gets a fresh grace deadline — the request's own has already expired.
-    const Deadline send_deadline =
-        close_after_send ? DeadlineAfterMs(options_.request_timeout_ms)
-                         : deadline;
-    st = sock->SendAll(frame.data(), frame.size(), send_deadline, nullptr);
-    if (!st.ok()) break;
-    bytes_sent_->Add(frame.size());
-    if (close_after_send) break;
+    completions_.clear();
   }
-
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(sock.get());
-  }
-  sock->Close();
-  conns_gauge_->Add(-1);
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    --active_conns_;
-  }
-  drain_cv_.notify_all();
+  econns_.clear();
+  ev_zombies_.clear();
+  ev_live_.clear();
+  loop_.reset();
 }
 
 /// One multiplexed connection: a small state machine driven by readiness
@@ -354,27 +174,6 @@ struct TileServer::EventConn {
   Deadline request_deadline = Deadline::max();
 };
 
-void TileServer::StopEventLoop() {
-  if (loop_ != nullptr) loop_->Wake();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  listener_.Close();
-  // Joining the workers guarantees no one references loop_ or the
-  // connection objects afterwards; late completions just settle gauges.
-  pool_.reset();
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    for (auto& completion : completions_) {
-      (void)completion;
-      inflight_gauge_->Add(-1);
-    }
-    completions_.clear();
-  }
-  econns_.clear();
-  ev_zombies_.clear();
-  ev_live_.clear();
-  loop_.reset();
-}
-
 void TileServer::EventLoopMain() {
   std::vector<EventLoop::Event> events;
   bool draining = false;
@@ -391,8 +190,7 @@ void TileServer::EventLoopMain() {
           Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
       (void)loop_->Remove(listener_.fd());
       listener_.Close();
-      // Idle connections close immediately (exactly when a per-connection
-      // thread would notice `stopping_`); in-flight requests, queued
+      // Idle connections close immediately; in-flight requests, queued
       // admissions, and pending responses drain below.
       std::vector<EventConn*> idle;
       for (auto& [fd, conn] : econns_) {
@@ -517,9 +315,8 @@ bool TileServer::EventReadStep(EventConn* conn) {
       Result<size_t> r = conn->sock.RecvSome(buf + conn->got,
                                              need - conn->got);
       if (!r.ok()) {
-        // A clean hangup between requests closes quietly, like the
-        // thread path's NotFound("eof"); a payload cut off mid-message
-        // is a frame error there too.
+        // A clean hangup between requests closes quietly; a payload cut
+        // off mid-message is a frame error.
         if (conn->state == EventConn::State::kPayload) {
           frame_errors_->Add(1);
         }
@@ -539,8 +336,7 @@ bool TileServer::EventReadStep(EventConn* conn) {
         EventCloseConn(conn);
         return false;
       }
-      // The request clock starts once the header is in, as in the
-      // thread path.
+      // The request clock starts once the header is in.
       conn->request_start = Clock::now();
       conn->request_deadline = DeadlineAfterMs(options_.request_timeout_ms);
       conn->state = EventConn::State::kPayload;
@@ -736,8 +532,7 @@ void TileServer::EventCloseConn(EventConn* conn) {
 void TileServer::EventSweep() {
   const Clock::time_point now = Clock::now();
 
-  // Queued admissions time out exactly like a thread blocked in
-  // `Admission::Acquire`: after `admission_wait_ms`, overloaded.
+  // Queued admissions that waited `admission_wait_ms` are overloaded.
   while (!ev_admission_queue_.empty()) {
     EventConn* front = ev_admission_queue_.front();
     if (now - front->queued_at <
@@ -777,8 +572,8 @@ void TileServer::EventSweep() {
     EventCloseConn(conn);
   }
   for (EventConn* conn : overdue) {
-    // A payload that never finishes arriving is a frame error (the thread
-    // path's RecvAll deadline); a write that cannot flush closes quietly.
+    // A payload that never finishes arriving is a frame error; a write
+    // that cannot flush closes quietly.
     if (conn->state == EventConn::State::kPayload) frame_errors_->Add(1);
     EventCloseConn(conn);
   }

@@ -2,12 +2,10 @@
 #define TILESTORE_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -35,9 +33,9 @@ struct TileServerOptions {
   /// Bind 127.0.0.1 only (the default) or all interfaces.
   bool loopback_only = true;
   int backlog = 64;
-  /// Connection workers == maximum concurrent connections: the server is
-  /// thread-per-connection over one `ThreadPool`; connections beyond this
-  /// are refused at accept (counted, never queued invisibly).
+  /// Maximum concurrent connections (watched fds, not threads);
+  /// connections beyond this are refused at accept (counted, never queued
+  /// invisibly).
   size_t max_connections = 32;
   /// Admission control: at most this many requests execute at once.
   size_t max_inflight_requests = 16;
@@ -65,17 +63,9 @@ struct TileServerOptions {
   /// executing, making overload and deadline behaviour deterministic to
   /// test. 0 in production.
   int debug_handler_delay_ms = 0;
-  /// Event-loop mode (DESIGN.md §11): one loop thread multiplexes every
-  /// connection over readiness notifications (epoll, or poll when forced
-  /// with `TILESTORE_EVENT_LOOP=poll`) and a small fixed worker pool
-  /// executes requests, so thousands of mostly-idle connections cost file
-  /// descriptors rather than threads. Limits, deadlines, drain semantics,
-  /// and all `net.*` metrics behave exactly as in thread-per-connection
-  /// mode.
+  /// Ignored; kept only because `perfbench/` still sets it.
   bool event_loop = false;
-  /// Request-execution workers in event-loop mode; 0 picks a machine
-  /// default. Ignored in thread-per-connection mode, which sizes its pool
-  /// by `max_connections`.
+  /// Request-execution workers; 0 picks clamp(hardware threads, 2, 8).
   size_t event_loop_workers = 0;
   /// Run the online re-tiler's background loop (DESIGN.md §12): hot
   /// objects are periodically re-tiled to fit the observed workload.
@@ -119,13 +109,15 @@ struct TileServerOptions {
 
 /// \brief TCP front end for one `MDDStore` (DESIGN.md §9).
 ///
-/// One listener thread accepts connections and hands each to a worker of
-/// an owned `ThreadPool` (thread-per-connection). Read requests execute
-/// concurrently through the store's thread-safe read path; `InsertTiles`
-/// takes an exclusive lock (one writer, no concurrent readers), and is
-/// applied as one atomic store transaction when the store runs in WAL
-/// mode. Every event is reported to the store's `obs` registry under
-/// `net.*` and each request emits trace spans into the store's ring.
+/// One loop thread (DESIGN.md §11) multiplexes the listener and every
+/// connection over readiness notifications (epoll, or poll when forced
+/// with `TILESTORE_EVENT_LOOP=poll`); a small fixed worker pool executes
+/// requests, so idle connections cost file descriptors, not threads. Read
+/// requests execute concurrently through the store's thread-safe read
+/// path; `InsertTiles` takes an exclusive lock (one writer, no concurrent
+/// readers), and is applied as one atomic store transaction when the store
+/// runs in WAL mode. Every event is reported to the store's `obs` registry
+/// under `net.*` and each request emits trace spans into the store's ring.
 ///
 /// Overload is explicit: beyond `max_inflight_requests` executing plus
 /// `admission_queue_limit` waiting, requests are answered immediately with
@@ -163,36 +155,10 @@ class TileServer {
   layout::Compactor* compactor() { return compactor_.get(); }
 
  private:
-  /// Counting semaphore with a bounded wait queue; the server's admission
-  /// controller.
-  class Admission {
-   public:
-    Admission(size_t capacity, size_t queue_limit)
-        : capacity_(capacity), queue_limit_(queue_limit) {}
-
-    /// Acquires an execution slot, waiting at most `wait_ms` in the
-    /// bounded queue. False means "reject as overloaded".
-    bool Acquire(int wait_ms);
-    void Release();
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    const size_t capacity_;
-    const size_t queue_limit_;
-    size_t inflight_ = 0;
-    size_t waiting_ = 0;
-  };
-
-  void ListenLoop();
-  void ServeConnection(std::shared_ptr<Socket> sock);
-
-  // --- Event-loop mode (options_.event_loop). All EventXxx methods and
-  // all ev_* state below belong to the loop thread exclusively; workers
-  // only push into `completions_` (mutex) and call `loop_->Wake()`.
+  // All EventXxx methods and all ev_* state below belong to the loop
+  // thread exclusively; workers only push into `completions_` (mutex) and
+  // call `loop_->Wake()`.
   struct EventConn;
-  Status StartEventLoop();
-  void StopEventLoop();
   void EventLoopMain();
   void EventAccept();
   void EventHandleIo(EventConn* conn, const EventLoop::Event& ev);
@@ -247,25 +213,13 @@ class TileServer {
   // options_.auto_compact, the `compact` op uses it synchronously.
   std::unique_ptr<layout::Compactor> compactor_;
 
-  Admission admission_;
   Listener listener_;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::thread listen_thread_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Live connection registry, for forced shutdown after the drain grace
-  // period. Connections deregister (under the mutex) before closing.
-  std::mutex conns_mu_;
-  std::set<Socket*> conns_;
-
-  // Drain bookkeeping: connections still running their loop.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  size_t active_conns_ = 0;
-
-  // Event-loop state (loop thread only, except completions_/its mutex).
+  // Loop state (loop thread only, except completions_/its mutex).
   std::unique_ptr<EventLoop> loop_;
   std::thread loop_thread_;
   std::unordered_map<int, std::unique_ptr<EventConn>> econns_;  // by fd
@@ -291,12 +245,10 @@ class TileServer {
   obs::Counter* bytes_sent_;
   // Indexed by WireOp value (1..kFilterQuery); [0] unused.
   std::vector<obs::Histogram*> op_latency_ms_;
-  // Registered in both modes (zero in thread-per-connection mode) so
-  // snapshots always carry the series.
   obs::Counter* eventloop_loops_;
   obs::Counter* eventloop_events_;
   obs::Gauge* eventloop_watched_fds_;
-  // Server threads: 1 + pool size (max_connections or event_loop workers).
+  // Server threads: the loop thread + the worker pool.
   obs::Gauge* threads_gauge_;
 };
 

@@ -184,7 +184,6 @@ Result<ServerConfig> ServerConfig::FromArgs(int argc, char** argv) {
   // Server-side knobs.
   TileServerOptions& server = config.server_options;
   st = set.Integer("port", &server.port, 0, 65535);
-  if (st.ok()) st = set.Integer("threads", &server.max_connections, 1, 4096);
   if (st.ok()) {
     st = set.Integer("max-connections", &server.max_connections, 1, 65536);
   }
@@ -217,11 +216,6 @@ Result<ServerConfig> ServerConfig::FromArgs(int argc, char** argv) {
     Result<bool> v = set.Switch("all-interfaces");
     if (!v.ok()) return v.status();
     if (*v) server.loopback_only = false;
-  }
-  {
-    Result<bool> v = set.Switch("event-loop");
-    if (!v.ok()) return v.status();
-    if (*v) server.event_loop = true;
   }
 
   // Re-tiler knobs.
@@ -336,11 +330,11 @@ Result<ServerConfig> ServerConfig::FromArgs(int argc, char** argv) {
 }
 
 const char* ServerConfig::FlagHelp() {
-  return "  serve  <db> [--port=N] [--threads=N] [--max-inflight=N]\n"
+  return "  serve  <db> [--port=N] [--max-connections=N] [--max-inflight=N]\n"
          "         [--queue=N] [--request-timeout-ms=N] [--idle-timeout-ms=N]\n"
          "         [--parallelism=N] [--tile-cache-mb=N] [--all-interfaces]\n"
-         "         [--event-loop] [--workers=N] [--max-connections=N]\n"
-         "         [--io-backend=auto|pread|uring] [--summaries=on|off]\n"
+         "         [--workers=N] [--io-backend=auto|pread|uring]\n"
+         "         [--summaries=on|off]\n"
          "         [--auto-retile] [--retile-poll-ms=N]\n"
          "         [--retile-min-queries=N] [--retile-min-improvement=X]\n"
          "         [--retile-cell-budget=N] [--retile-migration-cost=X]\n"

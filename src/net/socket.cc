@@ -17,43 +17,34 @@ namespace net {
 
 namespace {
 
-// Poll slice: the longest a blocking call stays in the kernel before
-// re-checking its deadline and cancellation flag.
-constexpr int kPollSliceMs = 100;
-
 std::string ErrnoMessage(const std::string& context) {
   return context + ": " + std::strerror(errno);
 }
 
 // Waits for `events` on `fd` until `deadline`. Returns 1 when ready, 0 on
-// deadline, -1 on poll error (errno set), -2 when cancelled.
-int WaitReady(int fd, short events, Deadline deadline,
-              const std::atomic<bool>* cancel) {
+// deadline, -1 on poll error (errno set).
+int WaitReady(int fd, short events, Deadline deadline) {
   for (;;) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return -2;
-    }
-    int slice = kPollSliceMs;
+    int timeout_ms = -1;
     if (deadline != Deadline::max()) {
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) return 0;
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - now)
-                            .count();
-      slice = static_cast<int>(
-          std::min<long long>(left + 1, kPollSliceMs));
+      // Rounded up, so a wake-up is never early and then spins.
+      timeout_ms = static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - now)
+              .count());
     }
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = events;
     pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, slice);
+    const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return -1;
     }
     if (rc > 0) return 1;
-    // rc == 0: slice elapsed; loop re-checks deadline and cancel.
+    // rc == 0: timed out; the loop re-checks the deadline.
   }
 }
 
@@ -102,7 +93,7 @@ Result<Socket> Socket::ConnectTcp(const std::string& host, uint16_t port,
     SetNonBlocking(fd);
     int rc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
     if (rc != 0 && errno == EINPROGRESS) {
-      const int ready = WaitReady(fd, POLLOUT, deadline, nullptr);
+      const int ready = WaitReady(fd, POLLOUT, deadline);
       if (ready == 0) {
         ::close(fd);
         last = Status::DeadlineExceeded("connect to " + host + ":" +
@@ -140,13 +131,11 @@ Result<Socket> Socket::ConnectTcp(const std::string& host, uint16_t port,
   return last;
 }
 
-Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline,
-                       const std::atomic<bool>* cancel) {
+Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline) {
   size_t done = 0;
   while (done < n) {
-    const int ready = WaitReady(fd_, POLLOUT, deadline, cancel);
+    const int ready = WaitReady(fd_, POLLOUT, deadline);
     if (ready == 0) return Status::DeadlineExceeded("send timed out");
-    if (ready == -2) return Status::Unavailable("send cancelled");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll send"));
     const ssize_t put =
         ::send(fd_, data + done, n - done, MSG_NOSIGNAL);
@@ -159,13 +148,11 @@ Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline,
   return Status::OK();
 }
 
-Status Socket::RecvAll(uint8_t* out, size_t n, Deadline deadline,
-                       const std::atomic<bool>* cancel) {
+Status Socket::RecvAll(uint8_t* out, size_t n, Deadline deadline) {
   size_t done = 0;
   while (done < n) {
-    const int ready = WaitReady(fd_, POLLIN, deadline, cancel);
+    const int ready = WaitReady(fd_, POLLIN, deadline);
     if (ready == 0) return Status::DeadlineExceeded("recv timed out");
-    if (ready == -2) return Status::Unavailable("recv cancelled");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll recv"));
     const ssize_t got = ::recv(fd_, out + done, n - done, 0);
     if (got < 0) {
@@ -200,10 +187,6 @@ Result<size_t> Socket::SendSome(const uint8_t* data, size_t n) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
     return Status::IOError(ErrnoMessage("send"));
   }
-}
-
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::Close() {
@@ -260,28 +243,6 @@ Result<Listener> Listener::Bind(uint16_t port, int backlog,
   listener.fd_ = fd;
   listener.port_ = ntohs(addr.sin_port);
   return listener;
-}
-
-Result<Socket> Listener::Accept(int timeout_ms) {
-  const Deadline deadline = DeadlineAfterMs(timeout_ms);
-  for (;;) {
-    const int ready = WaitReady(fd_, POLLIN, deadline, nullptr);
-    if (ready == 0) return Status::DeadlineExceeded("accept timed out");
-    if (ready < 0) return Status::IOError(ErrnoMessage("poll accept"));
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(ErrnoMessage("accept"));
-    }
-    // accept() does not inherit O_NONBLOCK from the listener on Linux.
-    // SendAll/RecvAll's deadline loop relies on partial-write EAGAIN
-    // semantics; a blocking fd would park the connection thread in the
-    // kernel past both the deadline and the stop flag.
-    SetNonBlocking(fd);
-    int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Socket(fd);
-  }
 }
 
 Result<Socket> Listener::AcceptNonBlocking() {

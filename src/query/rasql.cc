@@ -90,7 +90,8 @@ Status ParseTarget(std::string_view text, RasqlQuery* query) {
 
 Result<RasqlQuery> ParseRasql(std::string_view text) {
   std::string_view rest = TrimSpace(text);
-  if (rest.size() < 6 || !EqualsIgnoreCase(rest.substr(0, 6), "select") ||
+  // "select" must be followed by whitespace, so a query needs >= 7 bytes.
+  if (rest.size() < 7 || !EqualsIgnoreCase(rest.substr(0, 6), "select") ||
       !std::isspace(static_cast<unsigned char>(rest[6]))) {
     return Status::InvalidArgument("query must start with SELECT");
   }

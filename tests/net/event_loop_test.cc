@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -32,7 +33,13 @@ SocketPair MakePair() {
   auto listener = Listener::Bind(0, 4).MoveValue();
   auto client = Socket::ConnectTcp("127.0.0.1", listener.port(), 1000);
   EXPECT_TRUE(client.ok());
-  auto accepted = listener.Accept(1000);
+  // The handshake completes inside the kernel, but the accept queue can
+  // lag connect() by a beat; retry briefly.
+  auto accepted = listener.AcceptNonBlocking();
+  for (int i = 0; i < 1000 && !accepted.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    accepted = listener.AcceptNonBlocking();
+  }
   EXPECT_TRUE(accepted.ok());
   return SocketPair{std::move(client).MoveValue(),
                     std::move(accepted).MoveValue()};

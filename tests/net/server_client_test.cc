@@ -18,9 +18,7 @@ namespace {
 
 /// Loopback integration fixture: one store with a patterned object, one
 /// `TileServer` on an ephemeral port, clients connecting to `port()`.
-/// Parameterized over the serving mode: false = thread-per-connection,
-/// true = event loop. Every behavior below must hold in both.
-class NetServerTest : public ::testing::TestWithParam<bool> {
+class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("net_server_test.db");
@@ -57,7 +55,6 @@ class NetServerTest : public ::testing::TestWithParam<bool> {
   }
 
   void StartServer(TileServerOptions options = TileServerOptions()) {
-    options.event_loop = GetParam();
     server_ = std::make_unique<TileServer>(store_.get(), options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -74,7 +71,7 @@ class NetServerTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<TileServer> server_;
 };
 
-TEST_P(NetServerTest, PingAndOpenMDD) {
+TEST_F(NetServerTest, PingAndOpenMDD) {
   StartServer();
   auto client = Connect();
   ASSERT_NE(client, nullptr);
@@ -89,7 +86,7 @@ TEST_P(NetServerTest, PingAndOpenMDD) {
   EXPECT_TRUE(client->OpenMDD("nope").status().IsNotFound());
 }
 
-TEST_P(NetServerTest, RemoteQueryMatchesInProcessByteForByte) {
+TEST_F(NetServerTest, RemoteQueryMatchesInProcessByteForByte) {
   StartServer();
   auto client = Connect();
   ASSERT_NE(client, nullptr);
@@ -122,7 +119,7 @@ TEST_P(NetServerTest, RemoteQueryMatchesInProcessByteForByte) {
   }
 }
 
-TEST_P(NetServerTest, EightConcurrentClientsGetConsistentResults) {
+TEST_F(NetServerTest, EightConcurrentClientsGetConsistentResults) {
   StartServer();
   MDDObject* obj = store_->GetMDD("grid").value();
   RangeQueryExecutor executor(store_.get());
@@ -172,7 +169,7 @@ TEST_P(NetServerTest, EightConcurrentClientsGetConsistentResults) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST_P(NetServerTest, InsertTilesCreatesAndQueriesBack) {
+TEST_F(NetServerTest, InsertTilesCreatesAndQueriesBack) {
   StartServer();
   auto client = Connect();
   ASSERT_NE(client, nullptr);
@@ -200,7 +197,7 @@ TEST_P(NetServerTest, InsertTilesCreatesAndQueriesBack) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(NetServerTest, OverloadIsExplicitAndCounted) {
+TEST_F(NetServerTest, OverloadIsExplicitAndCounted) {
   TileServerOptions options;
   options.max_inflight_requests = 1;
   options.admission_queue_limit = 0;
@@ -237,7 +234,7 @@ TEST_P(NetServerTest, OverloadIsExplicitAndCounted) {
             static_cast<uint64_t>(rejected));
 }
 
-TEST_P(NetServerTest, RequestDeadlineExpiryIsReported) {
+TEST_F(NetServerTest, RequestDeadlineExpiryIsReported) {
   TileServerOptions options;
   options.request_timeout_ms = 100;
   options.debug_handler_delay_ms = 400;
@@ -251,7 +248,7 @@ TEST_P(NetServerTest, RequestDeadlineExpiryIsReported) {
             1u);
 }
 
-TEST_P(NetServerTest, StatsExposesNetMetricsAndTrace) {
+TEST_F(NetServerTest, StatsExposesNetMetricsAndTrace) {
   StartServer();
   auto client = Connect();
   ASSERT_NE(client, nullptr);
@@ -271,7 +268,7 @@ TEST_P(NetServerTest, StatsExposesNetMetricsAndTrace) {
   EXPECT_NE(trace->find("ping"), std::string::npos);
 }
 
-TEST_P(NetServerTest, StopDrainsInFlightRequestsCleanly) {
+TEST_F(NetServerTest, StopDrainsInFlightRequestsCleanly) {
   TileServerOptions options;
   options.debug_handler_delay_ms = 300;
   StartServer(options);
@@ -297,7 +294,7 @@ TEST_P(NetServerTest, StopDrainsInFlightRequestsCleanly) {
   EXPECT_FALSE(TileClient::Connect("127.0.0.1", server_->port(), copts).ok());
 }
 
-TEST_P(NetServerTest, MalformedFrameClosesConnectionNotServer) {
+TEST_F(NetServerTest, MalformedFrameClosesConnectionNotServer) {
   StartServer();
   auto raw = Socket::ConnectTcp("127.0.0.1", server_->port(), 1000);
   ASSERT_TRUE(raw.ok());
@@ -317,7 +314,7 @@ TEST_P(NetServerTest, MalformedFrameClosesConnectionNotServer) {
   EXPECT_GE(store_->metrics()->Snapshot().counter("net.frame_errors"), 1u);
 }
 
-TEST_P(NetServerTest, FilterQueryMatchesInProcessByteForByte) {
+TEST_F(NetServerTest, FilterQueryMatchesInProcessByteForByte) {
   StartServer();
   auto client = Connect();
   ASSERT_NE(client, nullptr);
@@ -364,7 +361,7 @@ TEST_P(NetServerTest, FilterQueryMatchesInProcessByteForByte) {
                   .IsNotFound());
 }
 
-TEST_P(NetServerTest, FilterQueryRefusedClientSideOnV1Connection) {
+TEST_F(NetServerTest, FilterQueryRefusedClientSideOnV1Connection) {
   // A v1-pinned server downgrades a handshaking client; the client must
   // then refuse to send the v2-only op instead of confusing the server.
   TileServerOptions options;
@@ -387,11 +384,17 @@ TEST_P(NetServerTest, FilterQueryRefusedClientSideOnV1Connection) {
       client->RangeQuery("grid", MInterval({{0, 15}, {0, 15}})).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(ServingModes, NetServerTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "event_loop"
-                                             : "thread_per_conn";
-                         });
+TEST_F(NetServerTest, DefaultOptionsServeThroughTheEventLoop) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Ping().ok());
+
+  const obs::MetricsSnapshot snapshot = store_->metrics()->Snapshot();
+  EXPECT_GT(snapshot.counter("net.eventloop.loops"), 0u);
+  // One loop thread plus the default worker pool, clamp(hw threads, 2, 8).
+  EXPECT_LE(snapshot.gauge("net.threads"), 1 + 8);
+}
 
 }  // namespace
 }  // namespace net

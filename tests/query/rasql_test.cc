@@ -57,6 +57,14 @@ TEST(RasqlParseTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseRasql("select a from b").ok());             // mismatch
 }
 
+TEST(RasqlParseTest, BareSelectKeywordIsRejected) {
+  // Exactly the keyword: the check for whitespace after it must not read
+  // past the end of the query.
+  for (const char* text : {"select", "SELECT", "  select  "}) {
+    EXPECT_TRUE(ParseRasql(text).status().IsInvalidArgument()) << text;
+  }
+}
+
 TEST(RasqlParseTest, FromInsideBracketsIsNotAKeyword) {
   // An object named "fromage" must not confuse the keyword scanner.
   Result<RasqlQuery> q = ParseRasql("select fromage[0:5] from fromage");

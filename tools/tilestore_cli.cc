@@ -83,9 +83,9 @@ void PrintHelp(std::FILE* out) {
       "                                       serve the store over TCP;\n"
       "                                       prints the bound port, stops\n"
       "                                       cleanly on SIGINT/SIGTERM;\n"
-      "                                       --event-loop multiplexes all\n"
-      "                                       connections over one epoll\n"
-      "                                       thread + --workers executors\n"
+      "                                       one epoll thread multiplexes\n"
+      "                                       all connections, --workers\n"
+      "                                       threads execute requests\n"
       "                                       (DESIGN.md \xC2\xA7" "11);\n"
       "                                       --cluster-map + --shard-id\n"
       "                                       serve one shard of a cluster\n"
