@@ -1,6 +1,7 @@
 // Experiment E12 (DESIGN.md): google-benchmark microbenchmarks of the hot
 // kernels — row-major offset computation, region copy (query
-// post-processing), the tiling algorithms themselves, and index search.
+// post-processing), CRC-32C (every wire frame, page and WAL record), the
+// tiling algorithms themselves, and index search.
 //
 // The binary additionally measures warm-cache read-path throughput at
 // parallelism 1/2/4/8 and merges the result into BENCH_readpath.json
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/checksum.h"
 #include "common/random.h"
 #include "core/linearizer.h"
 #include "index/rtree_index.h"
@@ -54,6 +56,25 @@ void BM_CopyRegion(benchmark::State& state) {
                           region.CellCountOrDie());
 }
 BENCHMARK(BM_CopyRegion)->Arg(8)->Arg(64)->Arg(256);
+
+// CRC-32C over one buffer of arg bytes: `Crc32c` (the CRC instruction
+// where the CPU has one) against the portable table loop it falls back to.
+template <uint32_t (*Crc)(const void*, size_t, uint32_t)>
+void BM_Crc32c(benchmark::State& state) {
+  Random rng(static_cast<uint64_t>(state.range(0)));
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc(buf.data(), buf.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_Crc32c, Crc32c)->Arg(64)->Arg(4 << 10)->Arg(128 << 10);
+BENCHMARK_TEMPLATE(BM_Crc32c, Crc32cPortable)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(128 << 10);
 
 void BM_AlignedTiling(benchmark::State& state) {
   SalesCubeSpec spec;

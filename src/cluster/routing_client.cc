@@ -4,7 +4,10 @@
 #include <chrono>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+
+#include "core/linearizer.h"
 
 namespace tilestore {
 namespace cluster {
@@ -118,7 +121,8 @@ size_t RoutingTileClient::healthy_shards() const {
   return n;
 }
 
-void RoutingTileClient::Scatter(std::vector<SubCall>* calls) {
+template <class Reply>
+void RoutingTileClient::Scatter(std::vector<ShardCall<Reply>>* calls) {
   // One task per shard, not per sub-call: a TileClient connection is a
   // synchronous stream, so the sub-calls bound for one shard must run
   // sequentially on it — only cross-shard calls overlap.
@@ -134,15 +138,16 @@ void RoutingTileClient::Scatter(std::vector<SubCall>* calls) {
     const std::vector<size_t>* indices = &entry.second;
     group.Run([this, shard, indices, calls] {
       for (const size_t i : *indices) {
-        (*calls)[i].result = CallShard(shard, (*calls)[i].request);
+        (*calls)[i].result = CallShard<Reply>(shard, (*calls)[i].request);
       }
     });
   }
   group.Wait();
 }
 
-Result<net::Response> RoutingTileClient::CallShard(
-    uint32_t shard, const net::Request& request) {
+template <class Reply>
+Result<Reply> RoutingTileClient::CallShard(uint32_t shard,
+                                           const net::Request& request) {
   if (shards_[shard] == nullptr || !shards_[shard]->healthy()) {
     // Lazy reconnect, one attempt: a shard that is really down fails fast
     // instead of stretching every request by the full retry ladder.
@@ -154,19 +159,26 @@ Result<net::Response> RoutingTileClient::CallShard(
     }
   }
   const double start = NowMs();
-  Result<net::Response> result = shards_[shard]->Call(request);
+  Result<Reply> result = [&] {
+    if constexpr (std::is_same_v<Reply, net::Response>) {
+      return shards_[shard]->Call(request);
+    } else {
+      return shards_[shard]->CallForPayload(request);
+    }
+  }();
   shard_latency_ms_[shard]->Observe(NowMs() - start);
   if (!result.ok()) shard_errors_->Add();
   return result;
 }
 
-Status RoutingTileClient::CombineStatuses(const std::vector<SubCall>& calls,
-                                          bool treat_notfound_as_ok) {
+template <class Reply>
+Status RoutingTileClient::CombineStatuses(
+    const std::vector<ShardCall<Reply>>& calls, bool treat_notfound_as_ok) {
   size_t failed = 0;
   bool same_code = true;
   StatusCode code = StatusCode::kOk;
   std::ostringstream msg;
-  for (const SubCall& call : calls) {
+  for (const ShardCall<Reply>& call : calls) {
     if (call.result.ok()) continue;
     const Status& st = call.result.status();
     if (treat_notfound_as_ok && st.IsNotFound()) continue;
@@ -275,110 +287,90 @@ Result<net::Response> RoutingTileClient::RouteOpenMDD(
   return net::Response{std::move(combined)};
 }
 
-Result<net::Response> RoutingTileClient::RouteRangeQuery(
-    const net::RangeQueryRequest& request) {
-  if (map_.FindSplit(request.name) != nullptr && !request.region.IsFixed()) {
+template <class QueryResponse, class MakeSubRequest>
+Result<net::Response> RoutingTileClient::RouteQuery(
+    const std::string& name, const MInterval& region,
+    const MakeSubRequest& sub_request) {
+  if (map_.FindSplit(name) != nullptr && !region.IsFixed()) {
     return Status::InvalidArgument(
         "queries on a range-split object need a fixed region ('*' bounds "
         "cannot be resolved across shards)");
   }
   Result<std::vector<ShardMap::Target>> targets =
-      map_.QueryTargets(request.name, request.region);
+      map_.QueryTargets(name, region);
   if (!targets.ok()) return targets.status();
-  std::vector<SubCall> calls(targets->size());
+  if (targets->size() == 1) {
+    std::vector<SubCall> calls(1);
+    calls[0].shard = (*targets)[0].shard;
+    calls[0].request = sub_request(std::move((*targets)[0].region));
+    Scatter(&calls);
+    return std::move(calls[0].result);
+  }
+  // Fanned out: keep each shard's verified reply payload and stitch its
+  // cells straight from it, so they are copied once, into the result.
+  std::vector<PayloadCall> calls(targets->size());
   for (size_t i = 0; i < targets->size(); ++i) {
     calls[i].shard = (*targets)[i].shard;
-    calls[i].request = net::RangeQueryRequest{
-        request.name, std::move((*targets)[i].region)};
+    calls[i].request = sub_request(std::move((*targets)[i].region));
   }
   Scatter(&calls);
-  if (calls.size() == 1) return std::move(calls[0].result);
   Status st = CombineStatuses(calls);
   if (!st.ok()) return st;
-  // Stitch: sub-regions partition the query region, and each shard
-  // default-fills its own sub-region, so copying every sub-array into a
-  // zero-initialised frame writes each cell exactly once.
-  const auto& first = std::get<net::RangeQueryResponse>(*calls[0].result);
-  const CellType cell_type =
-      CellType::Of(static_cast<CellTypeId>(first.cell_type_id));
-  Result<Array> stitched = Array::Create(request.region, cell_type);
-  if (!stitched.ok()) return stitched.status();
-  for (SubCall& call : calls) {
-    auto& resp = std::get<net::RangeQueryResponse>(*call.result);
-    if (resp.cell_type_id != first.cell_type_id) {
-      return Status::Corruption("shards disagree on the cell type of '" +
-                                request.name + "'");
+  std::vector<net::QueryResultView> pieces(calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    Status server;
+    st = net::DecodeQueryResultView(*calls[i].result, &server, &pieces[i]);
+    if (!st.ok()) {
+      return Status::Corruption(DescribeShard(map_, calls[i].shard) + ": " +
+                                st.message());
     }
-    Result<Array> piece =
-        Array::FromBuffer(resp.domain, cell_type, std::move(resp.cells));
-    if (!piece.ok()) return piece.status();
-    Status copy = stitched->CopyFrom(*piece, piece->domain());
-    if (!copy.ok()) {
-      return Status::Corruption(DescribeShard(map_, call.shard) +
-                                " answered outside its sub-region: " +
-                                copy.message());
+    if (pieces[i].cell_type_id != pieces[0].cell_type_id) {
+      return Status::Corruption("shards disagree on the cell type of '" +
+                                name + "'");
     }
   }
-  net::RangeQueryResponse out;
-  out.domain = request.region;
-  out.cell_type_id = first.cell_type_id;
+  // Sub-regions partition the query region, and each shard fills its own
+  // sub-region completely (a filter query with the object's default value
+  // where cells do not match), so copying every piece into a
+  // zero-initialised frame writes each cell exactly once and the stitched
+  // result is byte-identical to a single-store query.
+  const CellType cell_type =
+      CellType::Of(static_cast<CellTypeId>(pieces[0].cell_type_id));
+  Result<Array> stitched = Array::Create(region, cell_type);
+  if (!stitched.ok()) return stitched.status();
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    st = CopyRegion(pieces[i].domain, pieces[i].cells.data(), region,
+                    stitched->mutable_data(), pieces[i].domain,
+                    cell_type.size());
+    if (!st.ok()) {
+      return Status::Corruption(DescribeShard(map_, calls[i].shard) +
+                                " answered outside its sub-region: " +
+                                st.message());
+    }
+  }
+  QueryResponse out;
+  out.domain = region;
+  out.cell_type_id = pieces[0].cell_type_id;
   out.cells = std::move(*stitched).TakeBuffer();
   return net::Response{std::move(out)};
 }
 
+Result<net::Response> RoutingTileClient::RouteRangeQuery(
+    const net::RangeQueryRequest& request) {
+  return RouteQuery<net::RangeQueryResponse>(
+      request.name, request.region, [&](MInterval region) -> net::Request {
+        return net::RangeQueryRequest{request.name, std::move(region)};
+      });
+}
+
 Result<net::Response> RoutingTileClient::RouteFilterQuery(
     const net::FilterQueryRequest& request) {
-  if (map_.FindSplit(request.name) != nullptr && !request.region.IsFixed()) {
-    return Status::InvalidArgument(
-        "queries on a range-split object need a fixed region ('*' bounds "
-        "cannot be resolved across shards)");
-  }
-  Result<std::vector<ShardMap::Target>> targets =
-      map_.QueryTargets(request.name, request.region);
-  if (!targets.ok()) return targets.status();
-  std::vector<SubCall> calls(targets->size());
-  for (size_t i = 0; i < targets->size(); ++i) {
-    net::FilterQueryRequest sub = request;
-    sub.region = std::move((*targets)[i].region);
-    calls[i].shard = (*targets)[i].shard;
-    calls[i].request = std::move(sub);
-  }
-  Scatter(&calls);
-  if (calls.size() == 1) return std::move(calls[0].result);
-  Status st = CombineStatuses(calls);
-  if (!st.ok()) return st;
-  // Stitch exactly like RouteRangeQuery: sub-regions partition the query
-  // region, and each shard fills its sub-region completely — matching
-  // cells with their value, everything else with the object's default —
-  // so copying every sub-array into a zero-initialised frame writes each
-  // cell exactly once and the stitched result is byte-identical to a
-  // single-store filtered query.
-  const auto& first = std::get<net::FilterQueryResponse>(*calls[0].result);
-  const CellType cell_type =
-      CellType::Of(static_cast<CellTypeId>(first.cell_type_id));
-  Result<Array> stitched = Array::Create(request.region, cell_type);
-  if (!stitched.ok()) return stitched.status();
-  for (SubCall& call : calls) {
-    auto& resp = std::get<net::FilterQueryResponse>(*call.result);
-    if (resp.cell_type_id != first.cell_type_id) {
-      return Status::Corruption("shards disagree on the cell type of '" +
-                                request.name + "'");
-    }
-    Result<Array> piece =
-        Array::FromBuffer(resp.domain, cell_type, std::move(resp.cells));
-    if (!piece.ok()) return piece.status();
-    Status copy = stitched->CopyFrom(*piece, piece->domain());
-    if (!copy.ok()) {
-      return Status::Corruption(DescribeShard(map_, call.shard) +
-                                " answered outside its sub-region: " +
-                                copy.message());
-    }
-  }
-  net::FilterQueryResponse out;
-  out.domain = request.region;
-  out.cell_type_id = first.cell_type_id;
-  out.cells = std::move(*stitched).TakeBuffer();
-  return net::Response{std::move(out)};
+  return RouteQuery<net::FilterQueryResponse>(
+      request.name, request.region, [&](MInterval region) -> net::Request {
+        net::FilterQueryRequest sub = request;
+        sub.region = std::move(region);
+        return sub;
+      });
 }
 
 Result<net::Response> RoutingTileClient::RouteAggregate(

@@ -82,11 +82,17 @@ class RoutingTileClient : public net::ClientInterface {
   obs::MetricsRegistry* metrics() { return &registry_; }
 
  private:
-  struct SubCall {
+  /// One shard's share of a request. `Reply` is the decoded
+  /// `net::Response`, or the verified reply payload when the router reads
+  /// the body in place (fanned-out query results are stitched from it).
+  template <class Reply>
+  struct ShardCall {
     uint32_t shard = 0;
     net::Request request;
-    Result<net::Response> result = Status::Internal("not dispatched");
+    Result<Reply> result = Status::Internal("not dispatched");
   };
+  using SubCall = ShardCall<net::Response>;
+  using PayloadCall = ShardCall<std::vector<uint8_t>>;
 
   RoutingTileClient(ShardMap map, RoutingClientOptions options);
 
@@ -96,18 +102,27 @@ class RoutingTileClient : public net::ClientInterface {
 
   /// Runs every sub-call, grouped by shard (one task per shard keeps each
   /// connection single-threaded), bounded by the fan-out pool.
-  void Scatter(std::vector<SubCall>* calls);
+  template <class Reply>
+  void Scatter(std::vector<ShardCall<Reply>>* calls);
 
   /// One sub-call on one shard's connection (reconnects lazily).
-  Result<net::Response> CallShard(uint32_t shard,
-                                  const net::Request& request);
+  template <class Reply>
+  Result<Reply> CallShard(uint32_t shard, const net::Request& request);
 
   /// Folds sub-call outcomes into the cluster-level status: OK,
   /// kPartialResult (some failed), the common code (all failed alike), or
   /// kUnavailable (all failed, mixed). With `treat_notfound_as_ok`, a
   /// per-shard NotFound counts as success (an empty slab is not a fault).
-  Status CombineStatuses(const std::vector<SubCall>& calls,
+  template <class Reply>
+  Status CombineStatuses(const std::vector<ShardCall<Reply>>& calls,
                          bool treat_notfound_as_ok = false);
+
+  /// Range and filter queries: fans `sub_request(clipped region)` out to
+  /// the owning shards and stitches the replies into one `QueryResponse`.
+  template <class QueryResponse, class MakeSubRequest>
+  Result<net::Response> RouteQuery(const std::string& name,
+                                   const MInterval& region,
+                                   const MakeSubRequest& sub_request);
 
   Result<net::Response> RoutePing(const net::Request& request);
   Result<net::Response> RouteOpenMDD(const net::OpenMDDRequest& request);

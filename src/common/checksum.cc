@@ -3,6 +3,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace tilestore {
 
 namespace {
@@ -34,9 +38,48 @@ struct Crc32cTables {
 
 constexpr Crc32cTables kTables;
 
+#if defined(__x86_64__)
+
+// One stream of the SSE4.2 `crc32` instruction, eight bytes at a time. The
+// target attribute compiles just this function for SSE4.2, so the build
+// flags stay baseline x86-64; callers reach it only after the CPU check.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t n,
+                                                       uint32_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  while (n-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return ~crc32;
+}
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn SelectCrc32c() {
+  return __builtin_cpu_supports("sse4.2") ? Crc32cSse42 : Crc32cPortable;
+}
+
+#endif
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if defined(__x86_64__)
+  static const Crc32cFn impl = SelectCrc32c();
+  return impl(data, n, seed);
+#else
+  return Crc32cPortable(data, n, seed);
+#endif
+}
+
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
   while (n >= 8) {

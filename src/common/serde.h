@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,19 @@ class ByteReader {
     return Status::OK();
   }
 
+  /// Borrows the next `n` bytes in place instead of copying them; the
+  /// span is valid while the image lives.
+  Status View(size_t n, std::span<const uint8_t>* out) {
+    if (n > remaining()) return Overrun();
+    *out = std::span<const uint8_t>(buf_.data() + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
   size_t position() const { return pos_; }
+  /// Bytes not yet read: the bound for any length prefix read from the
+  /// image, checked before allocating for it.
+  size_t remaining() const { return buf_.size() - pos_; }
   bool AtEnd() const { return pos_ == buf_.size(); }
 
  private:

@@ -113,14 +113,15 @@ Status TileClient::RoundTrip(WireOp op, const std::vector<uint8_t>& request,
   // the offer); everything later uses the negotiated one.
   const uint16_t version =
       op == WireOp::kHello ? kWireVersion : wire_version_;
-  const std::vector<uint8_t> frame =
-      EncodeFrame(op, /*response=*/false, id, request, version);
-  Status st = socket_.SendAll(frame.data(), frame.size(), deadline);
+  // One header buffer serves both directions: the request's header goes
+  // out beside the payload, then the response's header lands in it.
+  uint8_t header_buf[kHeaderBytes];
+  EncodeFrameHeader(op, /*response=*/false, id, request, header_buf, version);
+  Status st = socket_.SendAll(header_buf, request, deadline);
   if (!st.ok()) {
     healthy_ = false;
     return st;
   }
-  uint8_t header_buf[kHeaderBytes];
   st = socket_.RecvAll(header_buf, kHeaderBytes, deadline);
   if (!st.ok()) {
     healthy_ = false;
@@ -149,7 +150,8 @@ Status TileClient::RoundTrip(WireOp op, const std::vector<uint8_t>& request,
   return Status::OK();
 }
 
-Result<Response> TileClient::Call(const Request& request) {
+Result<std::vector<uint8_t>> TileClient::CallForPayload(
+    const Request& request) {
   const WireOp op = RequestOp(request);
   // v2-only ops never go out on a v1 conversation: a genuine v1 server
   // would drop the connection on the unknown op, poisoning it for every
@@ -163,14 +165,30 @@ Result<Response> TileClient::Call(const Request& request) {
   std::vector<uint8_t> payload;
   Status st = RoundTrip(op, EncodeRequest(request), &payload);
   if (!st.ok()) return st;
+  ByteReader r(payload);
   Status server;
-  Response response;
-  st = DecodeResponsePayload(op, payload, &server, &response);
+  st = DecodeResponseStatus(&r, &server);
   if (!st.ok()) {
     healthy_ = false;
     return st;
   }
   if (!server.ok()) return server;
+  return payload;
+}
+
+Result<Response> TileClient::Call(const Request& request) {
+  Result<std::vector<uint8_t>> payload = CallForPayload(request);
+  if (!payload.ok()) return payload.status();
+  // The server's status byte read OK in `CallForPayload`; only the body
+  // can still be malformed.
+  Status server;
+  Response response;
+  Status st =
+      DecodeResponsePayload(RequestOp(request), *payload, &server, &response);
+  if (!st.ok()) {
+    healthy_ = false;
+    return st;
+  }
   return response;
 }
 

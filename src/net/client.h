@@ -49,6 +49,12 @@ class TileClient : public ClientInterface {
   /// not.
   Result<Response> Call(const Request& request) override;
 
+  /// `Call` without the final decode: the verified response payload of
+  /// one round trip, status byte included, for callers that read the body
+  /// in place (the router stitches query cells straight from it). A
+  /// server-side error comes back as the error status, as from `Call`.
+  Result<std::vector<uint8_t>> CallForPayload(const Request& request);
+
   /// True until an I/O or protocol error poisoned the connection.
   bool healthy() const override { return healthy_; }
   void Close() { socket_.Close(); healthy_ = false; }

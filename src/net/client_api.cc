@@ -82,22 +82,8 @@ Status DecodeResponsePayload(WireOp op, const std::vector<uint8_t>& payload,
     case WireOp::kRangeQuery: {
       RangeQueryResponse resp;
       st = DecodeRangeQueryResponse(payload, server_status, &resp);
-      if (!st.ok() || !server_status->ok()) return st;
-      st = CellTypeInRange(resp.cell_type_id);
-      if (!st.ok()) return st;
-      const CellType cell_type =
-          CellType::Of(static_cast<CellTypeId>(resp.cell_type_id));
-      // The domain is attacker-controlled; CellCount (not the OrDie
-      // variant) keeps a hostile extent from aborting the client.
-      Result<uint64_t> cells = resp.domain.IsFixed()
-                                   ? resp.domain.CellCount()
-                                   : Status::Corruption("unbounded domain");
-      if (!cells.ok() || *cells > kMaxPayloadBytes ||
-          resp.cells.size() != *cells * cell_type.size()) {
-        return Status::Corruption("query result size does not match domain");
-      }
-      *out = std::move(resp);
-      return Status::OK();
+      if (st.ok() && server_status->ok()) *out = std::move(resp);
+      return st;
     }
     case WireOp::kAggregate: {
       AggregateResponse resp;
@@ -144,21 +130,8 @@ Status DecodeResponsePayload(WireOp op, const std::vector<uint8_t>& payload,
     case WireOp::kFilterQuery: {
       FilterQueryResponse resp;
       st = DecodeFilterQueryResponse(payload, server_status, &resp);
-      if (!st.ok() || !server_status->ok()) return st;
-      st = CellTypeInRange(resp.cell_type_id);
-      if (!st.ok()) return st;
-      const CellType cell_type =
-          CellType::Of(static_cast<CellTypeId>(resp.cell_type_id));
-      // Same hostile-domain hardening as range_query.
-      Result<uint64_t> cells = resp.domain.IsFixed()
-                                   ? resp.domain.CellCount()
-                                   : Status::Corruption("unbounded domain");
-      if (!cells.ok() || *cells > kMaxPayloadBytes ||
-          resp.cells.size() != *cells * cell_type.size()) {
-        return Status::Corruption("query result size does not match domain");
-      }
-      *out = std::move(resp);
-      return Status::OK();
+      if (st.ok() && server_status->ok()) *out = std::move(resp);
+      return st;
     }
   }
   return Status::Internal("unreachable wire op in decode");

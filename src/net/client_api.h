@@ -57,7 +57,8 @@ std::vector<uint8_t> EncodeRequest(const Request& request);
 /// `*server_status` receives the server's verdict from the leading status
 /// byte, and `*out` holds the matching alternative only when both are OK.
 /// Structural validation (cell-type range, cells-vs-domain size) happens
-/// here so the typed wrappers are infallible conversions.
+/// here or in the wire decoders it calls, so the typed wrappers are
+/// infallible conversions.
 Status DecodeResponsePayload(WireOp op, const std::vector<uint8_t>& payload,
                              Status* server_status, Response* out);
 

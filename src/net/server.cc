@@ -160,8 +160,11 @@ struct TileServer::EventConn {
   FrameHeader header;
   std::vector<uint8_t> in;  // payload being received (moved to the worker)
   size_t got = 0;
-  std::vector<uint8_t> out;  // encoded response frame being flushed
-  size_t out_pos = 0;
+  // The response being flushed: its header, encoded in place, and the
+  // handler's payload, sent together without joining them.
+  uint8_t out_header[kHeaderBytes] = {};
+  std::vector<uint8_t> out;
+  size_t out_pos = 0;  // bytes of header + payload already sent
   bool close_after_send = false;
   /// Closed (hangup/forced) while a worker still owes a completion.
   bool doomed = false;
@@ -457,8 +460,9 @@ void TileServer::EventFinish(EventConn* conn,
 void TileServer::EventSendResponse(EventConn* conn,
                                    std::vector<uint8_t> payload,
                                    bool close_after_send) {
-  conn->out = EncodeFrame(conn->header.op, /*response=*/true,
-                          conn->header.request_id, payload);
+  EncodeFrameHeader(conn->header.op, /*response=*/true,
+                    conn->header.request_id, payload, conn->out_header);
+  conn->out = std::move(payload);
   conn->out_pos = 0;
   conn->close_after_send = close_after_send;
   conn->state = EventConn::State::kWriting;
@@ -476,9 +480,10 @@ void TileServer::EventSendResponse(EventConn* conn,
 }
 
 bool TileServer::EventWriteStep(EventConn* conn) {
-  while (conn->out_pos < conn->out.size()) {
-    Result<size_t> put = conn->sock.SendSome(conn->out.data() + conn->out_pos,
-                                             conn->out.size() - conn->out_pos);
+  const size_t total = kHeaderBytes + conn->out.size();
+  while (conn->out_pos < total) {
+    Result<size_t> put =
+        conn->sock.SendSome(conn->out_header, conn->out, conn->out_pos);
     if (!put.ok()) {
       EventCloseConn(conn);
       return false;
@@ -486,8 +491,8 @@ bool TileServer::EventWriteStep(EventConn* conn) {
     if (*put == 0) return true;  // kernel buffer full; wait for writable
     conn->out_pos += *put;
   }
-  bytes_sent_->Add(conn->out.size());
-  conn->out.clear();
+  bytes_sent_->Add(total);
+  conn->out = std::vector<uint8_t>();  // an idle connection holds no reply
   if (conn->close_after_send ||
       stopping_.load(std::memory_order_acquire)) {
     EventCloseConn(conn);

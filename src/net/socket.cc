@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -131,19 +132,17 @@ Result<Socket> Socket::ConnectTcp(const std::string& host, uint16_t port,
   return last;
 }
 
-Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline) {
+Status Socket::SendAll(std::span<const uint8_t> head,
+                       std::span<const uint8_t> body, Deadline deadline) {
+  const size_t total = head.size() + body.size();
   size_t done = 0;
-  while (done < n) {
+  while (done < total) {
     const int ready = WaitReady(fd_, POLLOUT, deadline);
     if (ready == 0) return Status::DeadlineExceeded("send timed out");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll send"));
-    const ssize_t put =
-        ::send(fd_, data + done, n - done, MSG_NOSIGNAL);
-    if (put < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(ErrnoMessage("send"));
-    }
-    done += static_cast<size_t>(put);
+    Result<size_t> put = SendSome(head, body, done);
+    if (!put.ok()) return put.status();
+    done += *put;
   }
   return Status::OK();
 }
@@ -179,9 +178,31 @@ Result<size_t> Socket::RecvSome(uint8_t* out, size_t n) {
   }
 }
 
-Result<size_t> Socket::SendSome(const uint8_t* data, size_t n) {
+Result<size_t> Socket::SendSome(std::span<const uint8_t> head,
+                                std::span<const uint8_t> body,
+                                size_t offset) {
+  struct iovec iov[2];
+  int count = 0;
+  if (offset < head.size()) {
+    iov[count].iov_base = const_cast<uint8_t*>(head.data() + offset);
+    iov[count].iov_len = head.size() - offset;
+    ++count;
+    offset = 0;
+  } else {
+    offset -= head.size();
+  }
+  if (offset < body.size()) {
+    iov[count].iov_base = const_cast<uint8_t*>(body.data() + offset);
+    iov[count].iov_len = body.size() - offset;
+    ++count;
+  }
+  if (count == 0) return size_t{0};
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<size_t>(count);
   for (;;) {
-    const ssize_t put = ::send(fd_, data, n, MSG_NOSIGNAL);
+    const ssize_t put = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (put >= 0) return static_cast<size_t>(put);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};

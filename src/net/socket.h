@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -42,8 +43,14 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
+  /// Writes all of `head` and then all of `body` or fails: a frame's
+  /// header and payload leave without being joined into one buffer.
+  Status SendAll(std::span<const uint8_t> head, std::span<const uint8_t> body,
+                 Deadline deadline);
   /// Writes exactly `n` bytes or fails.
-  Status SendAll(const uint8_t* data, size_t n, Deadline deadline);
+  Status SendAll(const uint8_t* data, size_t n, Deadline deadline) {
+    return SendAll({data, n}, {}, deadline);
+  }
 
   /// Reads exactly `n` bytes or fails. A peer close before the first byte
   /// yields `NotFound("eof")` (a clean end-of-stream the caller can treat
@@ -56,9 +63,12 @@ class Socket {
   /// and connected sockets are).
   Result<size_t> RecvSome(uint8_t* out, size_t n);
 
-  /// Non-blocking single write: bytes written (> 0) or 0 when the call
-  /// would block.
-  Result<size_t> SendSome(const uint8_t* data, size_t n);
+  /// Non-blocking vectored write (one `sendmsg` over two buffers) of the
+  /// concatenation `head` + `body`, starting `offset` bytes into it, so a
+  /// partial write resumes anywhere, inside `head` included: bytes
+  /// written (> 0), or 0 when the call would block or nothing is left.
+  Result<size_t> SendSome(std::span<const uint8_t> head,
+                          std::span<const uint8_t> body, size_t offset);
 
   void Close();
 

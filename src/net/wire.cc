@@ -66,28 +66,18 @@ bool WireOpValid(uint16_t raw) {
          raw <= static_cast<uint16_t>(WireOp::kFilterQuery);
 }
 
-std::vector<uint8_t> EncodeFrame(WireOp op, bool response,
-                                 uint64_t request_id,
-                                 const std::vector<uint8_t>& payload,
-                                 uint16_t version) {
-  std::vector<uint8_t> frame(kHeaderBytes + payload.size());
-  uint8_t* h = frame.data();
-  PutU32(h, kWireMagic);
-  PutU16(h + 4, version);
+void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
+                       std::span<const uint8_t> payload, uint8_t* out,
+                       uint16_t version) {
+  PutU32(out, kWireMagic);
+  PutU16(out + 4, version);
   const uint16_t op_raw =
       static_cast<uint16_t>(op) | (response ? kResponseFlag : 0);
-  PutU16(h + 6, op_raw);
-  PutU64(h + 8, request_id);
-  PutU32(h + 16, static_cast<uint32_t>(payload.size()));
-  // An empty vector's data() may be null; memcpy/Crc32c over a null
-  // pointer is UB even for size 0 (pings have empty payloads).
-  PutU32(h + 20, payload.empty() ? Crc32c(h, 0)
-                                 : Crc32c(payload.data(), payload.size()));
-  PutU32(h + 24, Crc32c(h, 24));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
-  }
-  return frame;
+  PutU16(out + 6, op_raw);
+  PutU64(out + 8, request_id);
+  PutU32(out + 16, static_cast<uint32_t>(payload.size()));
+  PutU32(out + 20, Crc32c(payload.data(), payload.size()));
+  PutU32(out + 24, Crc32c(out, 24));
 }
 
 Status DecodeHeader(const uint8_t* buf, FrameHeader* out) {
@@ -128,11 +118,7 @@ Status VerifyPayload(const FrameHeader& header,
   if (payload.size() != header.payload_len) {
     return Status::Corruption("wire payload length mismatch");
   }
-  static const uint8_t kEmpty = 0;
-  const uint32_t crc = payload.empty()
-                           ? Crc32c(&kEmpty, 0)
-                           : Crc32c(payload.data(), payload.size());
-  if (crc != header.payload_crc) {
+  if (Crc32c(payload.data(), payload.size()) != header.payload_crc) {
     return Status::Corruption("wire payload CRC mismatch");
   }
   return Status::OK();
@@ -266,8 +252,7 @@ Status DecodeInsertTilesRequest(const std::vector<uint8_t>& payload,
   // multi-hundred-GB allocation. Each encoded tile occupies at least
   // 1 (dim) + 16 (one bound pair) + 8 (cell length) payload bytes.
   constexpr size_t kMinWireTileBytes = 1 + 16 + 8;
-  const size_t remaining = payload.size() - r.position();
-  if (count > remaining / kMinWireTileBytes) {
+  if (count > r.remaining() / kMinWireTileBytes) {
     return CorruptPayload("tile count exceeds payload size");
   }
   out->tiles.clear();
@@ -279,7 +264,9 @@ Status DecodeInsertTilesRequest(const std::vector<uint8_t>& payload,
     uint64_t n = 0;
     st = r.U64(&n);
     if (!st.ok()) return st;
-    if (n > kMaxPayloadBytes) return CorruptPayload("oversized tile");
+    // Bounded like the count: a CRC-valid frame claiming a huge tile
+    // must fail before the cell buffer is allocated, not after.
+    if (n > r.remaining()) return CorruptPayload("tile exceeds payload size");
     tile.cells.resize(static_cast<size_t>(n));
     st = r.Bytes(tile.cells.data(), tile.cells.size());
     if (!st.ok()) return st;
@@ -397,6 +384,35 @@ ByteWriter OkWriter() {
   return w;
 }
 
+// Range and filter query responses: status byte, domain, cell type, then
+// the length-prefixed cells. Sized up front, so the cells are copied once
+// and the buffer never regrows.
+std::vector<uint8_t> EncodeQueryResult(const MInterval& domain,
+                                       uint8_t cell_type_id,
+                                       const std::vector<uint8_t>& cells) {
+  ByteWriter w;
+  w.Reserve(1 + 1 + 16 * domain.dim() + 1 + 8 + cells.size());
+  w.U8(static_cast<uint8_t>(StatusCode::kOk));
+  WriteIntervalWire(&w, domain);
+  w.U8(cell_type_id);
+  w.U64(cells.size());
+  w.Bytes(cells.data(), cells.size());
+  return w.Take();
+}
+
+// The owning decoders: the view plus the one copy of the cells.
+template <class Response>
+Status DecodeQueryResultInto(const std::vector<uint8_t>& payload,
+                             Status* server_status, Response* out) {
+  QueryResultView view;
+  Status st = DecodeQueryResultView(payload, server_status, &view);
+  if (!st.ok() || !server_status->ok()) return st;
+  out->domain = std::move(view.domain);
+  out->cell_type_id = view.cell_type_id;
+  out->cells.assign(view.cells.begin(), view.cells.end());
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeErrorResponse(const Status& status) {
@@ -419,12 +435,7 @@ std::vector<uint8_t> EncodeOpenMDDResponse(const OpenMDDResponse& resp) {
 }
 
 std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp) {
-  ByteWriter w = OkWriter();
-  WriteIntervalWire(&w, resp.domain);
-  w.U8(resp.cell_type_id);
-  w.U64(resp.cells.size());
-  w.Bytes(resp.cells.data(), resp.cells.size());
-  return w.Take();
+  return EncodeQueryResult(resp.domain, resp.cell_type_id, resp.cells);
 }
 
 std::vector<uint8_t> EncodeAggregateResponse(const AggregateResponse& resp) {
@@ -512,19 +523,7 @@ Status DecodeOpenMDDResponse(const std::vector<uint8_t>& payload,
 Status DecodeRangeQueryResponse(const std::vector<uint8_t>& payload,
                                 Status* server_status,
                                 RangeQueryResponse* out) {
-  ByteReader r(payload);
-  Status st = DecodeResponseStatus(&r, server_status);
-  if (!st.ok() || !server_status->ok()) return st;
-  st = ReadIntervalWire(&r, &out->domain);
-  if (!st.ok()) return st;
-  st = r.U8(&out->cell_type_id);
-  if (!st.ok()) return st;
-  uint64_t n = 0;
-  st = r.U64(&n);
-  if (!st.ok()) return st;
-  if (n > kMaxPayloadBytes) return CorruptPayload("oversized result");
-  out->cells.resize(static_cast<size_t>(n));
-  return r.Bytes(out->cells.data(), out->cells.size());
+  return DecodeQueryResultInto(payload, server_status, out);
 }
 
 Status DecodeAggregateResponse(const std::vector<uint8_t>& payload,
@@ -612,17 +611,17 @@ Status DecodeRetileResponse(const std::vector<uint8_t>& payload,
 
 std::vector<uint8_t> EncodeFilterQueryResponse(
     const FilterQueryResponse& resp) {
-  ByteWriter w = OkWriter();
-  WriteIntervalWire(&w, resp.domain);
-  w.U8(resp.cell_type_id);
-  w.U64(resp.cells.size());
-  w.Bytes(resp.cells.data(), resp.cells.size());
-  return w.Take();
+  return EncodeQueryResult(resp.domain, resp.cell_type_id, resp.cells);
 }
 
 Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
                                  Status* server_status,
                                  FilterQueryResponse* out) {
+  return DecodeQueryResultInto(payload, server_status, out);
+}
+
+Status DecodeQueryResultView(const std::vector<uint8_t>& payload,
+                             Status* server_status, QueryResultView* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
   if (!st.ok() || !server_status->ok()) return st;
@@ -630,12 +629,26 @@ Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
   if (!st.ok()) return st;
   st = r.U8(&out->cell_type_id);
   if (!st.ok()) return st;
+  if (out->cell_type_id > static_cast<uint8_t>(CellTypeId::kRGB8)) {
+    return CorruptPayload("unknown cell type id in query result");
+  }
   uint64_t n = 0;
   st = r.U64(&n);
   if (!st.ok()) return st;
-  if (n > kMaxPayloadBytes) return CorruptPayload("oversized result");
-  out->cells.resize(static_cast<size_t>(n));
-  return r.Bytes(out->cells.data(), out->cells.size());
+  st = r.View(static_cast<size_t>(n), &out->cells);
+  if (!st.ok()) return st;
+  // The domain is attacker-controlled; CellCount (not the OrDie variant)
+  // keeps a hostile extent from aborting the reader.
+  const size_t cell_size =
+      CellType::Of(static_cast<CellTypeId>(out->cell_type_id)).size();
+  Result<uint64_t> cells = out->domain.IsFixed()
+                               ? out->domain.CellCount()
+                               : Status::Corruption("unbounded domain");
+  if (!cells.ok() || *cells > kMaxPayloadBytes ||
+      n != *cells * cell_size) {
+    return CorruptPayload("query result size does not match its domain");
+  }
+  return Status::OK();
 }
 
 std::vector<uint8_t> EncodeCompactResponse(const CompactResponse& resp) {

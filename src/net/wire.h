@@ -2,6 +2,7 @@
 #define TILESTORE_NET_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,12 +87,14 @@ struct FrameHeader {
   uint32_t payload_crc = 0;
 };
 
-/// Serializes a full frame (header + payload) ready to send. `version`
-/// stamps the header; clients that negotiated down pass the agreed value.
-std::vector<uint8_t> EncodeFrame(WireOp op, bool response,
-                                 uint64_t request_id,
-                                 const std::vector<uint8_t>& payload,
-                                 uint16_t version = kWireVersion);
+/// Writes the `kHeaderBytes` header of the frame carrying `payload` into
+/// `out`, both CRCs included. The payload is not copied: senders pass the
+/// header and the payload to one vectored `Socket::SendSome`/`SendAll`.
+/// `version` stamps the header; clients that negotiated down pass the
+/// agreed value.
+void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
+                       std::span<const uint8_t> payload, uint8_t* out,
+                       uint16_t version = kWireVersion);
 
 /// Validates magic/version/CRC/length of the `kHeaderBytes` at `buf`.
 /// Versions outside [kMinWireVersion, kWireVersion] yield Unimplemented;
@@ -284,6 +287,17 @@ struct FilterQueryResponse {
   std::vector<uint8_t> cells;
 };
 
+/// A range or filter query result read in place: both ops answer with the
+/// same encoding, and `cells` points into the payload it was decoded from,
+/// so it is valid only while that payload lives. The router stitches
+/// fanned-out replies from these views without copying the cells out
+/// first.
+struct QueryResultView {
+  MInterval domain;
+  uint8_t cell_type_id = 0;
+  std::span<const uint8_t> cells;
+};
+
 /// Mirrors `layout::CompactReport`.
 struct CompactResponse {
   bool compacted = false;
@@ -331,6 +345,12 @@ Status DecodeCompactResponse(const std::vector<uint8_t>& payload,
 Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
                                  Status* server_status,
                                  FilterQueryResponse* out);
+/// Decodes a range or filter query response without copying its cells.
+/// Beyond the layout it checks what makes the view usable as an array: a
+/// known cell type, a fixed domain, and exactly the domain's cell bytes.
+/// The two owning decoders above are this plus one copy of the cells.
+Status DecodeQueryResultView(const std::vector<uint8_t>& payload,
+                             Status* server_status, QueryResultView* out);
 
 }  // namespace net
 }  // namespace tilestore

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+
 namespace tilestore {
 namespace {
 
@@ -26,6 +28,59 @@ TEST(ChecksumTest, KnownVectors) {
   std::vector<uint8_t> inc(32);
   for (size_t i = 0; i < inc.size(); ++i) inc[i] = static_cast<uint8_t>(i);
   EXPECT_EQ(Crc32c(inc.data(), inc.size()), 0x46DD794Eu);
+}
+
+TEST(ChecksumTest, KnownVectorsHoldOnThePortablePath) {
+  // The RFC 3720 vectors again, through the table loop directly: on a CPU
+  // with a CRC instruction, `Crc32c` above ran the hardware path.
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+  std::vector<uint8_t> zeros(32, 0x00);
+  EXPECT_EQ(Crc32cPortable(zeros.data(), zeros.size()), 0x8A9136AAu);
+  std::vector<uint8_t> ones(32, 0xFF);
+  EXPECT_EQ(Crc32cPortable(ones.data(), ones.size()), 0x62A8AB43u);
+  std::vector<uint8_t> inc(32);
+  for (size_t i = 0; i < inc.size(); ++i) inc[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32cPortable(inc.data(), inc.size()), 0x46DD794Eu);
+  EXPECT_EQ(Crc32cPortable(nullptr, 0), 0u);
+}
+
+TEST(ChecksumTest, MatchesPortableReference) {
+  // Differential check of `Crc32c` against the table loop over random
+  // lengths 0-70,000 (crossing every 8-byte tail length), start offsets
+  // 0-7 (every alignment) and seeds.
+  Random rng(20260117);
+  std::vector<uint8_t> buf(70000 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t offset = rng.Uniform(8);
+    const size_t n = trial < 64 ? static_cast<size_t>(trial)
+                                : rng.Uniform(70000 + 1);
+    const uint32_t seed =
+        trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32c(buf.data() + offset, n, seed),
+              Crc32cPortable(buf.data() + offset, n, seed))
+        << "n=" << n << " offset=" << offset << " seed=" << seed;
+  }
+}
+
+TEST(ChecksumTest, IncrementalSplitsAgreeAcrossPaths) {
+  // A seeded computation split at every point gives the one-shot value,
+  // whichever path computes each half.
+  Random rng(7);
+  std::vector<uint8_t> data(300);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t seed = 0x9E3779B9u;
+  const uint32_t whole = Crc32cPortable(data.data(), data.size(), seed);
+  ASSERT_EQ(Crc32c(data.data(), data.size(), seed), whole);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const size_t rest = data.size() - split;
+    const uint8_t* tail = data.data() + split;
+    const uint32_t hw = Crc32c(data.data(), split, seed);
+    const uint32_t sw = Crc32cPortable(data.data(), split, seed);
+    ASSERT_EQ(hw, sw) << "split at " << split;
+    EXPECT_EQ(Crc32c(tail, rest, hw), whole) << "split at " << split;
+    EXPECT_EQ(Crc32cPortable(tail, rest, hw), whole) << "split at " << split;
+  }
 }
 
 TEST(ChecksumTest, EmptyInputIsZero) {

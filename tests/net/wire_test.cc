@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/checksum.h"
 
 namespace tilestore {
@@ -21,6 +23,33 @@ void PutU32At(std::vector<uint8_t>* buf, size_t off, uint32_t v) {
 void ResealHeaderCrc(std::vector<uint8_t>* frame) {
   PutU32At(frame, 24, Crc32c(frame->data(), 24));
 }
+
+// A whole frame in one buffer, as the receiving socket sees it. Senders
+// never join the two: they pass the header and the payload to one
+// vectored send.
+std::vector<uint8_t> EncodeFrame(WireOp op, bool response,
+                                 uint64_t request_id,
+                                 const std::vector<uint8_t>& payload,
+                                 uint16_t version = kWireVersion) {
+  std::vector<uint8_t> frame(kHeaderBytes);
+  EncodeFrameHeader(op, response, request_id, payload, frame.data(),
+                    version);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+// Splits a frame built by EncodeFrame back into a verified payload, so the
+// hostile-length tests below show their payloads pass the CRC checks and
+// are caught by the decoder's own bounds.
+std::vector<uint8_t> VerifiedPayload(const std::vector<uint8_t>& frame) {
+  FrameHeader header;
+  EXPECT_TRUE(DecodeHeader(frame.data(), &header).ok());
+  std::vector<uint8_t> payload(frame.begin() + kHeaderBytes, frame.end());
+  EXPECT_TRUE(VerifyPayload(header, payload).ok());
+  return payload;
+}
+
+constexpr uint64_t k64MiB = uint64_t{64} << 20;
 
 TEST(NetWireFrame, RoundTrip) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
@@ -168,6 +197,74 @@ TEST(NetWireRequests, HostileTileCountRejectedBeforeAllocation) {
   w.U32(0xFFFFFFFFu);
   InsertTilesRequest out;
   EXPECT_TRUE(DecodeInsertTilesRequest(w.Take(), &out).IsCorruption());
+}
+
+TEST(NetWireRequests, HostileTileLengthRejectedBeforeAllocation) {
+  // One tile claiming 64 MiB of cells in a ~40-byte payload: the length is
+  // bounded by the bytes present, not only by the protocol maximum.
+  ByteWriter w;
+  w.Str("obj");
+  w.U8(0);  // create_if_missing = false
+  w.U32(1);
+  WriteIntervalWire(&w, MInterval({{0, 9}}));
+  w.U64(k64MiB);
+  const std::vector<uint8_t> payload = VerifiedPayload(
+      EncodeFrame(WireOp::kInsertTiles, /*response=*/false, 1, w.Take()));
+  InsertTilesRequest out;
+  EXPECT_TRUE(DecodeInsertTilesRequest(payload, &out).IsCorruption());
+  EXPECT_TRUE(out.tiles.empty());
+}
+
+TEST(NetWireResponses, HostileResultLengthRejectedBeforeAllocation) {
+  // A range or filter reply claiming 64 MiB of cells and carrying none.
+  ByteWriter w;
+  w.U8(static_cast<uint8_t>(StatusCode::kOk));
+  WriteIntervalWire(&w, MInterval({{0, (int64_t{1} << 26) - 1}}));
+  w.U8(static_cast<uint8_t>(CellTypeId::kUInt8));
+  w.U64(k64MiB);
+  const std::vector<uint8_t> bytes = w.Take();
+  Status server;
+  RangeQueryResponse range;
+  EXPECT_TRUE(DecodeRangeQueryResponse(
+                  VerifiedPayload(EncodeFrame(WireOp::kRangeQuery,
+                                              /*response=*/true, 2, bytes)),
+                  &server, &range)
+                  .IsCorruption());
+  EXPECT_EQ(range.cells.capacity(), 0u);
+  FilterQueryResponse filter;
+  EXPECT_TRUE(DecodeFilterQueryResponse(
+                  VerifiedPayload(EncodeFrame(WireOp::kFilterQuery,
+                                              /*response=*/true, 3, bytes)),
+                  &server, &filter)
+                  .IsCorruption());
+  EXPECT_EQ(filter.cells.capacity(), 0u);
+  QueryResultView view;
+  EXPECT_TRUE(DecodeQueryResultView(bytes, &server, &view).IsCorruption());
+}
+
+TEST(NetWireResponses, QueryResultViewPointsIntoThePayload) {
+  RangeQueryResponse resp;
+  resp.domain = MInterval({{0, 1}, {0, 2}});
+  resp.cell_type_id = static_cast<uint8_t>(CellTypeId::kUInt8);
+  resp.cells = {1, 2, 3, 4, 5, 6};
+  const std::vector<uint8_t> payload = EncodeRangeQueryResponse(resp);
+  Status server;
+  QueryResultView view;
+  ASSERT_TRUE(DecodeQueryResultView(payload, &server, &view).ok());
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ(view.domain, resp.domain);
+  EXPECT_EQ(view.cell_type_id, resp.cell_type_id);
+  // Borrowed, not copied: the cells are the payload's last bytes.
+  EXPECT_EQ(view.cells.data() + view.cells.size(),
+            payload.data() + payload.size());
+  EXPECT_TRUE(std::equal(view.cells.begin(), view.cells.end(),
+                         resp.cells.begin(), resp.cells.end()));
+
+  // Cells that do not fill the domain exactly are not a usable result.
+  resp.cells.pop_back();
+  EXPECT_TRUE(DecodeQueryResultView(EncodeRangeQueryResponse(resp), &server,
+                                    &view)
+                  .IsCorruption());
 }
 
 TEST(NetWireRequests, TruncatedPayloadIsCorruption) {
