@@ -7,19 +7,25 @@
 // layout: the aged store seeks per tile, the fresh and compacted ones
 // stream.
 //
+// Append-aged growth: a timeseries-shaped [0:*,0:255] object grows in
+// rounds of appended slabs, each round followed by a CompactNow. The
+// bytes each round moves must stay flat as history grows.
+//
 // Correctness guard: the full-domain bytes are compared after aging and
 // after compaction; a relocation that changes a single cell fails the
 // bench.
 //
 // Gates: fragmentation must rise with aging and collapse with
-// compaction, and the compacted model_ms must recover most of the
-// fresh-store advantage over the aged one. Wall-clock ratios are
+// compaction, the compacted model_ms must recover most of the
+// fresh-store advantage over the aged one, and the last append round
+// must move at most twice what the first one moves. Wall-clock ratios are
 // printed (and land in the JSON) but are not gated — on a hot page
 // cache the physical-seek penalty is host-dependent.
 //
 // Output: human-readable tables, plus BENCH_compact.json holding the
-// fresh/aged/compacted samples and the store's metrics snapshot (the
-// layout.* counters embedded for the perf trajectory).
+// fresh/aged/compacted samples, the store's metrics snapshot (the
+// layout.* counters embedded for the perf trajectory) and the append
+// rounds' bytes moved and file bytes ("append_rounds").
 //
 // Flags: --smoke     reduced workload for CI (smaller object, fewer
 //                    queries).
@@ -28,6 +34,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
@@ -59,12 +66,71 @@ Array Pattern(const MInterval& domain) {
   return arr;
 }
 
-std::vector<uint8_t> FullBytes(MDDStore* store, MDDObject* object) {
+std::vector<uint8_t> RegionBytes(MDDStore* store, MDDObject* object,
+                                 const MInterval& region) {
   RangeQueryExecutor executor(store);
-  Array result =
-      executor.Execute(object, object->definition_domain()).MoveValue();
+  Array result = executor.Execute(object, region).MoveValue();
   return std::vector<uint8_t>(result.data(),
                               result.data() + result.size_bytes());
+}
+
+struct AppendRound {
+  uint64_t appended_bytes = 0;
+  uint64_t bytes_moved = 0;
+  uint64_t file_bytes = 0;
+};
+
+// Grows a [0:*,0:255] series one 256-step slab (two 128 KiB tiles) at a
+// time: `slabs` of history, then `rounds` rounds of `slabs` more, each
+// followed by a CompactNow. Every append is interleaved with a rewrite of
+// one `churn` tile and a catalog save every fourth slab, so the new blobs
+// scatter like a live ingest's. Bytes are checked identical across every
+// compaction.
+bool AppendAged(MDDStore* store, layout::Compactor* compactor,
+                const std::string& path, int rounds, Coord slabs,
+                std::vector<AppendRound>* out) {
+  MDDObject* series =
+      store
+          ->CreateMDD("series", MInterval::Parse("[0:*,0:255]").value(),
+                      CellType::Of(CellTypeId::kInt32))
+          .value();
+  MDDObject* churn = store->GetMDD("churn").value();
+  const std::vector<TileEntry> churn_tiles = churn->AllTiles();
+  Coord next = 0;
+  auto append = [&](Coord count) {
+    for (Coord i = 0; i < count; ++i, ++next) {
+      for (Coord half = 0; half < 2; ++half) {
+        const MInterval tile({{256 * next, 256 * next + 255},
+                              {128 * half, 128 * half + 127}});
+        if (!series->InsertTile(Pattern(tile)).ok()) return false;
+      }
+      const MInterval& churned =
+          churn_tiles[static_cast<size_t>(next) % churn_tiles.size()].domain;
+      if (!churn->WriteRegion(Pattern(churned)).ok()) return false;
+      if (next % 4 == 3 && !store->Save().ok()) return false;
+    }
+    return store->Save().ok();
+  };
+  if (!append(slabs) || !compactor->CompactNow("series").ok()) return false;
+  for (int round = 0; round < rounds; ++round) {
+    const uint64_t stored = compactor->Measure("series").MoveValue().bytes;
+    if (!append(slabs)) return false;
+    const MInterval all({{0, 256 * next - 1}, {0, 255}});
+    const std::vector<uint8_t> before = RegionBytes(store, series, all);
+    Result<layout::CompactReport> report = compactor->CompactNow("series");
+    if (!report.ok()) return false;
+    if (RegionBytes(store, series, all) != before) {
+      std::fprintf(stderr, "compact: append round %d changed bytes!\n",
+                   round + 1);
+      return false;
+    }
+    AppendRound r;
+    r.appended_bytes = compactor->Measure("series").MoveValue().bytes - stored;
+    r.bytes_moved = report->bytes_moved;
+    r.file_bytes = std::filesystem::file_size(path);
+    out->push_back(r);
+  }
+  return true;
 }
 
 int Main(int argc, char** argv) {
@@ -94,7 +160,8 @@ int Main(int argc, char** argv) {
   }
   if (!store->Save().ok()) return 1;
   MDDObject* object = store->GetMDD("seq").value();
-  const std::vector<uint8_t> reference = FullBytes(store.get(), object);
+  const std::vector<uint8_t> reference =
+      RegionBytes(store.get(), object, domain);
 
   layout::Compactor compactor(store.get());
   const double frag_fresh =
@@ -134,7 +201,7 @@ int Main(int argc, char** argv) {
     if (!store->Save().ok()) return 1;
   }
   object = store->GetMDD("seq").value();
-  if (FullBytes(store.get(), object) != reference) {
+  if (RegionBytes(store.get(), object, domain) != reference) {
     std::fprintf(stderr, "compact: aging changed object bytes!\n");
     return 1;
   }
@@ -160,7 +227,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
   object = store->GetMDD("seq").value();
-  if (FullBytes(store.get(), object) != reference) {
+  if (RegionBytes(store.get(), object, domain) != reference) {
     std::fprintf(stderr, "compact: relocation changed object bytes!\n");
     return 1;
   }
@@ -214,6 +281,37 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
+  // Append-aged growth: what a round moves must not grow with history.
+  std::vector<AppendRound> rounds;
+  if (!AppendAged(store.get(), &compactor, path, smoke ? 4 : 8, 16,
+                  &rounds)) {
+    std::fprintf(stderr, "compact: append-aged rounds failed\n");
+    return 1;
+  }
+  std::printf("\nappend-aged rounds (16 slabs of 2 x 128 KiB tiles each, "
+              "then CompactNow):\n%6s %16s %14s %14s\n", "round",
+              "appended_bytes", "bytes_moved", "file_bytes");
+  std::string rounds_json = "[";
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    const AppendRound& r = rounds[i];
+    std::printf("%6zu %16llu %14llu %14llu\n", i + 1,
+                static_cast<unsigned long long>(r.appended_bytes),
+                static_cast<unsigned long long>(r.bytes_moved),
+                static_cast<unsigned long long>(r.file_bytes));
+    rounds_json += std::string(i > 0 ? ", " : "") + "{\"round\": " +
+                   std::to_string(i + 1) + ", \"appended_bytes\": " +
+                   std::to_string(r.appended_bytes) +
+                   ", \"bytes_moved\": " + std::to_string(r.bytes_moved) +
+                   ", \"file_bytes\": " + std::to_string(r.file_bytes) + "}";
+  }
+  rounds_json += "]";
+  if (rounds.back().bytes_moved > 2 * rounds.front().bytes_moved) {
+    std::fprintf(stderr,
+                 "compact: the last append round moved more than twice "
+                 "the first (compaction cost grows with history)\n");
+    return 1;
+  }
+
   const obs::MetricsSnapshot snapshot = store->metrics()->Snapshot();
   store.reset();
   (void)RemoveFile(path);
@@ -225,6 +323,11 @@ int Main(int argc, char** argv) {
   if (!WriteMetricsSnapshotJson("BENCH_compact.json", "bench_compact",
                                 "metrics_snapshot", snapshot)) {
     std::fprintf(stderr, "compact: cannot merge metrics snapshot\n");
+    return 1;
+  }
+  if (!WriteJsonRecord("BENCH_compact.json", "bench_compact", "append_aged",
+                       "append_rounds", rounds_json)) {
+    std::fprintf(stderr, "compact: cannot merge the append rounds\n");
     return 1;
   }
   std::printf("merged into BENCH_compact.json\n");

@@ -482,6 +482,12 @@ bool WriteMetricsSnapshotJson(const std::string& path,
                               const std::string& bench,
                               const std::string& workload,
                               const obs::MetricsSnapshot& snapshot) {
+  return WriteJsonRecord(path, bench, workload, "metrics", snapshot.ToJson());
+}
+
+bool WriteJsonRecord(const std::string& path, const std::string& bench,
+                     const std::string& workload, const std::string& key,
+                     const std::string& json) {
   std::vector<std::string> records;
   {
     std::ifstream in(path);
@@ -502,7 +508,7 @@ bool WriteMetricsSnapshotJson(const std::string& path,
     }
   }
   records.push_back("  {\"bench\": \"" + bench + "\", \"workload\": \"" +
-                    workload + "\", \"metrics\": " + snapshot.ToJson() + "}");
+                    workload + "\", \"" + key + "\": " + json + "}");
 
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;

@@ -201,6 +201,13 @@ bool WriteMetricsSnapshotJson(const std::string& path,
                               const std::string& workload,
                               const obs::MetricsSnapshot& snapshot);
 
+/// Merges one `{"bench":..., "workload":..., "<key>": <json>}` record into
+/// the JSON report at `path`, with the same merge discipline. `json` must
+/// be a single-line JSON value.
+bool WriteJsonRecord(const std::string& path, const std::string& bench,
+                     const std::string& workload, const std::string& key,
+                     const std::string& json);
+
 }  // namespace bench
 }  // namespace tilestore
 

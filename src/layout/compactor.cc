@@ -20,7 +20,10 @@ namespace {
 // the same discipline (and near-identical encoding) as the re-tiler's
 // `.retile` sidecar, holding step domain lists instead of retile targets.
 constexpr uint32_t kPendingMagic = 0x54534350;  // "TSCP"
-constexpr uint16_t kPendingVersion = 1;
+// Version 2: plans are keyed in the origin-anchored curve frame; a
+// version-1 plan was made under the old hull-relative order and is
+// discarded on load rather than resumed.
+constexpr uint16_t kPendingVersion = 2;
 
 void WritePendingInterval(ByteWriter* w, const MInterval& iv) {
   w->U8(static_cast<uint8_t>(iv.dim()));
@@ -225,15 +228,15 @@ void Compactor::Loop() {
 
 Result<FragmentationStats> Compactor::Measure(const std::string& name) {
   auto lock = MaybeShared(options_.catalog_mu);
-  return MeasureLocked(name, nullptr, nullptr);
+  return MeasureLocked(name, nullptr);
 }
 
 Result<FragmentationStats> Compactor::MeasureLocked(
-    const std::string& name, std::vector<MInterval>* sfc_order,
-    std::vector<uint64_t>* sizes) {
+    const std::string& name, std::vector<WalkTile>* walk) {
   Result<MDDObject*> object_or = store_->GetMDD(name);
   if (!object_or.ok()) return object_or.status();
-  const std::vector<TileEntry> entries = object_or.value()->AllTiles();
+  const MDDObject* object = object_or.value();
+  const std::vector<TileEntry> entries = object->AllTiles();
 
   FragmentationStats stats;
   stats.tiles = entries.size();
@@ -242,8 +245,8 @@ Result<FragmentationStats> Compactor::MeasureLocked(
   std::vector<MInterval> domains;
   domains.reserve(entries.size());
   for (const TileEntry& entry : entries) domains.push_back(entry.domain);
-  const std::vector<size_t> order =
-      SfcOrder(domains, store_->options().sfc_curve);
+  const std::vector<size_t> order = SfcOrder(
+      domains, store_->options().sfc_curve, object->definition_domain());
 
   // Run-length walk: visit tiles in curve order (the order a compacted
   // layout would serve a curve-aligned scan in) and count how many
@@ -254,20 +257,60 @@ Result<FragmentationStats> Compactor::MeasureLocked(
     const TileEntry& entry = entries[idx];
     Result<BlobStore::BlobExtent> extent = blobs->Stat(entry.blob);
     if (!extent.ok()) return extent.status();
-    if (extent->id != expected_next) ++stats.extents;
+    const bool continues = extent->id == expected_next;
+    if (!continues) ++stats.extents;
     // A chain that starts fragmented has an unknowable end: force the
     // next transition to count as a seek.
     expected_next =
         extent->starts_adjacent ? extent->id + extent->pages : kInvalidBlobId;
     stats.bytes += extent->size;
-    if (sfc_order != nullptr) sfc_order->push_back(entry.domain);
-    if (sizes != nullptr) sizes->push_back(extent->size);
+    if (walk != nullptr) {
+      walk->push_back(WalkTile{entry.domain, extent->size, continues});
+    }
   }
   stats.fragmentation =
       stats.tiles < 2 ? 0.0
                       : static_cast<double>(stats.extents - 1) /
                             static_cast<double>(stats.tiles - 1);
   return stats;
+}
+
+std::vector<Compactor::Step> Compactor::PlanSteps(
+    const std::vector<WalkTile>& walk) const {
+  // Curve keys are append-stable, so on a growing object the history is
+  // already one long run in curve order and only the appended suffix
+  // breaks it. Keeping runs of half a budget or more bounds what a
+  // compaction rewrites by what is new plus one step, not by history.
+  const uint64_t keep_bytes = options_.step_byte_budget / 2;
+  std::vector<Step> steps;
+  Step current;
+  uint64_t current_bytes = 0;
+  for (size_t begin = 0; begin < walk.size();) {
+    size_t end = begin + 1;
+    uint64_t run_bytes = walk[begin].bytes;
+    while (end < walk.size() && walk[end].continues) {
+      run_bytes += walk[end++].bytes;
+    }
+    if (run_bytes < keep_bytes) {
+      // Moved tiles keep their curve order, grouped into steps of at most
+      // step_byte_budget stored bytes (a step always takes at least one
+      // tile): relocating in curve order is what makes the rewritten runs
+      // land curve-adjacent.
+      for (size_t i = begin; i < end; ++i) {
+        if (!current.empty() &&
+            current_bytes + walk[i].bytes > options_.step_byte_budget) {
+          steps.push_back(std::move(current));
+          current.clear();
+          current_bytes = 0;
+        }
+        current.push_back(walk[i].domain);
+        current_bytes += walk[i].bytes;
+      }
+    }
+    begin = end;
+  }
+  if (!current.empty()) steps.push_back(std::move(current));
+  return steps;
 }
 
 Result<CompactReport> Compactor::CompactNow(const std::string& name,
@@ -312,7 +355,7 @@ Result<CompactReport> Compactor::EvaluateAndCompact(const std::string& name,
     steps = std::move(pending_it->second);
     metrics_->pending.erase(pending_it);
     auto lock = MaybeShared(options_.catalog_mu);
-    Result<FragmentationStats> stats = MeasureLocked(name, nullptr, nullptr);
+    Result<FragmentationStats> stats = MeasureLocked(name, nullptr);
     if (!stats.ok()) {
       PersistPendingLocked();  // dropped; forget the plan durably too
       return stats.status();
@@ -322,13 +365,11 @@ Result<CompactReport> Compactor::EvaluateAndCompact(const std::string& name,
   } else {
     metrics_->evaluations->Add(1);
 
-    std::vector<MInterval> sfc_domains;
-    std::vector<uint64_t> sizes;
+    std::vector<WalkTile> walk;
     FragmentationStats stats;
     {
       auto lock = MaybeShared(options_.catalog_mu);
-      Result<FragmentationStats> stats_or =
-          MeasureLocked(name, &sfc_domains, &sizes);
+      Result<FragmentationStats> stats_or = MeasureLocked(name, &walk);
       if (!stats_or.ok()) return stats_or.status();
       stats = *stats_or;
     }
@@ -350,23 +391,11 @@ Result<CompactReport> Compactor::EvaluateAndCompact(const std::string& name,
       return report;
     }
 
-    // Plan: SFC-consecutive domains grouped into steps of at most
-    // step_byte_budget stored bytes (a step always takes at least one
-    // tile). Relocating in curve order is what makes the rewritten runs
-    // land curve-adjacent.
-    Step current;
-    uint64_t current_bytes = 0;
-    for (size_t i = 0; i < sfc_domains.size(); ++i) {
-      if (!current.empty() &&
-          current_bytes + sizes[i] > options_.step_byte_budget) {
-        steps.push_back(std::move(current));
-        current.clear();
-        current_bytes = 0;
-      }
-      current.push_back(sfc_domains[i]);
-      current_bytes += sizes[i];
+    steps = PlanSteps(walk);
+    if (steps.empty()) {
+      report.rationale = "every run is contiguous and kept in place";
+      return report;
     }
-    if (!current.empty()) steps.push_back(std::move(current));
     report.rationale = "fragmented tile→page mapping";
   }
 
@@ -423,7 +452,7 @@ Result<CompactReport> Compactor::EvaluateAndCompact(const std::string& name,
       Status st = store_->Save();
       if (!st.ok()) return st;
     }
-    Result<FragmentationStats> after = MeasureLocked(name, nullptr, nullptr);
+    Result<FragmentationStats> after = MeasureLocked(name, nullptr);
     if (after.ok()) {
       report.frag_after = after->fragmentation;
       metrics_->frag_milli->Set(

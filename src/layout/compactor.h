@@ -37,7 +37,8 @@ struct CompactorOptions {
   /// Stored bytes one relocation step may rewrite: planned steps are
   /// sized to it, and a background tick applies roughly one budget's
   /// worth before parking the rest — readers run between ticks. One step
-  /// is always applied (a step is the atomicity unit).
+  /// is always applied (a step is the atomicity unit). Half of it is the
+  /// size at which a contiguous run in curve order is kept, not moved.
   uint64_t step_byte_budget = 4ull << 20;
   /// Persist the catalog after a completed compaction so the new blob
   /// ids are visible across reopen without an explicit Save.
@@ -86,7 +87,9 @@ struct CompactReport {
 /// \brief Online background compaction: measures per-object run-length
 /// fragmentation of the tile→page mapping and rewrites tile blobs into
 /// SFC-contiguous page runs, one bounded relocation step at a time, under
-/// store transactions (DESIGN.md §14).
+/// store transactions (DESIGN.md §14). Runs that are already contiguous
+/// and in curve order stay put once they hold half a step budget, so on a
+/// growing object a compaction moves only the appended suffix.
 ///
 /// Each step is one atomic `MDDObject::RelocateTiles` — byte-identical
 /// blob rewrites into contiguous runs allocated in SFC order — so between
@@ -160,10 +163,23 @@ class Compactor {
                                            uint64_t budget, bool resume_only,
                                            bool force);
 
+  // One tile of the curve-ordered walk: its domain, its stored bytes, and
+  // whether its blob starts right where the previous tile's ended.
+  struct WalkTile {
+    MInterval domain;
+    uint64_t bytes = 0;
+    bool continues = false;
+  };
+
   // Measurement body; caller holds (at least) a shared catalog lock.
+  // `walk`, when given, receives the tiles in curve order.
   Result<FragmentationStats> MeasureLocked(const std::string& name,
-                                           std::vector<MInterval>* sfc_order,
-                                           std::vector<uint64_t>* sizes);
+                                           std::vector<WalkTile>* walk);
+
+  // Relocation plan over a measured walk: runs of at least half a step
+  // budget stay where they are; every other tile moves, in curve order,
+  // in steps of at most `step_byte_budget` bytes.
+  std::vector<Step> PlanSteps(const std::vector<WalkTile>& walk) const;
 
   // Writes the pending map to `options_.pending_path` (removes the file
   // when the map is empty). Caller holds `compact_mu_`. Best-effort.

@@ -8,23 +8,25 @@ namespace layout {
 
 namespace {
 
-/// Bits per axis: the interleaved key must fit 64 bits with headroom for
-/// the sign-free scaling below.
+/// Bits per axis: the interleaved key must fit 63 bits.
 int BitsPerAxis(size_t dim) {
   if (dim == 0) return 0;
   const size_t b = 63 / dim;
   return static_cast<int>(std::min<size_t>(b, 32));
 }
 
-/// Scales twice-the-center `v2` (in [lo2, hi2]) to [0, 2^bits - 1].
-/// 128-bit arithmetic keeps the full Coord range exact.
-uint64_t ScaleAxis(__int128 v2, __int128 lo2, __int128 hi2, int bits) {
-  if (bits <= 0 || hi2 <= lo2) return 0;
-  if (v2 < lo2) v2 = lo2;
-  if (v2 > hi2) v2 = hi2;
-  const __int128 span = hi2 - lo2;
-  const __int128 top = (static_cast<__int128>(1) << bits) - 1;
-  return static_cast<uint64_t>((v2 - lo2) * top / span);
+/// Quantizes twice-the-center `v2` of one axis into `bits` bits of a frame
+/// with origin `origin` and side `2^log2_side`. Twice-centers inside the
+/// frame span `log2_side + 1` bits, so the shift drops the low bits that
+/// do not fit; outside the frame they clamp to its edge cells. 128-bit
+/// arithmetic keeps the full Coord range exact.
+uint64_t QuantizeAxis(__int128 v2, Coord origin, int log2_side, int bits) {
+  __int128 offset = v2 - static_cast<__int128>(origin) * 2;
+  const __int128 top = (static_cast<__int128>(1) << (log2_side + 1)) - 2;
+  if (offset < 0) offset = 0;
+  if (offset > top) offset = top;
+  const int shift = log2_side + 1 - bits;
+  return static_cast<uint64_t>(shift > 0 ? offset >> shift : offset);
 }
 
 /// Skilling's transpose-form Hilbert encoding ("Programming the Hilbert
@@ -94,46 +96,66 @@ Result<SfcCurve> ParseSfcCurve(const std::string& name) {
                                  "' (expected hilbert or zorder)");
 }
 
-uint64_t SfcKey(const MInterval& region, const MInterval& frame,
+SfcFrame AnchoredFrame(const std::vector<MInterval>& regions,
+                       const MInterval& definition) {
+  SfcFrame frame;
+  if (regions.empty()) return frame;
+  const size_t dim = regions.front().dim();
+  frame.origin.assign(dim, kHiUnbounded);
+  for (size_t i = 0; i < dim; ++i) {
+    if (definition.dim() == dim && !definition.lo_unbounded(i)) {
+      frame.origin[i] = definition.lo(i);
+      continue;
+    }
+    for (const MInterval& r : regions) {
+      if (r.dim() == dim) frame.origin[i] = std::min(frame.origin[i], r.lo(i));
+    }
+  }
+  // The widest reach of any region past the origin, in cells.
+  __int128 reach = 0;
+  for (const MInterval& r : regions) {
+    if (r.dim() != dim) continue;
+    for (size_t i = 0; i < dim; ++i) {
+      reach = std::max(reach, static_cast<__int128>(r.hi(i)) -
+                                  static_cast<__int128>(frame.origin[i]) + 1);
+    }
+  }
+  // Grow d bits at a time: Skilling's transform puts the entry sub-cube
+  // of a frame d bits wider in the same orientation (the curve's period),
+  // so the old frame's order survives. Z-order is stable under any
+  // growth; it follows the same rule so there is one.
+  frame.log2_side = BitsPerAxis(dim);
+  const int step = static_cast<int>(std::max<size_t>(dim, 1));
+  while (frame.log2_side < 64 &&
+         (static_cast<__int128>(1) << frame.log2_side) < reach) {
+    frame.log2_side += step;
+  }
+  return frame;
+}
+
+uint64_t SfcKey(const MInterval& region, const SfcFrame& frame,
                 SfcCurve curve) {
   const size_t dim = region.dim();
-  if (dim == 0 || frame.dim() != dim) return 0;
+  if (dim == 0 || frame.origin.size() != dim) return 0;
   const int bits = BitsPerAxis(dim);
   if (bits <= 0) return 0;
   std::vector<uint64_t> x(dim, 0);
   for (size_t i = 0; i < dim; ++i) {
     const __int128 v2 =
         static_cast<__int128>(region.lo(i)) + static_cast<__int128>(region.hi(i));
-    const __int128 lo2 = static_cast<__int128>(frame.lo(i)) * 2;
-    const __int128 hi2 = static_cast<__int128>(frame.hi(i)) * 2;
-    x[i] = ScaleAxis(v2, lo2, hi2, bits);
+    x[i] = QuantizeAxis(v2, frame.origin[i], frame.log2_side, bits);
   }
   if (dim == 1) return x[0];
   if (curve == SfcCurve::kHilbert) AxesToTranspose(&x, bits, dim);
   return Interleave(x, bits, dim);
 }
 
-MInterval BoundingFrame(const std::vector<MInterval>& regions) {
-  if (regions.empty()) return MInterval({{0, 0}});
-  const size_t dim = regions.front().dim();
-  std::vector<Coord> lo(dim, kHiUnbounded), hi(dim, kLoUnbounded);
-  for (const MInterval& r : regions) {
-    if (r.dim() != dim) continue;
-    for (size_t i = 0; i < dim; ++i) {
-      lo[i] = std::min(lo[i], r.lo(i));
-      hi[i] = std::max(hi[i], r.hi(i));
-    }
-  }
-  Result<MInterval> frame = MInterval::Create(std::move(lo), std::move(hi));
-  return frame.ok() ? frame.value() : regions.front();
-}
-
 std::vector<size_t> SfcOrder(const std::vector<MInterval>& regions,
-                             SfcCurve curve) {
+                             SfcCurve curve, const MInterval& definition) {
   std::vector<size_t> order(regions.size());
   std::iota(order.begin(), order.end(), 0);
   if (regions.size() < 2) return order;
-  const MInterval frame = BoundingFrame(regions);
+  const SfcFrame frame = AnchoredFrame(regions, definition);
   std::vector<uint64_t> keys(regions.size());
   for (size_t i = 0; i < regions.size(); ++i) {
     keys[i] = SfcKey(regions[i], frame, curve);
@@ -145,9 +167,9 @@ std::vector<size_t> SfcOrder(const std::vector<MInterval>& regions,
   return order;
 }
 
-void SortBySfc(TilingSpec* spec, SfcCurve curve) {
+void SortBySfc(TilingSpec* spec, SfcCurve curve, const MInterval& definition) {
   if (spec == nullptr || spec->size() < 2) return;
-  const std::vector<size_t> order = SfcOrder(*spec, curve);
+  const std::vector<size_t> order = SfcOrder(*spec, curve, definition);
   TilingSpec sorted;
   sorted.reserve(spec->size());
   for (size_t i : order) sorted.push_back((*spec)[i]);

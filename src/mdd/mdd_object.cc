@@ -65,7 +65,8 @@ void MDDObject::InvalidateTileSummaries() const {
 TilingSpec MDDObject::PlacementOrdered(const TilingSpec& spec) const {
   TilingSpec ordered = spec;
   if (store_ != nullptr && store_->options().sfc_placement) {
-    layout::SortBySfc(&ordered, store_->options().sfc_curve);
+    layout::SortBySfc(&ordered, store_->options().sfc_curve,
+                      definition_domain_);
   }
   return ordered;
 }
@@ -720,26 +721,17 @@ Result<uint64_t> MDDObject::RelocateTiles(
   };
 
   // The stored bytes move verbatim — still compressed if the tile was —
-  // so relocation is byte-identical by construction.
+  // so relocation is byte-identical by construction. All blobs of the step
+  // land back to back in ONE consecutive page run, in plan (SFC) order —
+  // this is what turns a step into a single extent. Per-blob contiguous
+  // placement would take a run per blob, and single-page blobs would
+  // scatter across whatever holes the free list offers first.
+  std::vector<BlobId> sources;
+  sources.reserve(old_entries.size());
+  for (const TileEntry& entry : old_entries) sources.push_back(entry.blob);
   uint64_t bytes_moved = 0;
-  std::vector<std::vector<uint8_t>> payloads;
-  payloads.reserve(old_entries.size());
-  for (const TileEntry& entry : old_entries) {
-    Result<std::vector<uint8_t>> raw = blobs_->Get(entry.blob);
-    if (!raw.ok()) {
-      unwind();
-      return raw.status();
-    }
-    bytes_moved += raw->size();
-    payloads.push_back(std::move(*raw));
-  }
-
-  // All blobs of the step land back to back in ONE consecutive page run,
-  // in plan (SFC) order — this is what turns a step into a single extent.
-  // Per-blob contiguous placement would take a run per blob, and
-  // single-page blobs would scatter across whatever holes the free list
-  // offers first.
-  Result<std::vector<BlobId>> packed = blobs_->PutContiguousBatch(payloads);
+  Result<std::vector<BlobId>> packed =
+      blobs_->CopyContiguousBatch(sources, &bytes_moved);
   if (!packed.ok()) {
     unwind();
     return packed.status();
@@ -769,12 +761,18 @@ Result<uint64_t> MDDObject::RelocateTiles(
   }
   MarkStoreDirty();
   Status commit = txn.Commit();
-  if (!commit.ok()) unwind();
-  InvalidateCachedTiles();
-  if (commit.ok()) {
-    if (TileSummaryIndex* summaries = summary_index()) {
-      // Relocation is byte-identical, so the summary just follows its blob.
-      for (size_t t = 0; t < old_entries.size(); ++t) {
+  if (!commit.ok()) {
+    unwind();
+    InvalidateCachedTiles();
+  } else {
+    // Relocation is byte-identical, so a decoded tile and its summary just
+    // follow their blob: the compacted object stays warm.
+    TileSummaryIndex* summaries = summary_index();
+    for (size_t t = 0; t < old_entries.size(); ++t) {
+      if (store_ != nullptr) {
+        store_->MoveCachedTile(cache_id_, old_entries[t].blob, (*packed)[t]);
+      }
+      if (summaries != nullptr) {
         summaries->Move(cache_id_, old_entries[t].blob, (*packed)[t]);
       }
     }

@@ -153,6 +153,14 @@ void MDDStore::InvalidateTileCache(uint64_t cache_id) {
   }
 }
 
+void MDDStore::MoveCachedTile(uint64_t cache_id, BlobId from, BlobId to) {
+  if (cache_id == 0) return;
+  tile_cache_->Move(cache_id, from, to);
+  if (txns_ != nullptr && txns_->in_txn()) {
+    txn_touched_cache_ids_.insert(cache_id);
+  }
+}
+
 Result<std::unique_ptr<MDDStore>> MDDStore::Create(const std::string& path,
                                                    MDDStoreOptions options) {
   // Existence is checked before the advisory lock so creating over a live

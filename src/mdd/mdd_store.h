@@ -181,6 +181,12 @@ class MDDStore {
   /// entries (DESIGN.md §12 cache-epoch protocol).
   void InvalidateTileCache(uint64_t cache_id);
 
+  /// Re-keys one decoded tile of a cache epoch from blob `from` to `to`
+  /// after a byte-identical relocation (`TileCache::Move`), so compaction
+  /// keeps the object's tiles warm. Inside an explicit transaction the
+  /// epoch is remembered as touched, exactly as for an invalidation.
+  void MoveCachedTile(uint64_t cache_id, BlobId from, BlobId to);
+
   /// The store-level ring of recent query regions per object (always on;
   /// `RangeQueryExecutor` records every resolved region). The background
   /// re-tiler mines it for migration decisions.

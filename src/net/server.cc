@@ -816,8 +816,8 @@ std::vector<uint8_t> TileServer::HandleInsertTiles(
     std::vector<MInterval> domains;
     domains.reserve(req.tiles.size());
     for (const WireTile& t : req.tiles) domains.push_back(t.domain);
-    std::vector<size_t> order =
-        layout::SfcOrder(domains, store_->options().sfc_curve);
+    std::vector<size_t> order = layout::SfcOrder(
+        domains, store_->options().sfc_curve, object->definition_domain());
     std::vector<WireTile> sorted;
     sorted.reserve(req.tiles.size());
     for (size_t i : order) sorted.push_back(std::move(req.tiles[i]));

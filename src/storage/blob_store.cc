@@ -128,26 +128,33 @@ Status BlobStore::WriteChain(const uint8_t* data, size_t size,
   return Status::OK();
 }
 
-Result<std::vector<BlobId>> BlobStore::PutContiguousBatch(
-    const std::vector<std::vector<uint8_t>>& payloads) {
+Result<std::vector<BlobId>> BlobStore::CopyContiguousBatch(
+    const std::vector<BlobId>& sources, uint64_t* bytes) {
   std::vector<BlobId> ids;
-  ids.reserve(payloads.size());
-  if (payloads.empty()) return ids;
+  ids.reserve(sources.size());
+  if (sources.empty()) return ids;
   uint64_t total = 0;
-  for (const std::vector<uint8_t>& p : payloads) total += PagesFor(p.size());
+  for (BlobId source : sources) {
+    Result<BlobExtent> extent = Stat(source);
+    if (!extent.ok()) return extent.status();
+    total += extent->pages;
+  }
   Result<PageId> first = pool_->page_file()->AllocateRun(total);
   if (!first.ok()) return first.status();
   PageId cursor = first.value();
-  for (const std::vector<uint8_t>& p : payloads) {
-    const size_t pages = static_cast<size_t>(PagesFor(p.size()));
+  for (BlobId source : sources) {
+    Result<std::vector<uint8_t>> payload = Get(source);
+    if (!payload.ok()) return payload.status();
+    const size_t pages = static_cast<size_t>(PagesFor(payload->size()));
     std::vector<PageId> chain(pages);
     for (size_t i = 0; i < pages; ++i) {
       chain[i] = cursor + static_cast<PageId>(i);
     }
-    Status st = WriteChain(p.data(), p.size(), chain);
+    Status st = WriteChain(payload->data(), payload->size(), chain);
     if (!st.ok()) return st;
     ids.push_back(chain[0]);
     cursor += static_cast<PageId>(pages);
+    *bytes += payload->size();
   }
   return ids;
 }

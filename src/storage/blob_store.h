@@ -66,14 +66,17 @@ class BlobStore {
   Result<BlobId> PutContiguous(const std::vector<uint8_t>& data);
   Result<BlobId> PutContiguous(const uint8_t* data, size_t size);
 
-  /// Writes a batch of BLOBs back to back inside ONE consecutive page
-  /// run: payload i+1's header page is the page after payload i's last
-  /// page. Returns one id per payload, in order. This is the compaction
-  /// step's placement primitive — per-blob `PutContiguous` takes a run
-  /// *per blob*, so single-page blobs would still land on whatever
-  /// scattered holes the free list offers first.
-  Result<std::vector<BlobId>> PutContiguousBatch(
-      const std::vector<std::vector<uint8_t>>& payloads);
+  /// Copies the BLOBs `sources` back to back into ONE consecutive page
+  /// run: copy i+1's header page is the page after copy i's last page.
+  /// Returns one new id per source, in order, and adds the payload bytes
+  /// copied to `*bytes`. This is the compaction step's placement
+  /// primitive — per-blob `PutContiguous` takes a run *per blob*, so
+  /// single-page blobs would still land on whatever scattered holes the
+  /// free list offers first. The run is sized from the headers, then one
+  /// payload at a time is read and written, so a step holds one payload
+  /// in memory, not all of them. The sources are left in place.
+  Result<std::vector<BlobId>> CopyContiguousBatch(
+      const std::vector<BlobId>& sources, uint64_t* bytes);
 
   /// Reads a BLOB back in full, one page at a time (the paper-exact cost
   /// path: every chain page is a separate pool access).

@@ -315,17 +315,20 @@ Result<PageId> PageFile::AllocateRun(uint64_t count) {
   if (count == 0) return Status::InvalidArgument("empty allocation run");
   std::lock_guard<std::mutex> lock(meta_mu_);
   // Bounded free-list walk: enough to find runs in a churned list without
-  // turning allocation into a full-file scan.
-  constexpr size_t kFreeScanLimit = 1024;
+  // turning allocation into a full-file scan. Large runs (a compaction
+  // step) walk a few times their own length, so a freed run of that size
+  // can be found at all and is reused before the tail grows.
+  constexpr uint64_t kFreeScanLimit = 1024;
+  const uint64_t scan_limit = std::max<uint64_t>(kFreeScanLimit, 4 * count);
   if (free_head_ != kInvalidPageId &&
       free_count_.load(std::memory_order_relaxed) >= count) {
     TransactionContext* txn = ActiveTxn();
     std::vector<PageId> walked;
-    walked.reserve(std::min<uint64_t>(kFreeScanLimit,
-                                      free_count_.load(std::memory_order_relaxed)));
+    walked.reserve(std::min<uint64_t>(
+        scan_limit, free_count_.load(std::memory_order_relaxed)));
     PageId cursor = free_head_;
     PageId tail_next = kInvalidPageId;
-    while (cursor != kInvalidPageId && walked.size() < kFreeScanLimit) {
+    while (cursor != kInvalidPageId && walked.size() < scan_limit) {
       walked.push_back(cursor);
       PageId next = kInvalidPageId;
       if (txn == nullptr || !txn->StagedFreeLink(cursor, &next)) {

@@ -121,10 +121,11 @@ class PageFile {
 
   /// Allocates `count` *consecutive* pages and returns the first id — the
   /// placement primitive behind SFC-contiguous blob chains. A bounded walk
-  /// of the free list harvests an existing consecutive run when one is
-  /// available (unlinking it in place, staging link rewrites inside an
-  /// active transaction exactly like `FreePage`); otherwise the file is
-  /// extended at the tail, which is trivially contiguous.
+  /// of the free list (1024 nodes, or four times `count` for larger runs)
+  /// harvests an existing consecutive run when one is available
+  /// (unlinking it in place, staging link rewrites inside an active
+  /// transaction exactly like `FreePage`); otherwise the file is extended
+  /// at the tail, which is trivially contiguous.
   Result<PageId> AllocateRun(uint64_t count);
 
   /// Returns `id` to the free list. Inside a transaction the link write is

@@ -51,17 +51,21 @@ std::shared_ptr<const Tile> TileCache::Lookup(uint64_t object_id,
   return it->second->tile;
 }
 
+std::list<TileCache::Entry>::iterator TileCache::EraseLocked(
+    Shard* shard, std::list<Entry>::iterator it) {
+  shard->bytes -= it->bytes;
+  if (metrics_.bytes != nullptr) {
+    metrics_.bytes->Add(-static_cast<int64_t>(it->bytes));
+    metrics_.entries->Add(-1);
+  }
+  shard->index.erase(it->key);
+  return shard->lru.erase(it);
+}
+
 void TileCache::EvictLocked(Shard* shard) {
   while (shard->bytes > shard_capacity_bytes_ && !shard->lru.empty()) {
-    Entry& victim = shard->lru.back();
-    shard->bytes -= victim.bytes;
-    if (metrics_.bytes != nullptr) {
-      metrics_.bytes->Add(-static_cast<int64_t>(victim.bytes));
-      metrics_.entries->Add(-1);
-      metrics_.evictions->Add(1);
-    }
-    shard->index.erase(victim.key);
-    shard->lru.pop_back();
+    EraseLocked(shard, std::prev(shard->lru.end()));
+    if (metrics_.evictions != nullptr) metrics_.evictions->Add(1);
   }
 }
 
@@ -136,19 +140,45 @@ void TileCache::InvalidateObject(uint64_t object_id) {
         ++it;
         continue;
       }
-      shard.bytes -= it->bytes;
-      if (metrics_.bytes != nullptr) {
-        metrics_.bytes->Add(-static_cast<int64_t>(it->bytes));
-        metrics_.entries->Add(-1);
-      }
-      shard.index.erase(it->key);
-      it = shard.lru.erase(it);
+      it = EraseLocked(&shard, it);
       ++dropped;
     }
   }
   if (dropped > 0 && metrics_.invalidations != nullptr) {
     metrics_.invalidations->Add(dropped);
   }
+}
+
+void TileCache::Move(uint64_t object_id, BlobId from, BlobId to) {
+  if (!enabled() || from == to) return;
+  // One shard lock at a time: the two keys may hash to different shards.
+  Entry moved{Key{object_id, to}, nullptr, 0};
+  {
+    Shard& shard = ShardFor(Key{object_id, from});
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(Key{object_id, from});
+    if (it != shard.index.end()) {
+      moved.tile = it->second->tile;
+      moved.bytes = it->second->bytes;
+      EraseLocked(&shard, it->second);
+    }
+  }
+  Shard& shard = ShardFor(moved.key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(moved.key);
+  if (it != shard.index.end()) {
+    EraseLocked(&shard, it->second);
+    if (metrics_.invalidations != nullptr) metrics_.invalidations->Add(1);
+  }
+  if (moved.tile == nullptr) return;
+  shard.lru.push_front(std::move(moved));
+  shard.index[shard.lru.front().key] = shard.lru.begin();
+  shard.bytes += shard.lru.front().bytes;
+  if (metrics_.bytes != nullptr) {
+    metrics_.bytes->Add(static_cast<int64_t>(shard.lru.front().bytes));
+    metrics_.entries->Add(1);
+  }
+  EvictLocked(&shard);
 }
 
 void TileCache::Clear() {

@@ -31,7 +31,8 @@ namespace tilestore {
 ///
 /// Staleness protocol (see DESIGN.md §10, §12): every object mutation
 /// (`InsertTile`, `RemoveTile`, `WriteRegion`, `RetileRegion`, drop)
-/// invalidates the object's entries, transaction rollback invalidates
+/// invalidates the object's entries, a compaction's relocation re-keys
+/// them to the new blob ids (`Move`), transaction rollback invalidates
 /// exactly the objects the transaction touched (per-MDD epochs — other
 /// objects keep their warm entries), and WAL recovery starts from an
 /// empty cache by construction. BLOB ids may
@@ -91,6 +92,13 @@ class TileCache {
   /// including its negative regions.
   void InvalidateObject(uint64_t object_id);
 
+  /// Re-keys `object_id`'s decoded tile from blob `from` to blob `to` after
+  /// a byte-identical relocation (a compaction step), mirroring
+  /// `TileSummaryIndex::Move`, so the tile stays warm. An entry already
+  /// under `to` is dropped first, so a reused blob id never serves another
+  /// tile's bytes. Negative regions stay: relocation changes no domains.
+  void Move(uint64_t object_id, BlobId from, BlobId to);
+
   /// Drops everything (transaction rollback).
   void Clear();
 
@@ -134,6 +142,10 @@ class TileCache {
   }
   // Evicts from the back of `shard` until its budget holds; caller locks.
   void EvictLocked(Shard* shard);
+  // Unlinks one entry and its bytes from `shard`; caller locks. Returns
+  // the next LRU position.
+  std::list<Entry>::iterator EraseLocked(Shard* shard,
+                                         std::list<Entry>::iterator it);
 
   const size_t capacity_bytes_;
   const size_t shard_capacity_bytes_;

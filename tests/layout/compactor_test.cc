@@ -1,9 +1,11 @@
 // Online compaction tests (DESIGN.md §14): fragmentation measurement on
 // fresh versus aged stores, CompactNow's byte-identity and fragmentation
-// recovery, idempotence on an already-contiguous object, budgeted
+// recovery, idempotence on an already-contiguous object, run-keeping on a
+// growing object (a compaction moves only what is new), budgeted
 // park/resume across Continue calls and restarts via the sidecar, corrupt
-// sidecar tolerance, layout.* metrics, and reader coexistence during an
-// in-flight compaction (run under TSan in CI).
+// and old-version sidecar tolerance, layout.* metrics, warm tile-cache
+// entries across relocation, and reader coexistence during an in-flight
+// compaction (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,8 @@
 
 #include "test_paths.h"
 
+#include "common/checksum.h"
+#include "common/serde.h"
 #include "core/array.h"
 #include "layout/compactor.h"
 #include "mdd/mdd_store.h"
@@ -264,6 +268,118 @@ TEST_F(CompactorTest, BackgroundLoopCompactsFragmentedObjects) {
 }
 
 // ---------------------------------------------------------------------------
+// Growing objects: runs already in curve order stay put.
+
+TEST_F(CompactorTest, AppendRoundsMoveOnlyWhatIsNew) {
+  // A [0:*,0:15] series grows one 16-step slab (two 512-byte tiles) at a
+  // time. Each append is interleaved with one to a second object, so the
+  // series' new blobs scatter across the file like a live ingest's.
+  const CellType int32 = CellType::Of(CellTypeId::kInt32);
+  MDDObject* series =
+      store_->CreateMDD("series", MInterval::Parse("[0:*,0:15]").value(),
+                        int32)
+          .value();
+  MDDObject* other =
+      store_->CreateMDD("other", MInterval::Parse("[0:*]").value(), int32)
+          .value();
+  Coord slabs = 0;
+  auto append = [&](Coord count) {
+    for (Coord i = 0; i < count; ++i, ++slabs) {
+      for (Coord half = 0; half < 2; ++half) {
+        ASSERT_TRUE(series
+                        ->InsertTile(Pattern(
+                            MInterval({{16 * slabs, 16 * slabs + 15},
+                                       {8 * half, 8 * half + 7}}),
+                            5))
+                        .ok());
+      }
+      ASSERT_TRUE(
+          other->InsertTile(Pattern(Box(32 * slabs, 32 * slabs + 31), 3))
+              .ok());
+      if (slabs % 4 == 3) {
+        ASSERT_TRUE(store_->Save().ok());
+      }
+    }
+  };
+
+  CompactorOptions options;
+  options.step_byte_budget = 8 << 10;  // runs of 4 KiB and more are kept
+  Compactor compactor(store_.get(), options);
+  append(32);
+  ASSERT_TRUE(compactor.CompactNow("series").ok());
+
+  std::vector<uint64_t> moved;
+  for (int round = 0; round < 6; ++round) {
+    const uint64_t stored = compactor.Measure("series").MoveValue().bytes;
+    append(24);
+    const uint64_t appended =
+        compactor.Measure("series").MoveValue().bytes - stored;
+    const MInterval all({{0, 16 * slabs - 1}, {0, 15}});
+    const std::vector<uint8_t> before = QueryBytes("series", all);
+
+    CompactReport report = compactor.CompactNow("series").MoveValue();
+    EXPECT_TRUE(report.compacted) << report.rationale;
+    // What is new, plus at most one step of a short run left by the
+    // previous round — never the history.
+    EXPECT_LE(report.bytes_moved, appended + options.step_byte_budget)
+        << "round " << round;
+    EXPECT_EQ(QueryBytes("series", all), before) << "round " << round;
+    moved.push_back(report.bytes_moved);
+  }
+  EXPECT_LE(moved.back(), 2 * moved.front());
+  EXPECT_TRUE(series->Validate().ok());
+}
+
+TEST_F(CompactorTest, RelocationKeepsCachedTilesWarm) {
+  // A cached store this time: compaction re-keys decoded tiles to their
+  // new blobs instead of dropping the object's cache epoch.
+  store_.reset();
+  Wipe();
+  MDDStoreOptions store_options;
+  store_options.page_size = 512;
+  store_options.tile_cache_bytes = 4 << 20;
+  store_ = MDDStore::Create(path_, store_options).MoveValue();
+  LoadObject("a", Box(0, 1023), Strips(0, 1023, 64));
+  LoadObject("b", Box(0, 1023), Strips(0, 1023, 64));
+  ASSERT_TRUE(store_->Save().ok());
+  AgeStore({"a", "b"});
+  const std::vector<uint8_t> expected = QueryBytes("a", Box(0, 1023));
+  MDDObject* obj = store_->GetMDD("a").value();
+  const std::vector<TileEntry> old_entries = obj->AllTiles();
+
+  Compactor compactor(store_.get());
+  CompactReport report = compactor.CompactNow("a").MoveValue();
+  ASSERT_TRUE(report.compacted) << report.rationale;
+  ASSERT_EQ(report.tiles_moved, old_entries.size());
+
+  // Every tile is still a cache hit, served from its new blob.
+  RangeQueryExecutor executor(store_.get());
+  QueryStats stats;
+  Result<Array> warm = executor.Execute(obj, Box(0, 1023), &stats);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(stats.tilecache_hits, stats.tiles_accessed);
+  EXPECT_EQ(std::vector<uint8_t>(warm->data(),
+                                 warm->data() + warm->size_bytes()),
+            expected);
+
+  // The compaction's catalog write freed the old blobs and a new object
+  // reuses them; none of those ids serves a cached tile of "a".
+  MDDObject* reuser = LoadObject("c", Box(0, 4095), Strips(0, 4095, 64));
+  size_t reused = 0;
+  for (const TileEntry& entry : reuser->AllTiles()) {
+    for (const TileEntry& old : old_entries) reused += entry.blob == old.blob;
+  }
+  EXPECT_GT(reused, 0u);
+  for (const TileEntry& entry : old_entries) {
+    EXPECT_EQ(store_->tile_cache()->Lookup(obj->cache_id(), entry.blob),
+              nullptr);
+  }
+  QueryStats again;
+  ASSERT_TRUE(executor.Execute(obj, Box(0, 1023), &again).ok());
+  EXPECT_EQ(again.tilecache_hits, again.tiles_accessed);
+}
+
+// ---------------------------------------------------------------------------
 // Budgeted park/resume.
 
 TEST_F(CompactorTest, BudgetParksAndContinueSpreadsAcrossCalls) {
@@ -341,6 +457,46 @@ TEST_F(CompactorTest, CorruptPendingSidecarIsIgnored) {
   Compactor compactor(store_.get(), options);
   EXPECT_TRUE(compactor.PendingObjects().empty());
   EXPECT_TRUE(compactor.Continue("obj").status().IsNotFound());
+}
+
+TEST_F(CompactorTest, OldVersionPendingSidecarIsDiscarded) {
+  // A version-1 plan was keyed in the old hull-relative curve order: a
+  // well-formed, CRC-valid sidecar of that version is dropped on load, not
+  // resumed. The same plan under the current version (2) does load.
+  LoadObject("obj", Box(0, 1023), Strips(0, 1023, 64));
+  const std::string pending_path = path_ + ".compact";
+  auto write_plan = [&](uint16_t version) {
+    ByteWriter w;
+    w.U32(0x54534350);  // "TSCP"
+    w.U16(version);
+    w.U32(1);  // one object
+    w.Str("obj");
+    w.U32(1);  // one step
+    w.U32(1);  // of one domain
+    w.U8(1);
+    w.I64(0);
+    w.I64(63);
+    std::vector<uint8_t> bytes = w.Take();
+    const uint32_t crc = Crc32c(bytes.data(), bytes.size());
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    }
+    std::ofstream out(pending_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  CompactorOptions options;
+  options.pending_path = pending_path;
+
+  write_plan(1);
+  {
+    Compactor compactor(store_.get(), options);
+    EXPECT_TRUE(compactor.PendingObjects().empty());
+    EXPECT_TRUE(compactor.Continue("obj").status().IsNotFound());
+  }
+  write_plan(2);
+  Compactor compactor(store_.get(), options);
+  EXPECT_EQ(compactor.PendingObjects(), std::vector<std::string>{"obj"});
 }
 
 // ---------------------------------------------------------------------------

@@ -102,6 +102,28 @@ TEST(TileCacheTest, InvalidateObjectDropsOnlyThatObject) {
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
+TEST(TileCacheTest, MoveRekeysTheTileAndReplacesTheDestination) {
+  TileCache cache(1 << 20);
+  std::shared_ptr<const Tile> tile = cache.Insert(1, 5, MakeTile(0, 9, 1));
+  // A stale entry under the destination id (a freed, reused blob).
+  cache.Insert(1, 9, MakeTile(0, 9, 2));
+  cache.Insert(1, 6, MakeTile(0, 9, 3));
+  cache.Move(1, 5, 9);
+  EXPECT_EQ(cache.Lookup(1, 5), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 9).get(), tile.get());
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.size_bytes(), 2 * tile->size_bytes());
+  // Moving an uncached tile still drops whatever sat at the destination.
+  cache.Move(1, 7, 6);
+  EXPECT_EQ(cache.Lookup(1, 6), nullptr);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  // Negative regions are not touched: relocation changes no domains.
+  cache.InsertNegativeRegion(1, "[20:29]");
+  cache.Move(1, 9, 4);
+  EXPECT_TRUE(cache.LookupNegativeRegion(1, "[20:29]"));
+  EXPECT_EQ(cache.Lookup(1, 4).get(), tile.get());
+}
+
 TEST(TileCacheTest, ClearDropsEverything) {
   TileCache cache(1 << 20);
   cache.Insert(1, 1, MakeTile(0, 9, 1));
