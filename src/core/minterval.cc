@@ -5,6 +5,8 @@
 #include <charconv>
 #include <sstream>
 
+#include "common/serde.h"
+
 namespace tilestore {
 
 namespace {
@@ -233,6 +235,35 @@ bool MIntervalLess::operator()(const MInterval& a, const MInterval& b) const {
   }
   return std::lexicographical_compare(a.hi().begin(), a.hi().end(),
                                       b.hi().begin(), b.hi().end());
+}
+
+void WriteInterval(ByteWriter* w, const MInterval& iv) {
+  w->U8(static_cast<uint8_t>(iv.dim()));
+  for (size_t i = 0; i < iv.dim(); ++i) {
+    w->I64(iv.lo(i));
+    w->I64(iv.hi(i));
+  }
+}
+
+Status ReadInterval(ByteReader* r, MInterval* out) {
+  uint8_t dim = 0;
+  Status st = r->U8(&dim);
+  if (!st.ok()) return st;
+  if (dim == 0) return Status::Corruption("zero-dimensional interval");
+  std::vector<Coord> lo(dim), hi(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    st = r->I64(&lo[i]);
+    if (!st.ok()) return st;
+    st = r->I64(&hi[i]);
+    if (!st.ok()) return st;
+  }
+  Result<MInterval> iv = MInterval::Create(std::move(lo), std::move(hi));
+  if (!iv.ok()) {
+    return Status::Corruption("invalid interval bounds: " +
+                              iv.status().message());
+  }
+  *out = std::move(iv).MoveValue();
+  return Status::OK();
 }
 
 }  // namespace tilestore

@@ -16,6 +16,9 @@
 
 namespace tilestore {
 
+class ByteReader;
+class ByteWriter;
+
 /// Sentinel bounds expressing the paper's '*' (unlimited) domain bounds.
 /// An axis whose lower bound is `kLoUnbounded` (or upper bound is
 /// `kHiUnbounded`) has no limit in that direction; such intervals are valid
@@ -124,6 +127,15 @@ std::ostream& operator<<(std::ostream& os, const MInterval& iv);
 struct MIntervalLess {
   bool operator()(const MInterval& a, const MInterval& b) const;
 };
+
+/// Binary interval codec shared by the catalog, the wire protocol and the
+/// plan sidecars: the dimension as one byte, then (lo, hi) per axis as
+/// little-endian int64. Unbounded ('*') bounds travel as their sentinels.
+void WriteInterval(ByteWriter* w, const MInterval& iv);
+
+/// Decodes one `WriteInterval` image. Corruption on truncation, a zero
+/// dimension or lo > hi on some axis.
+Status ReadInterval(ByteReader* r, MInterval* out);
 
 }  // namespace tilestore
 

@@ -1,21 +1,17 @@
 #ifndef TILESTORE_LAYOUT_COMPACTOR_H_
 #define TILESTORE_LAYOUT_COMPACTOR_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "core/minterval.h"
+#include "mdd/maintenance_runner.h"
 
 namespace tilestore {
 
@@ -32,30 +28,17 @@ struct CompactorOptions {
   /// own seek) an object must exceed before the background loop compacts
   /// it. `CompactNow` bypasses this.
   double min_fragmentation = 0.25;
-  /// Objects with fewer tiles are never worth a relocation pass.
-  uint64_t min_tiles = 2;
   /// Stored bytes one relocation step may rewrite: planned steps are
   /// sized to it, and a background tick applies roughly one budget's
   /// worth before parking the rest — readers run between ticks. One step
   /// is always applied (a step is the atomicity unit). Half of it is the
   /// size at which a contiguous run in curve order is kept, not moved.
   uint64_t step_byte_budget = 4ull << 20;
-  /// Persist the catalog after a completed compaction so the new blob
-  /// ids are visible across reopen without an explicit Save.
-  bool save_after_compaction = true;
   /// Reader-coexistence lock (the server passes its catalog guard):
   /// relocation steps and the final Save run under an exclusive lock,
   /// measurement under a shared lock. Null means the caller serializes
   /// externally.
   std::shared_mutex* catalog_mu = nullptr;
-  /// When non-empty, parked (budget-capped or drain-abandoned)
-  /// relocation plans are persisted here (CRC'd, tmp+rename; the server
-  /// derives `<db>.compact` from the store path) and loaded back on
-  /// construction, so a restart resumes a mid-compaction object. A
-  /// corrupt or torn file is discarded silently — losing a plan is
-  /// always safe, the partially compacted placement left behind is
-  /// valid.
-  std::string pending_path;
 };
 
 /// Run-length statistics of one object's tile→page mapping.
@@ -94,74 +77,63 @@ struct CompactReport {
 /// Each step is one atomic `MDDObject::RelocateTiles` — byte-identical
 /// blob rewrites into contiguous runs allocated in SFC order — so between
 /// steps (and after a crash or drain) every tile is served from exactly
-/// its old or its new placement, never a mix. Runs as a background thread
-/// (`Start`/`Stop`, wired to `serve --auto-compact`) or synchronously
-/// (`CompactNow`, the `tilestore_cli compact` / wire `kCompact` surface).
-/// Parked plans persist to `pending_path` and resume across restarts,
-/// reusing the re-tiler's step/park/resume discipline.
+/// its old or its new placement, never a mix. A policy over
+/// `MaintenanceRunner`, the same step runner as the re-tiler's: it runs as
+/// a background thread (`Start`/`Stop`, wired to `serve --auto-compact`)
+/// or synchronously (`CompactNow`, the `tilestore_cli compact` / wire
+/// `kCompact` surface). Parked plans persist in `<db>.compact` and resume
+/// across restarts. An object with a single tile is never compacted.
 ///
 /// Observability: `layout.*` metrics in the store registry (evaluations,
 /// compactions, steps, tiles_moved, bytes_moved, skipped_low_frag,
 /// errors, and a per-store `layout.frag_milli` gauge of the last
 /// measurement) plus "compact"/"compact_step" trace spans.
-class Compactor {
+class Compactor : private MaintenancePolicy {
  public:
   explicit Compactor(MDDStore* store,
                      CompactorOptions options = CompactorOptions());
-  ~Compactor();
+  ~Compactor() override;
 
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
   /// Starts the background policy thread (idempotent).
-  void Start();
+  void Start() { runner_.Start(); }
 
   /// Drains and joins the background thread: the in-flight relocation
   /// step (if any) completes, remaining steps are parked.
-  void Stop();
+  void Stop() { runner_.Stop(); }
 
   /// Pauses/resumes the background loop between steps.
-  void Pause() { paused_.store(true, std::memory_order_relaxed); }
-  void Resume() {
-    paused_.store(false, std::memory_order_relaxed);
-    wake_.notify_all();
-  }
-  bool running() const { return thread_.joinable(); }
+  void Pause() { runner_.Pause(); }
+  void Resume() { runner_.Resume(); }
+  bool running() const { return runner_.running(); }
 
   /// Measures `name`'s fragmentation without relocating anything.
   Result<FragmentationStats> Measure(const std::string& name);
 
   /// Synchronous measure-and-compact of one object, bypassing the
-  /// `min_fragmentation` trigger (the `compact` admin op) — objects
-  /// below `min_tiles` still return `compacted = false` with the
-  /// reasoning. A nonzero `budget` caps relocated bytes as in the
-  /// background loop; surplus steps are parked (and persisted with
-  /// `pending_path`). 0 runs the whole plan.
+  /// `min_fragmentation` trigger (the `compact` admin op) — a single-tile
+  /// object still returns `compacted = false` with the reasoning. A
+  /// nonzero `budget` caps relocated bytes as in the background loop;
+  /// surplus steps are parked (and persisted). 0 runs the whole plan.
   Result<CompactReport> CompactNow(const std::string& name,
                                    uint64_t budget = 0);
 
   /// Applies up to one `step_byte_budget` worth of a parked plan — from
-  /// an earlier budget-capped tick or a previous session via
-  /// `pending_path` — then parks the remainder again, so resumed plans
-  /// spread across poll ticks exactly like fresh ones. NotFound when
-  /// none is parked.
+  /// an earlier budget-capped tick or a previous session — then parks the
+  /// remainder again, so resumed plans spread across poll ticks exactly
+  /// like fresh ones. NotFound when none is parked.
   Result<CompactReport> Continue(const std::string& name);
 
   /// Objects with parked relocation steps.
-  std::vector<std::string> PendingObjects() const;
+  std::vector<std::string> PendingObjects() const {
+    return runner_.PendingObjects();
+  }
 
  private:
   struct Metrics;
-  // One relocation step: the domains of the tiles it rewrites.
-  using Step = std::vector<MInterval>;
-
-  // Measures + plans + relocates one object (`budget` caps bytes when
-  // nonzero; with `resume_only`, fails with NotFound instead of
-  // measuring afresh when no plan is parked; with `force`, skips the
-  // min_fragmentation gate).
-  Result<CompactReport> EvaluateAndCompact(const std::string& name,
-                                           uint64_t budget, bool resume_only,
-                                           bool force);
+  class Pass;
 
   // One tile of the curve-ordered walk: its domain, its stored bytes, and
   // whether its blob starts right where the previous tile's ended.
@@ -171,6 +143,15 @@ class Compactor {
     bool continues = false;
   };
 
+  // MaintenancePolicy: every object is a candidate; a tick resumes or
+  // measures with `step_byte_budget`, gated on `min_fragmentation`.
+  std::vector<std::string> Candidates() override;
+  Status Tick(const std::string& name) override;
+
+  // `force` skips the min_fragmentation gate.
+  Result<CompactReport> Run(const std::string& name, uint64_t budget,
+                            MaintenanceRunner::Mode mode, bool force);
+
   // Measurement body; caller holds (at least) a shared catalog lock.
   // `walk`, when given, receives the tiles in curve order.
   Result<FragmentationStats> MeasureLocked(const std::string& name,
@@ -179,26 +160,13 @@ class Compactor {
   // Relocation plan over a measured walk: runs of at least half a step
   // budget stay where they are; every other tile moves, in curve order,
   // in steps of at most `step_byte_budget` bytes.
-  std::vector<Step> PlanSteps(const std::vector<WalkTile>& walk) const;
-
-  // Writes the pending map to `options_.pending_path` (removes the file
-  // when the map is empty). Caller holds `compact_mu_`. Best-effort.
-  void PersistPendingLocked();
-  // Loads `options_.pending_path` into the pending map (construction).
-  void LoadPending();
-
-  void Loop();
+  std::vector<MaintenanceStep> PlanSteps(
+      const std::vector<WalkTile>& walk) const;
 
   MDDStore* store_;
   CompactorOptions options_;
   std::unique_ptr<Metrics> metrics_;
-  // Serializes compactions (background loop vs CompactNow).
-  mutable std::mutex compact_mu_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};
-  std::thread thread_;
+  MaintenanceRunner runner_;
 };
 
 }  // namespace layout

@@ -7,41 +7,10 @@ namespace tilestore {
 
 namespace {
 
-constexpr uint32_t kCatalogMagic = 0x54534354;  // "TSCT"
-constexpr uint32_t kCatalogVersion = 2;
-
-// --------------------------------------------------------------------------
 // Catalog (de)serialization. The catalog is a single BLOB whose id lives in
 // the page file's user-root slot.
-
-void WriteInterval(ByteWriter* w, const MInterval& iv) {
-  w->U8(static_cast<uint8_t>(iv.dim()));
-  for (size_t i = 0; i < iv.dim(); ++i) {
-    w->I64(iv.lo(i));
-    w->I64(iv.hi(i));
-  }
-}
-
-Status ReadInterval(ByteReader* r, MInterval* out) {
-  uint8_t dim = 0;
-  Status st = r->U8(&dim);
-  if (!st.ok()) return st;
-  if (dim == 0) return Status::Corruption("zero-dimensional catalog interval");
-  std::vector<Coord> lo(dim), hi(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    st = r->I64(&lo[i]);
-    if (!st.ok()) return st;
-    st = r->I64(&hi[i]);
-    if (!st.ok()) return st;
-  }
-  Result<MInterval> iv = MInterval::Create(std::move(lo), std::move(hi));
-  if (!iv.ok()) {
-    return Status::Corruption("invalid catalog interval: " +
-                              iv.status().message());
-  }
-  *out = std::move(iv).MoveValue();
-  return Status::OK();
-}
+constexpr uint32_t kCatalogMagic = 0x54534354;  // "TSCT"
+constexpr uint32_t kCatalogVersion = 2;
 
 }  // namespace
 

@@ -67,9 +67,6 @@ TileServer::TileServer(MDDStore* store, TileServerOptions options)
   retile_options.cooldown =
       std::chrono::milliseconds(std::max(options_.retile_cooldown_ms, 0));
   retile_options.catalog_mu = &catalog_mu_;
-  // Parked migration plans survive restarts via a sidecar next to the
-  // database, so a drain mid-migration resumes instead of forgetting.
-  retile_options.pending_path = store_->path() + ".retile";
   retiler_ = std::make_unique<Retiler>(store_, retile_options);
 
   layout::CompactorOptions compact_options;
@@ -78,8 +75,6 @@ TileServer::TileServer(MDDStore* store, TileServerOptions options)
   compact_options.min_fragmentation = options_.compact_min_fragmentation;
   compact_options.step_byte_budget = options_.compact_step_bytes;
   compact_options.catalog_mu = &catalog_mu_;
-  // Parked relocation plans survive restarts the same way.
-  compact_options.pending_path = store_->path() + ".compact";
   compactor_ = std::make_unique<layout::Compactor>(store_, compact_options);
 }
 

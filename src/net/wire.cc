@@ -29,8 +29,8 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
-Status CorruptPayload(const char* what) {
-  return Status::Corruption(std::string("wire payload: ") + what);
+Status CorruptPayload(const std::string& what) {
+  return Status::Corruption("wire payload: " + what);
 }
 
 }  // namespace
@@ -125,37 +125,6 @@ Status VerifyPayload(const FrameHeader& header,
 }
 
 // --------------------------------------------------------------------------
-// Interval serde. Unbounded ('*') bounds travel as their sentinel values.
-
-void WriteIntervalWire(ByteWriter* w, const MInterval& iv) {
-  w->U8(static_cast<uint8_t>(iv.dim()));
-  for (size_t i = 0; i < iv.dim(); ++i) {
-    w->I64(iv.lo(i));
-    w->I64(iv.hi(i));
-  }
-}
-
-Status ReadIntervalWire(ByteReader* r, MInterval* out) {
-  uint8_t dim = 0;
-  Status st = r->U8(&dim);
-  if (!st.ok()) return st;
-  if (dim == 0) return CorruptPayload("zero-dimensional interval");
-  std::vector<Coord> lo(dim), hi(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    st = r->I64(&lo[i]);
-    if (!st.ok()) return st;
-    st = r->I64(&hi[i]);
-    if (!st.ok()) return st;
-  }
-  Result<MInterval> iv = MInterval::Create(std::move(lo), std::move(hi));
-  if (!iv.ok()) {
-    return CorruptPayload("invalid interval bounds");
-  }
-  *out = std::move(iv).MoveValue();
-  return Status::OK();
-}
-
-// --------------------------------------------------------------------------
 // Requests.
 
 std::vector<uint8_t> EncodeOpenMDDRequest(const OpenMDDRequest& req) {
@@ -176,7 +145,7 @@ Status DecodeOpenMDDRequest(const std::vector<uint8_t>& payload,
 std::vector<uint8_t> EncodeRangeQueryRequest(const RangeQueryRequest& req) {
   ByteWriter w;
   w.Str(req.name);
-  WriteIntervalWire(&w, req.region);
+  WriteInterval(&w, req.region);
   return w.Take();
 }
 
@@ -185,8 +154,8 @@ Status DecodeRangeQueryRequest(const std::vector<uint8_t>& payload,
   ByteReader r(payload);
   Status st = r.Str(&out->name);
   if (!st.ok()) return st;
-  st = ReadIntervalWire(&r, &out->region);
-  if (!st.ok()) return st;
+  st = ReadInterval(&r, &out->region);
+  if (!st.ok()) return CorruptPayload(st.message());
   if (!r.AtEnd()) return CorruptPayload("trailing bytes in range_query");
   return Status::OK();
 }
@@ -194,7 +163,7 @@ Status DecodeRangeQueryRequest(const std::vector<uint8_t>& payload,
 std::vector<uint8_t> EncodeAggregateRequest(const AggregateRequest& req) {
   ByteWriter w;
   w.Str(req.name);
-  WriteIntervalWire(&w, req.region);
+  WriteInterval(&w, req.region);
   w.U8(req.op);
   return w.Take();
 }
@@ -204,8 +173,8 @@ Status DecodeAggregateRequest(const std::vector<uint8_t>& payload,
   ByteReader r(payload);
   Status st = r.Str(&out->name);
   if (!st.ok()) return st;
-  st = ReadIntervalWire(&r, &out->region);
-  if (!st.ok()) return st;
+  st = ReadInterval(&r, &out->region);
+  if (!st.ok()) return CorruptPayload(st.message());
   st = r.U8(&out->op);
   if (!st.ok()) return st;
   if (!r.AtEnd()) return CorruptPayload("trailing bytes in aggregate");
@@ -217,12 +186,12 @@ std::vector<uint8_t> EncodeInsertTilesRequest(const InsertTilesRequest& req) {
   w.Str(req.name);
   w.U8(req.create_if_missing ? 1 : 0);
   if (req.create_if_missing) {
-    WriteIntervalWire(&w, req.definition_domain);
+    WriteInterval(&w, req.definition_domain);
     w.U8(req.cell_type_id);
   }
   w.U32(static_cast<uint32_t>(req.tiles.size()));
   for (const WireTile& tile : req.tiles) {
-    WriteIntervalWire(&w, tile.domain);
+    WriteInterval(&w, tile.domain);
     w.U64(tile.cells.size());
     w.Bytes(tile.cells.data(), tile.cells.size());
   }
@@ -239,8 +208,8 @@ Status DecodeInsertTilesRequest(const std::vector<uint8_t>& payload,
   if (!st.ok()) return st;
   out->create_if_missing = create != 0;
   if (out->create_if_missing) {
-    st = ReadIntervalWire(&r, &out->definition_domain);
-    if (!st.ok()) return st;
+    st = ReadInterval(&r, &out->definition_domain);
+    if (!st.ok()) return CorruptPayload(st.message());
     st = r.U8(&out->cell_type_id);
     if (!st.ok()) return st;
   }
@@ -259,8 +228,8 @@ Status DecodeInsertTilesRequest(const std::vector<uint8_t>& payload,
   out->tiles.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     WireTile tile;
-    st = ReadIntervalWire(&r, &tile.domain);
-    if (!st.ok()) return st;
+    st = ReadInterval(&r, &tile.domain);
+    if (!st.ok()) return CorruptPayload(st.message());
     uint64_t n = 0;
     st = r.U64(&n);
     if (!st.ok()) return st;
@@ -342,7 +311,7 @@ Status DecodeCompactRequest(const std::vector<uint8_t>& payload,
 std::vector<uint8_t> EncodeFilterQueryRequest(const FilterQueryRequest& req) {
   ByteWriter w;
   w.Str(req.name);
-  WriteIntervalWire(&w, req.region);
+  WriteInterval(&w, req.region);
   w.U8(req.pred_kind);
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(req.pred_a));
@@ -358,8 +327,8 @@ Status DecodeFilterQueryRequest(const std::vector<uint8_t>& payload,
   ByteReader r(payload);
   Status st = r.Str(&out->name);
   if (!st.ok()) return st;
-  st = ReadIntervalWire(&r, &out->region);
-  if (!st.ok()) return st;
+  st = ReadInterval(&r, &out->region);
+  if (!st.ok()) return CorruptPayload(st.message());
   st = r.U8(&out->pred_kind);
   if (!st.ok()) return st;
   uint64_t bits = 0;
@@ -393,7 +362,7 @@ std::vector<uint8_t> EncodeQueryResult(const MInterval& domain,
   ByteWriter w;
   w.Reserve(1 + 1 + 16 * domain.dim() + 1 + 8 + cells.size());
   w.U8(static_cast<uint8_t>(StatusCode::kOk));
-  WriteIntervalWire(&w, domain);
+  WriteInterval(&w, domain);
   w.U8(cell_type_id);
   w.U64(cells.size());
   w.Bytes(cells.data(), cells.size());
@@ -426,9 +395,9 @@ std::vector<uint8_t> EncodePingResponse() { return OkWriter().Take(); }
 
 std::vector<uint8_t> EncodeOpenMDDResponse(const OpenMDDResponse& resp) {
   ByteWriter w = OkWriter();
-  WriteIntervalWire(&w, resp.definition_domain);
+  WriteInterval(&w, resp.definition_domain);
   w.U8(resp.has_current_domain ? 1 : 0);
-  if (resp.has_current_domain) WriteIntervalWire(&w, resp.current_domain);
+  if (resp.has_current_domain) WriteInterval(&w, resp.current_domain);
   w.U8(resp.cell_type_id);
   w.U64(resp.tile_count);
   return w.Take();
@@ -505,15 +474,15 @@ Status DecodeOpenMDDResponse(const std::vector<uint8_t>& payload,
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
   if (!st.ok() || !server_status->ok()) return st;
-  st = ReadIntervalWire(&r, &out->definition_domain);
-  if (!st.ok()) return st;
+  st = ReadInterval(&r, &out->definition_domain);
+  if (!st.ok()) return CorruptPayload(st.message());
   uint8_t has_current = 0;
   st = r.U8(&has_current);
   if (!st.ok()) return st;
   out->has_current_domain = has_current != 0;
   if (out->has_current_domain) {
-    st = ReadIntervalWire(&r, &out->current_domain);
-    if (!st.ok()) return st;
+    st = ReadInterval(&r, &out->current_domain);
+    if (!st.ok()) return CorruptPayload(st.message());
   }
   st = r.U8(&out->cell_type_id);
   if (!st.ok()) return st;
@@ -625,8 +594,8 @@ Status DecodeQueryResultView(const std::vector<uint8_t>& payload,
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
   if (!st.ok() || !server_status->ok()) return st;
-  st = ReadIntervalWire(&r, &out->domain);
-  if (!st.ok()) return st;
+  st = ReadInterval(&r, &out->domain);
+  if (!st.ok()) return CorruptPayload(st.message());
   st = r.U8(&out->cell_type_id);
   if (!st.ok()) return st;
   if (out->cell_type_id > static_cast<uint8_t>(CellTypeId::kRGB8)) {

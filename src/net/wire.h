@@ -106,12 +106,6 @@ Status VerifyPayload(const FrameHeader& header,
                      const std::vector<uint8_t>& payload);
 
 // --------------------------------------------------------------------------
-// Interval / payload serde helpers shared by client and server.
-
-void WriteIntervalWire(ByteWriter* w, const MInterval& iv);
-Status ReadIntervalWire(ByteReader* r, MInterval* out);
-
-// --------------------------------------------------------------------------
 // Request payloads.
 
 struct OpenMDDRequest {

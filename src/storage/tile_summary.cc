@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
-#include "common/checksum.h"
 #include "common/serde.h"
-#include "storage/env.h"
+#include "storage/sidecar.h"
 
 namespace tilestore {
 
@@ -17,6 +15,9 @@ constexpr uint32_t kSidecarMagic = 0x4d535354;  // "TSSM"
 constexpr uint16_t kSidecarVersion = 1;
 // Guard against a corrupted length field allocating the moon.
 constexpr uint64_t kMaxSidecarBytes = 256ull << 20;
+// Encoded size of one entry: blob id, min, max, count, null count, the
+// histogram flag and the buckets.
+constexpr size_t kEntryBytes = 5 * 8 + 1 + kTileSummaryBuckets * 4;
 
 template <typename T>
 std::optional<TileSummary> BuildTyped(const uint8_t* cells,
@@ -236,9 +237,7 @@ Status SaveTileSummarySidecar(const std::string& path, uint64_t epoch,
   ByteWriter w;
   size_t entry_total = 0;
   for (const ObjectSummaries& obj : objects) entry_total += obj.entries.size();
-  w.Reserve(64 + objects.size() * 64 + entry_total * 128);
-  w.U32(kSidecarMagic);
-  w.U16(kSidecarVersion);
+  w.Reserve(64 + objects.size() * 64 + entry_total * kEntryBytes);
   w.U64(epoch);
   w.U32(static_cast<uint32_t>(objects.size()));
   for (const ObjectSummaries& obj : objects) {
@@ -254,67 +253,18 @@ Status SaveTileSummarySidecar(const std::string& path, uint64_t epoch,
       for (uint32_t bucket : s.histogram) w.U32(bucket);
     }
   }
-  // The trailing CRC covers everything before it; U32 appends the same
-  // little-endian bytes the loader reassembles.
-  const uint32_t crc = Crc32c(w.data(), w.size());
-  w.U32(crc);
-  const std::vector<uint8_t> payload = w.Take();
-  // tmp + rename: a crash mid-write leaves the previous sidecar (or
-  // nothing) — never a torn file. A stale sidecar is caught by the epoch
-  // check at load anyway.
-  const std::string tmp = path + ".tmp";
-  Result<std::unique_ptr<File>> file = File::Open(tmp, /*create=*/true);
-  if (!file.ok()) return file.status();
-  Status st = (*file)->Truncate(0);
-  if (st.ok()) st = (*file)->WriteAt(0, payload.data(), payload.size());
-  if (st.ok()) st = (*file)->Sync();
-  file->reset();
-  if (!st.ok()) {
-    (void)RemoveFile(tmp);
-    return st;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)RemoveFile(tmp);
-    return Status::IOError("rename of summary sidecar failed: " + path);
-  }
-  return Status::OK();
+  // A stale sidecar is caught by the epoch check at load.
+  return WriteSidecar(path, kSidecarMagic, kSidecarVersion, w.Take());
 }
 
 Result<LoadedSummarySidecar> LoadTileSummarySidecar(const std::string& path) {
-  if (!FileExists(path)) {
-    return Status::NotFound("no summary sidecar at " + path);
-  }
-  Result<std::unique_ptr<File>> file = File::Open(path, /*create=*/false);
-  if (!file.ok()) return file.status();
-  Result<uint64_t> size = (*file)->Size();
-  if (!size.ok()) return size.status();
-  if (*size < 4 || *size > kMaxSidecarBytes) {
-    return Status::Corruption("summary sidecar has implausible size");
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(*size));
-  Status st = (*file)->ReadAt(0, bytes.size(), bytes.data());
-  if (!st.ok()) return st;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(bytes[bytes.size() - 4 + i])
-                  << (8 * i);
-  }
-  bytes.resize(bytes.size() - 4);
-  if (Crc32c(bytes.data(), bytes.size()) != stored_crc) {
-    return Status::Corruption("summary sidecar CRC mismatch");
-  }
+  Result<std::vector<uint8_t>> body =
+      ReadSidecar(path, kSidecarMagic, kSidecarVersion, kMaxSidecarBytes);
+  if (!body.ok()) return body.status();
 
   LoadedSummarySidecar out;
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  uint16_t version = 0;
+  ByteReader r(*body);
   uint32_t object_count = 0;
-  if (!r.U32(&magic).ok() || magic != kSidecarMagic) {
-    return Status::Corruption("summary sidecar magic mismatch");
-  }
-  if (!r.U16(&version).ok() || version != kSidecarVersion) {
-    return Status::Corruption("summary sidecar version mismatch");
-  }
   if (!r.U64(&out.epoch).ok() || !r.U32(&object_count).ok()) {
     return Status::Corruption("summary sidecar header truncated");
   }
@@ -324,8 +274,12 @@ Result<LoadedSummarySidecar> LoadTileSummarySidecar(const std::string& path) {
     if (!r.Str(&obj.name).ok() || !r.U64(&entry_count).ok()) {
       return Status::Corruption("summary sidecar object header truncated");
     }
-    obj.entries.reserve(
-        static_cast<size_t>(std::min<uint64_t>(entry_count, 1 << 20)));
+    // Bounded by the bytes present before reserving: a count alone must
+    // not size an allocation.
+    if (entry_count > r.remaining() / kEntryBytes) {
+      return Status::Corruption("summary sidecar entry count exceeds file");
+    }
+    obj.entries.reserve(static_cast<size_t>(entry_count));
     for (uint64_t e = 0; e < entry_count; ++e) {
       BlobId blob = kInvalidBlobId;
       TileSummary s;

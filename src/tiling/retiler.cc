@@ -1,267 +1,82 @@
 #include "tiling/retiler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 
-#include "common/checksum.h"
-#include "common/serde.h"
 #include "mdd/mdd_store.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "storage/env.h"
 
 namespace tilestore {
-
-namespace {
-
-// Persisted-plan sidecar format: magic, version, then the pending map,
-// closed by a CRC-32C of everything before it. Intervals travel as
-// dim + (lo, hi) pairs, mirroring the catalog encoding.
-constexpr uint32_t kPendingMagic = 0x54535250;  // "TSRP"
-constexpr uint16_t kPendingVersion = 1;
-
-void WritePendingInterval(ByteWriter* w, const MInterval& iv) {
-  w->U8(static_cast<uint8_t>(iv.dim()));
-  for (size_t i = 0; i < iv.dim(); ++i) {
-    w->I64(iv.lo(i));
-    w->I64(iv.hi(i));
-  }
-}
-
-Status ReadPendingInterval(ByteReader* r, MInterval* out) {
-  uint8_t dim = 0;
-  Status st = r->U8(&dim);
-  if (!st.ok()) return st;
-  if (dim == 0) return Status::Corruption("zero-dimensional interval");
-  std::vector<Coord> lo(dim), hi(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    st = r->I64(&lo[i]);
-    if (!st.ok()) return st;
-    st = r->I64(&hi[i]);
-    if (!st.ok()) return st;
-  }
-  Result<MInterval> iv = MInterval::Create(std::move(lo), std::move(hi));
-  if (!iv.ok()) return Status::Corruption("invalid interval bounds");
-  *out = std::move(iv).MoveValue();
-  return Status::OK();
-}
-
-// A default-constructed std::shared_lock / std::unique_lock owns nothing;
-// with a null catalog guard the caller serializes externally and the lock
-// degenerates to a no-op.
-std::shared_lock<std::shared_mutex> MaybeShared(std::shared_mutex* mu) {
-  return mu != nullptr ? std::shared_lock<std::shared_mutex>(*mu)
-                       : std::shared_lock<std::shared_mutex>();
-}
-
-std::unique_lock<std::shared_mutex> MaybeUnique(std::shared_mutex* mu) {
-  return mu != nullptr ? std::unique_lock<std::shared_mutex>(*mu)
-                       : std::unique_lock<std::shared_mutex>();
-}
-
-}  // namespace
 
 struct Retiler::Metrics {
   obs::Counter* evaluations;
   obs::Counter* migrations;
   obs::Counter* steps;
   obs::Counter* skipped_no_gain;
-  obs::Counter* errors;
   obs::Counter* tiles_removed;
   obs::Counter* tiles_written;
   obs::Counter* cells_moved;
   obs::Counter* bytes_written;
-  // Work a background migration still owes (pending steps), per object.
-  std::map<std::string, std::vector<Step>> pending;
 };
 
+namespace {
+
+// `.retile` version 2 stores each step as one interval list, [region,
+// tiles…]; a version-1 file (region and tiles apart) is discarded on load.
+constexpr MaintenanceRunner::Kind kRetileKind{
+    "retile", "retile_step", ".retile", 0x54535250 /* "TSRP" */, 2};
+
+}  // namespace
+
 Retiler::Retiler(MDDStore* store, RetilerOptions options)
-    : store_(store), options_(options) {
-  TilingAdvisor::Options advisor_options;
-  advisor_options.max_tile_bytes = options_.max_tile_bytes;
-  advisor_ = TilingAdvisor(advisor_options);
-  metrics_ = std::make_unique<Metrics>();
+    : store_(store),
+      options_(options),
+      metrics_(std::make_unique<Metrics>()),
+      runner_(store, this, kRetileKind,
+              {options.poll_interval, options.catalog_mu,
+               store->metrics()->counter("retile.errors")}) {
   obs::MetricsRegistry* registry = store_->metrics();
   metrics_->evaluations = registry->counter("retile.evaluations");
   metrics_->migrations = registry->counter("retile.migrations");
   metrics_->steps = registry->counter("retile.steps");
   metrics_->skipped_no_gain = registry->counter("retile.skipped_no_gain");
-  metrics_->errors = registry->counter("retile.errors");
   metrics_->tiles_removed = registry->counter("retile.tiles_removed");
   metrics_->tiles_written = registry->counter("retile.tiles_written");
   metrics_->cells_moved = registry->counter("retile.cells_moved");
   metrics_->bytes_written = registry->counter("retile.bytes_written");
-  LoadPending();
 }
 
-void Retiler::PersistPendingLocked() {
-  if (options_.pending_path.empty()) return;
-  if (metrics_->pending.empty()) {
-    if (FileExists(options_.pending_path)) {
-      (void)RemoveFile(options_.pending_path);  // best-effort
-    }
-    return;
-  }
-  ByteWriter w;
-  w.U32(kPendingMagic);
-  w.U16(kPendingVersion);
-  w.U32(static_cast<uint32_t>(metrics_->pending.size()));
-  for (const auto& [name, steps] : metrics_->pending) {
-    w.Str(name);
-    w.U32(static_cast<uint32_t>(steps.size()));
-    for (const Step& step : steps) {
-      WritePendingInterval(&w, step.region);
-      w.U32(static_cast<uint32_t>(step.tiles.size()));
-      for (const MInterval& tile : step.tiles) {
-        WritePendingInterval(&w, tile);
-      }
+// The background thread calls back into this object: join it before any
+// member goes away.
+Retiler::~Retiler() { runner_.Stop(); }
+
+std::vector<std::string> Retiler::Candidates() {
+  std::vector<std::string> names;
+  for (const std::string& name : store_->workload()->Objects()) {
+    if (InCooldown(name)) continue;
+    if (store_->workload()->TotalSince(name) >= options_.min_queries) {
+      names.push_back(name);
     }
   }
-  std::vector<uint8_t> payload = w.Take();
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
-  // tmp + rename so a crash mid-write leaves the previous plan (or
-  // nothing), never a torn file a future session would have to distrust.
-  const std::string tmp = options_.pending_path + ".tmp";
-  Result<std::unique_ptr<File>> file = File::Open(tmp, /*create=*/true);
-  if (!file.ok()) return;
-  Status st = (*file)->Truncate(0);
-  if (st.ok()) st = (*file)->WriteAt(0, payload.data(), payload.size());
-  if (st.ok()) st = (*file)->Sync();
-  file->reset();
-  if (!st.ok() ||
-      std::rename(tmp.c_str(), options_.pending_path.c_str()) != 0) {
-    (void)RemoveFile(tmp);
-  }
+  return names;
 }
 
-void Retiler::LoadPending() {
-  if (options_.pending_path.empty() || !FileExists(options_.pending_path)) {
-    return;
-  }
-  Result<std::unique_ptr<File>> file =
-      File::Open(options_.pending_path, /*create=*/false);
-  if (!file.ok()) return;
-  Result<uint64_t> size = (*file)->Size();
-  if (!size.ok() || *size < 4 || *size > (64u << 20)) return;
-  std::vector<uint8_t> bytes(static_cast<size_t>(*size));
-  if (!(*file)->ReadAt(0, bytes.size(), bytes.data()).ok()) return;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(bytes[bytes.size() - 4 + i])
-                  << (8 * i);
-  }
-  bytes.resize(bytes.size() - 4);
-  if (Crc32c(bytes.data(), bytes.size()) != stored_crc) return;
-
-  std::map<std::string, std::vector<Step>> loaded;
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  uint32_t objects = 0;
-  if (!r.U32(&magic).ok() || magic != kPendingMagic) return;
-  if (!r.U16(&version).ok() || version != kPendingVersion) return;
-  if (!r.U32(&objects).ok()) return;
-  for (uint32_t i = 0; i < objects; ++i) {
-    std::string name;
-    uint32_t step_count = 0;
-    if (!r.Str(&name).ok() || !r.U32(&step_count).ok()) return;
-    std::vector<Step> steps;
-    steps.reserve(std::min<uint32_t>(step_count, 1024));
-    for (uint32_t s = 0; s < step_count; ++s) {
-      Step step;
-      if (!ReadPendingInterval(&r, &step.region).ok()) return;
-      uint32_t tiles = 0;
-      if (!r.U32(&tiles).ok()) return;
-      for (uint32_t t = 0; t < tiles; ++t) {
-        MInterval tile;
-        if (!ReadPendingInterval(&r, &tile).ok()) return;
-        step.tiles.push_back(std::move(tile));
-      }
-      if (step.tiles.empty()) return;
-      steps.push_back(std::move(step));
-    }
-    if (!steps.empty()) loaded[std::move(name)] = std::move(steps);
-  }
-  if (!r.AtEnd()) return;
-  metrics_->pending = std::move(loaded);
-}
-
-Retiler::~Retiler() { Stop(); }
-
-void Retiler::Start() {
-  if (thread_.joinable()) return;
-  stop_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Retiler::Stop() {
-  if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
-  wake_.notify_all();
-  thread_.join();
-  stop_.store(false, std::memory_order_relaxed);
-}
-
-void Retiler::Loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_.wait_for(lock, options_.poll_interval, [this] {
-        return stop_.load(std::memory_order_relaxed);
-      });
-    }
-    if (stop_.load(std::memory_order_relaxed)) break;
-    if (paused_.load(std::memory_order_relaxed)) continue;
-
-    // Hot objects this tick: anything past the query trigger, plus
-    // migrations still owing steps from a previous (budget-capped) tick.
-    std::vector<std::string> names;
-    for (const std::string& name : store_->workload()->Objects()) {
-      if (InCooldown(name)) continue;
-      if (store_->workload()->TotalSince(name) >= options_.min_queries) {
-        names.push_back(name);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(migrate_mu_);
-      for (const auto& [name, steps] : metrics_->pending) {
-        if (std::find(names.begin(), names.end(), name) == names.end()) {
-          names.push_back(name);
-        }
-      }
-    }
-    for (const std::string& name : names) {
-      if (stop_.load(std::memory_order_relaxed) ||
-          paused_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      Result<RetileReport> report =
-          EvaluateAndMigrate(name, options_.step_cell_budget);
-      if (!report.ok()) metrics_->errors->Add(1);
-    }
-  }
+Status Retiler::Tick(const std::string& name) {
+  return Run(name, options_.step_cell_budget, MaintenanceRunner::Mode::kTick)
+      .status();
 }
 
 Result<RetileReport> Retiler::RetileNow(const std::string& name,
                                         uint64_t budget) {
   // Fresh evidence beats a stale plan: an admin-triggered run re-evaluates
   // even when a background migration still owes steps.
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    if (metrics_->pending.erase(name) > 0) PersistPendingLocked();
-  }
-  return EvaluateAndMigrate(name, budget);
+  return Run(name, budget, MaintenanceRunner::Mode::kReplan);
 }
 
 Result<RetileReport> Retiler::Continue(const std::string& name) {
   // Budgeted like a background tick, so a resumed plan keeps spreading
   // across calls instead of finishing in one burst.
-  return EvaluateAndMigrate(name, options_.step_cell_budget,
-                            /*resume_only=*/true);
+  return Run(name, options_.step_cell_budget,
+             MaintenanceRunner::Mode::kContinue);
 }
 
 bool Retiler::InCooldown(const std::string& name) const {
@@ -270,14 +85,6 @@ bool Retiler::InCooldown(const std::string& name) const {
   auto it = last_migration_.find(name);
   if (it == last_migration_.end()) return false;
   return std::chrono::steady_clock::now() - it->second < options_.cooldown;
-}
-
-std::vector<std::string> Retiler::PendingObjects() const {
-  std::lock_guard<std::mutex> lock(migrate_mu_);
-  std::vector<std::string> names;
-  names.reserve(metrics_->pending.size());
-  for (const auto& [name, steps] : metrics_->pending) names.push_back(name);
-  return names;
 }
 
 uint64_t Retiler::WorkloadCost(const std::vector<MInterval>& tiles,
@@ -372,65 +179,44 @@ Result<std::vector<Retiler::Step>> Retiler::PlanSteps(
   return steps;
 }
 
-Result<RetileReport> Retiler::EvaluateAndMigrate(const std::string& name,
-                                                 uint64_t budget,
-                                                 bool resume_only) {
-  std::lock_guard<std::mutex> migrate_lock(migrate_mu_);
+// One evaluate-and-migrate (or resume) of one object, run by the runner.
+class Retiler::Pass : public MaintenancePass {
+ public:
+  Pass(Retiler* retiler, const std::string& name)
+      : retiler_(retiler), name_(name) {}
+
   RetileReport report;
 
-  size_t cell_size = 0;
-  std::vector<Step> steps;
-  auto pending_it = metrics_->pending.find(name);
-  const bool resuming = pending_it != metrics_->pending.end();
-  if (resume_only && !resuming) {
-    return Status::NotFound("no parked migration plan for " + name);
-  }
-  if (resuming) {
-    steps = std::move(pending_it->second);
-    metrics_->pending.erase(pending_it);
-    auto lock = MaybeShared(options_.catalog_mu);
-    Result<MDDObject*> object_or = store_->GetMDD(name);
-    if (!object_or.ok()) {
-      PersistPendingLocked();  // dropped; forget the plan durably too
-      return object_or.status();
+  Status Plan(std::vector<MaintenanceStep>* out) override {
+    Metrics* metrics = retiler_->metrics_.get();
+    MDDStore* store = retiler_->store_;
+    metrics->evaluations->Add(1);
+    Result<MDDObject*> object_or = store->GetMDD(name_);
+    if (!object_or.ok()) return object_or.status();
+    MDDObject* object = object_or.value();
+    if (!object->current_domain().has_value()) {
+      report.rationale = "object is empty";
+      return Status::OK();
     }
-    cell_size = object_or.value()->cell_size();
-    report.tiles_before = object_or.value()->tile_count();
-    report.kind = "resumed";
-  } else {
-    metrics_->evaluations->Add(1);
-
-    // Snapshot the object and its evidence under a reader lock.
-    MInterval domain;
-    std::vector<TileEntry> current;
-    std::vector<AccessRecord> records;
-    {
-      auto lock = MaybeShared(options_.catalog_mu);
-      Result<MDDObject*> object_or = store_->GetMDD(name);
-      if (!object_or.ok()) return object_or.status();
-      MDDObject* object = object_or.value();
-      if (!object->current_domain().has_value()) {
-        report.rationale = "object is empty";
-        return report;
-      }
-      domain = *object->current_domain();
-      cell_size = object->cell_size();
-      current = object->AllTiles();
-      records = store_->workload()->Snapshot(name);
-    }
+    const MInterval domain = *object->current_domain();
+    cell_size_ = object->cell_size();
+    const std::vector<TileEntry> current = object->AllTiles();
+    const std::vector<AccessRecord> records =
+        store->workload()->Snapshot(name_);
     if (records.empty()) {
       report.rationale = "no recorded workload";
-      return report;
+      return Status::OK();
     }
 
-    Result<TilingAdvice> advice_or = advisor_.Advise(domain, records);
+    Result<TilingAdvice> advice_or =
+        retiler_->advisor_.Advise(domain, records);
     if (!advice_or.ok()) return advice_or.status();
     const TilingAdvice advice = std::move(advice_or).MoveValue();
     report.kind = std::string(WorkloadKindToString(advice.kind));
     report.rationale = advice.rationale;
 
     Result<TilingSpec> target_or =
-        advice.strategy->ComputeTiling(domain, cell_size);
+        advice.strategy->ComputeTiling(domain, cell_size_);
     if (!target_or.ok()) return target_or.status();
     const TilingSpec target = std::move(target_or).MoveValue();
 
@@ -441,124 +227,122 @@ Result<RetileReport> Retiler::EvaluateAndMigrate(const std::string& name,
     for (const TileEntry& entry : current) {
       old_domains.push_back(entry.domain);
     }
-    const uint64_t old_cost = WorkloadCost(old_domains, records, cell_size);
-    const uint64_t new_cost = WorkloadCost(target, records, cell_size);
+    const uint64_t old_cost = WorkloadCost(old_domains, records, cell_size_);
+    const uint64_t new_cost = WorkloadCost(target, records, cell_size_);
     report.predicted_gain =
         new_cost != 0 ? static_cast<double>(old_cost) /
                             static_cast<double>(new_cost)
                       : (old_cost != 0 ? 1e9 : 1.0);
     report.tiles_before = current.size();
-    if (report.predicted_gain < options_.min_improvement) {
-      metrics_->skipped_no_gain->Add(1);
-      return report;
+    const RetilerOptions& options = retiler_->options_;
+    if (report.predicted_gain < options.min_improvement) {
+      metrics->skipped_no_gain->Add(1);
+      return Status::OK();
     }
 
     Result<std::vector<Step>> steps_or = PlanSteps(current, target);
     if (!steps_or.ok()) return steps_or.status();
-    steps = std::move(steps_or).MoveValue();
+    const std::vector<Step> steps = std::move(steps_or).MoveValue();
     if (steps.empty()) {
-      metrics_->skipped_no_gain->Add(1);
+      metrics->skipped_no_gain->Add(1);
       report.rationale += " (already tiled this way)";
-      return report;
+      return Status::OK();
     }
 
     // Hysteresis: charge the migration's own write volume against the
     // predicted gain, so a marginal win on a huge object does not pay for
     // itself. report.predicted_gain stays the raw workload ratio.
-    if (options_.migration_cost_weight > 0) {
+    if (options.migration_cost_weight > 0) {
       uint64_t migration_cells = 0;
       for (const Step& step : steps) {
-        for (const MInterval& domain : step.tiles) {
-          migration_cells += domain.CellCountOrDie();
+        for (const MInterval& tile : step.tiles) {
+          migration_cells += tile.CellCountOrDie();
         }
       }
       const double migration_bytes =
           static_cast<double>(migration_cells) *
-          static_cast<double>(cell_size);
+          static_cast<double>(cell_size_);
       const double effective =
           static_cast<double>(old_cost) /
           (static_cast<double>(new_cost) +
-           options_.migration_cost_weight * migration_bytes);
-      if (effective < options_.min_improvement) {
-        metrics_->skipped_no_gain->Add(1);
+           options.migration_cost_weight * migration_bytes);
+      if (effective < options.min_improvement) {
+        metrics->skipped_no_gain->Add(1);
         report.rationale += " (migration cost outweighs predicted gain)";
-        return report;
+        return Status::OK();
       }
     }
+
+    for (const Step& step : steps) {
+      MaintenanceStep& encoded = out->emplace_back();
+      encoded.reserve(1 + step.tiles.size());
+      encoded.push_back(step.region);
+      encoded.insert(encoded.end(), step.tiles.begin(), step.tiles.end());
+    }
+    return Status::OK();
   }
 
-  // Migrate step by step. Each step is one atomic RetileRegion under the
-  // exclusive lock; between steps readers run against a valid
-  // mixed-generation tiling. Stop() abandons remaining steps (drain);
-  // a nonzero budget defers them to the next background tick.
-  const uint64_t trace_id = store_->trace()->NextTraceId();
-  obs::TraceScope retile_span(store_->trace(), trace_id, "retile");
-  size_t applied = 0;
-  uint64_t moved_cells = 0;
-  for (const Step& step : steps) {
-    if (applied > 0 && stop_.load(std::memory_order_relaxed)) break;
-    if (applied > 0 && budget != 0 && moved_cells >= budget) break;
-    {
-      auto lock = MaybeUnique(options_.catalog_mu);
-      Result<MDDObject*> object_or = store_->GetMDD(name);
-      if (!object_or.ok()) return object_or.status();
-      MDDObject* object = object_or.value();
-      const size_t replaced = object->FindTiles(step.region).size();
-      obs::TraceScope step_span(store_->trace(), trace_id, "retile_step");
-      Status st = object->RetileRegion(step.region, step.tiles);
-      if (!st.ok()) return st;  // plan discarded; object unchanged
-      metrics_->tiles_removed->Add(replaced);
-    }
-    ++applied;
-    uint64_t step_cells = 0;
-    for (const MInterval& domain : step.tiles) {
-      step_cells += domain.CellCountOrDie();
-    }
-    moved_cells += step_cells;
-    metrics_->steps->Add(1);
-    metrics_->tiles_written->Add(step.tiles.size());
-    metrics_->cells_moved->Add(step_cells);
-    metrics_->bytes_written->Add(step_cells * cell_size);
+  Status Resume() override {
+    Result<MDDObject*> object_or = retiler_->store_->GetMDD(name_);
+    if (!object_or.ok()) return object_or.status();
+    cell_size_ = object_or.value()->cell_size();
+    report.tiles_before = object_or.value()->tile_count();
+    report.kind = "resumed";
+    return Status::OK();
   }
-  report.steps = applied;
-  report.cells_moved = moved_cells;
-  report.migrated = applied > 0;
 
-  if (applied < steps.size()) {
-    // Budget-capped or draining: park the remainder; the next tick (or a
-    // later session, via the persisted plan) resumes it. The mixed state
-    // left behind is a valid tiling, so nothing breaks if it never
-    // resumes.
-    metrics_->pending[name] =
-        std::vector<Step>(steps.begin() + applied, steps.end());
-    PersistPendingLocked();
-    auto lock = MaybeShared(options_.catalog_mu);
-    Result<MDDObject*> object_or = store_->GetMDD(name);
-    if (object_or.ok()) report.tiles_after = object_or.value()->tile_count();
-    return report;
+  Result<uint64_t> Apply(const MaintenanceStep& step) override {
+    if (step.size() < 2) return Status::Corruption("re-tile step lacks tiles");
+    Result<MDDObject*> object_or = retiler_->store_->GetMDD(name_);
+    if (!object_or.ok()) return object_or.status();
+    MDDObject* object = object_or.value();
+    const MInterval& region = step.front();
+    const TilingSpec tiles(step.begin() + 1, step.end());
+    const size_t replaced = object->FindTiles(region).size();
+    Status st = object->RetileRegion(region, tiles);
+    if (!st.ok()) return st;  // plan discarded; object unchanged
+    uint64_t cells = 0;
+    for (const MInterval& tile : tiles) cells += tile.CellCountOrDie();
+    Metrics* metrics = retiler_->metrics_.get();
+    metrics->tiles_removed->Add(replaced);
+    metrics->steps->Add(1);
+    metrics->tiles_written->Add(tiles.size());
+    metrics->cells_moved->Add(cells);
+    metrics->bytes_written->Add(cells * cell_size_);
+    ++report.steps;
+    report.cells_moved += cells;
+    return cells;
   }
-  // Completed a resumed plan: retire its persisted copy.
-  if (resuming) PersistPendingLocked();
 
-  // Migration complete: persist the new tiling, drop the evidence that
-  // drove it (the next decision needs post-migration boxes), and start
-  // the cool-down clock so the loop cannot thrash this object.
-  metrics_->migrations->Add(1);
-  store_->workload()->Forget(name);
-  if (options_.cooldown.count() > 0) {
-    std::lock_guard<std::mutex> lock(cooldown_mu_);
-    last_migration_[name] = std::chrono::steady_clock::now();
-  }
-  {
-    auto lock = MaybeUnique(options_.catalog_mu);
-    if (options_.save_after_migration) {
-      Status st = store_->Save();
-      if (!st.ok()) return st;
+  void Finish(bool completed) override {
+    report.migrated = true;
+    if (completed) {
+      // Drop the evidence that drove the migration (the next decision
+      // needs post-migration boxes) and start the cool-down clock so the
+      // loop cannot thrash this object.
+      retiler_->metrics_->migrations->Add(1);
+      retiler_->store_->workload()->Forget(name_);
+      if (retiler_->options_.cooldown.count() > 0) {
+        std::lock_guard<std::mutex> lock(retiler_->cooldown_mu_);
+        retiler_->last_migration_[name_] = std::chrono::steady_clock::now();
+      }
     }
-    Result<MDDObject*> object_or = store_->GetMDD(name);
+    Result<MDDObject*> object_or = retiler_->store_->GetMDD(name_);
     if (object_or.ok()) report.tiles_after = object_or.value()->tile_count();
   }
-  return report;
+
+ private:
+  Retiler* retiler_;
+  const std::string& name_;
+  size_t cell_size_ = 0;
+};
+
+Result<RetileReport> Retiler::Run(const std::string& name, uint64_t budget,
+                                  MaintenanceRunner::Mode mode) {
+  Pass pass(this, name);
+  Status st = runner_.Run(name, budget, mode, &pass);
+  if (!st.ok()) return st;
+  return pass.report;
 }
 
 }  // namespace tilestore

@@ -1,16 +1,13 @@
 #ifndef TILESTORE_TILING_RETILER_H_
 #define TILESTORE_TILING_RETILER_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -18,6 +15,7 @@
 #include "core/minterval.h"
 #include "core/tile.h"
 #include "index/tile_index.h"
+#include "mdd/maintenance_runner.h"
 #include "tiling/advisor.h"
 #include "tiling/statistic.h"
 
@@ -43,8 +41,6 @@ struct RetilerOptions {
   /// on the next tick — readers run between ticks. One step is always
   /// applied (a step is the atomicity unit and cannot be split).
   uint64_t step_cell_budget = 1ull << 22;
-  /// Tile size target handed to the advisor's strategies.
-  uint64_t max_tile_bytes = kDefaultMaxTileBytes;
   /// Hysteresis: charges the migration's own cost against its predicted
   /// gain. With a nonzero weight the trigger becomes
   /// `old_cost / (new_cost + weight * migration_bytes) >= min_improvement`,
@@ -58,21 +54,10 @@ struct RetilerOptions {
   /// plans still resume, and `RetileNow` (the admin surface) bypasses it.
   /// 0 disables.
   std::chrono::milliseconds cooldown{0};
-  /// Persist the catalog after a completed migration so the new tiling is
-  /// visible across reopen without an explicit Save.
-  bool save_after_migration = true;
   /// Reader-coexistence lock (the server passes its catalog guard): steps
   /// and the final Save run under an exclusive lock, evaluation under a
   /// shared lock. Null means the caller serializes externally.
   std::shared_mutex* catalog_mu = nullptr;
-  /// When non-empty, parked (budget-capped or drain-abandoned) migration
-  /// plans are persisted to this file — CRC'd, written via tmp+rename —
-  /// and loaded back on construction, so a restart resumes a
-  /// mid-migration object instead of forgetting its remaining steps. The
-  /// server derives it from the store path (`<db>.retile`). A corrupt or
-  /// torn file is discarded silently: losing a plan is always safe, the
-  /// mixed-generation tiling left behind is valid.
-  std::string pending_path;
 };
 
 /// Outcome of one evaluation/migration of one object.
@@ -89,65 +74,65 @@ struct RetileReport {
   uint64_t cells_moved = 0;
 };
 
-/// \brief The observe → advise → migrate loop: mines the store's
+/// \brief The observe → advise → migrate policy: mines the store's
 /// `WorkloadRecorder` for hot objects, asks `TilingAdvisor` for a better
 /// tiling, and migrates tile-by-tile through `MDDObject::RetileRegion`
 /// under store transactions (DESIGN.md §12).
 ///
-/// Runs either as a background thread (`Start`/`Stop`, budgeted per tick,
-/// pausable, drains its in-flight step on `Stop` — the server wires this
-/// to SIGTERM) or synchronously (`RetileNow`, the admin surface). Each
-/// migration step is one atomic `RetileRegion`; between steps the object
-/// is a valid mixed-generation tiling, so readers interleave freely and a
-/// drain mid-migration is safe — the remaining steps simply run later (or
-/// never; the mixed state is durable and correct).
+/// A policy over `MaintenanceRunner`, which runs it either as a background
+/// thread (`Start`/`Stop`, budgeted per tick, pausable, drains its
+/// in-flight step on `Stop` — the server wires this to SIGTERM) or
+/// synchronously (`RetileNow`, the admin surface). Each migration step is
+/// one atomic `RetileRegion`; between steps the object is a valid
+/// mixed-generation tiling, so readers interleave freely and a drain
+/// mid-migration is safe. Parked steps persist in `<db>.retile` and resume
+/// in a later session.
 ///
 /// Observability: `retile.*` counters in the store registry
 /// (evaluations, migrations, steps, skipped_no_gain, tiles_removed,
 /// tiles_written, cells_moved, bytes_written) and "retile"/"retile_step"
 /// spans in the trace ring.
-class Retiler {
+class Retiler : private MaintenancePolicy {
  public:
   explicit Retiler(MDDStore* store, RetilerOptions options = RetilerOptions());
-  ~Retiler();
+  ~Retiler() override;
 
   Retiler(const Retiler&) = delete;
   Retiler& operator=(const Retiler&) = delete;
 
   /// Starts the background policy thread (idempotent).
-  void Start();
+  void Start() { runner_.Start(); }
 
   /// Drains and joins the background thread: the in-flight step (if any)
-  /// completes, remaining steps are abandoned — safe, see above.
-  void Stop();
+  /// completes, the remaining steps are parked and persisted.
+  void Stop() { runner_.Stop(); }
 
   /// Pauses/resumes the background loop between steps.
-  void Pause() { paused_.store(true, std::memory_order_relaxed); }
-  void Resume() {
-    paused_.store(false, std::memory_order_relaxed);
-    wake_.notify_all();
-  }
-  bool running() const { return thread_.joinable(); }
+  void Pause() { runner_.Pause(); }
+  void Resume() { runner_.Resume(); }
+  bool running() const { return runner_.running(); }
 
   /// Synchronous evaluate-and-migrate of one object, bypassing the
   /// `min_queries` trigger (the `retile` admin op). Still subject to
   /// `min_improvement`: a workload the current tiling already serves well
   /// returns `migrated = false` with the advisor's reasoning. A nonzero
   /// `budget` caps migrated cells as in the background loop; the surplus
-  /// steps are parked (and persisted with `pending_path`).
+  /// steps are parked (and persisted).
   Result<RetileReport> RetileNow(const std::string& name,
                                  uint64_t budget = 0);
 
   /// Applies up to one `step_cell_budget` worth of a parked plan — from an
-  /// earlier budget-capped tick or a previous session via `pending_path` —
-  /// without re-evaluating the workload, then parks the remainder again,
-  /// so resumed plans spread across poll ticks exactly like fresh ones
+  /// earlier budget-capped tick or a previous session — without
+  /// re-evaluating the workload, then parks the remainder again, so
+  /// resumed plans spread across poll ticks exactly like fresh ones
   /// instead of finishing in one call. Call repeatedly (or let the
   /// background loop tick) to drain a plan. NotFound when none is parked.
   Result<RetileReport> Continue(const std::string& name);
 
   /// Objects with parked migration steps.
-  std::vector<std::string> PendingObjects() const;
+  std::vector<std::string> PendingObjects() const {
+    return runner_.PendingObjects();
+  }
 
   /// True while `name` is inside the post-migration cool-down window (the
   /// background loop skips fresh evaluations of such objects).
@@ -180,24 +165,15 @@ class Retiler {
 
  private:
   struct Metrics;
+  class Pass;
 
-  // Evaluates one object and, when the predicted gain clears
-  // `min_improvement`, migrates it (one step at a time, honoring
-  // pause/stop between steps; `budget` caps cells when nonzero). With
-  // `resume_only`, fails with NotFound instead of evaluating afresh when
-  // no plan is parked.
-  Result<RetileReport> EvaluateAndMigrate(const std::string& name,
-                                          uint64_t budget,
-                                          bool resume_only = false);
+  // MaintenancePolicy: hot objects past `min_queries` and out of their
+  // cool-down; a tick resumes or evaluates with `step_cell_budget`.
+  std::vector<std::string> Candidates() override;
+  Status Tick(const std::string& name) override;
 
-  // Writes the pending map to `options_.pending_path` (removes the file
-  // when the map is empty). Caller holds `migrate_mu_`. Best-effort: an
-  // I/O failure only costs restart-resumability.
-  void PersistPendingLocked();
-  // Loads `options_.pending_path` into the pending map (construction).
-  void LoadPending();
-
-  void Loop();
+  Result<RetileReport> Run(const std::string& name, uint64_t budget,
+                           MaintenanceRunner::Mode mode);
 
   MDDStore* store_;
   RetilerOptions options_;
@@ -207,13 +183,7 @@ class Retiler {
   mutable std::mutex cooldown_mu_;
   std::map<std::string, std::chrono::steady_clock::time_point>
       last_migration_;
-  // Serializes migrations (background loop vs RetileNow).
-  mutable std::mutex migrate_mu_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};
-  std::thread thread_;
+  MaintenanceRunner runner_;
 };
 
 }  // namespace tilestore

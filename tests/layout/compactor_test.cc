@@ -420,7 +420,6 @@ TEST_F(CompactorTest, ParkedPlanPersistsAcrossRestart) {
   const std::string pending_path = path_ + ".compact";
   CompactorOptions options;
   options.step_byte_budget = 2048;
-  options.pending_path = pending_path;
   {
     Compactor compactor(store_.get(), options);
     CompactReport first =
@@ -453,7 +452,6 @@ TEST_F(CompactorTest, CorruptPendingSidecarIsIgnored) {
     out << "TSCPgarbage-that-is-not-a-plan";
   }
   CompactorOptions options;
-  options.pending_path = pending_path;
   Compactor compactor(store_.get(), options);
   EXPECT_TRUE(compactor.PendingObjects().empty());
   EXPECT_TRUE(compactor.Continue("obj").status().IsNotFound());
@@ -486,7 +484,6 @@ TEST_F(CompactorTest, OldVersionPendingSidecarIsDiscarded) {
               static_cast<std::streamsize>(bytes.size()));
   };
   CompactorOptions options;
-  options.pending_path = pending_path;
 
   write_plan(1);
   {

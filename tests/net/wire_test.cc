@@ -206,7 +206,7 @@ TEST(NetWireRequests, HostileTileLengthRejectedBeforeAllocation) {
   w.Str("obj");
   w.U8(0);  // create_if_missing = false
   w.U32(1);
-  WriteIntervalWire(&w, MInterval({{0, 9}}));
+  WriteInterval(&w, MInterval({{0, 9}}));
   w.U64(k64MiB);
   const std::vector<uint8_t> payload = VerifiedPayload(
       EncodeFrame(WireOp::kInsertTiles, /*response=*/false, 1, w.Take()));
@@ -219,7 +219,7 @@ TEST(NetWireResponses, HostileResultLengthRejectedBeforeAllocation) {
   // A range or filter reply claiming 64 MiB of cells and carrying none.
   ByteWriter w;
   w.U8(static_cast<uint8_t>(StatusCode::kOk));
-  WriteIntervalWire(&w, MInterval({{0, (int64_t{1} << 26) - 1}}));
+  WriteInterval(&w, MInterval({{0, (int64_t{1} << 26) - 1}}));
   w.U8(static_cast<uint8_t>(CellTypeId::kUInt8));
   w.U64(k64MiB);
   const std::vector<uint8_t> bytes = w.Take();

@@ -531,7 +531,6 @@ TEST_F(RetilerStoreTest, ParkedPlanIsPersistedAndResumesAfterRestart) {
   const std::string pending_path = path_ + ".retile";
   (void)RemoveFile(pending_path);
   RetilerOptions options;
-  options.pending_path = pending_path;
   options.min_improvement = 1.05;
   uint64_t applied_steps = 0;
   {
@@ -657,7 +656,6 @@ TEST_F(RetilerStoreTest, CorruptPendingSidecarIsIgnored) {
     out << "TSRPgarbage-that-is-not-a-plan";
   }
   RetilerOptions options;
-  options.pending_path = pending_path;
   Retiler retiler(store_.get(), options);
   EXPECT_TRUE(retiler.PendingObjects().empty());
   EXPECT_TRUE(retiler.Continue("obj").status().IsNotFound());
