@@ -1,7 +1,8 @@
 // Experiment E12 (DESIGN.md): google-benchmark microbenchmarks of the hot
 // kernels — row-major offset computation, region copy (query
-// post-processing), CRC-32C (every wire frame, page and WAL record), the
-// tiling algorithms themselves, and index search.
+// post-processing), the per-tile aggregate fold, CRC-32C (every wire
+// frame, page and WAL record), the tiling algorithms themselves, and index
+// search.
 //
 // The binary additionally measures warm-cache read-path throughput at
 // parallelism 1/2/4/8 and merges the result into BENCH_readpath.json
@@ -17,6 +18,7 @@
 #include "common/bench_util.h"
 #include "common/checksum.h"
 #include "common/random.h"
+#include "core/aggregate.h"
 #include "core/linearizer.h"
 #include "index/rtree_index.h"
 #include "storage/env.h"
@@ -56,6 +58,48 @@ void BM_CopyRegion(benchmark::State& state) {
                           region.CellCountOrDie());
 }
 BENCHMARK(BM_CopyRegion)->Arg(8)->Arg(64)->Arg(256);
+
+// `AggregateRegion` over `region` of one tile: the per-tile fold of an
+// Aggregate query (DESIGN.md §10). Integer sums of cells up to 32 bits
+// fold in 64-bit integers; the float64 sum is the double-chain control.
+void BM_AggregateRegion(benchmark::State& state, CellTypeId id,
+                        AggregateOp op, const MInterval& domain,
+                        const MInterval& region) {
+  Array tile = Array::Create(domain, CellType::Of(id)).value();
+  Random rng(7);
+  uint8_t* bytes = tile.mutable_data();
+  for (uint64_t i = 0; i < tile.cell_count(); ++i) {
+    if (id == CellTypeId::kFloat64) {
+      const double v = static_cast<double>(rng.UniformInt(-9999, 9999)) / 7;
+      std::memcpy(bytes + i * sizeof(v), &v, sizeof(v));
+    } else {
+      for (size_t b = 0; b < tile.cell_type().size(); ++b) {
+        bytes[i * tile.cell_type().size() + b] =
+            static_cast<uint8_t>(rng.Next());
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AggregateRegion(tile, region, op).value());
+  }
+  const int64_t cells = static_cast<int64_t>(region.CellCountOrDie());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * cells);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * cells *
+                          static_cast<int64_t>(tile.cell_type().size()));
+}
+// One 64 KiB tile in full, a 3-D sub-box of one, and the controls.
+BENCHMARK_CAPTURE(BM_AggregateRegion, u32_sum_tile, CellTypeId::kUInt32,
+                  AggregateOp::kSum, MInterval({{0, 127}, {0, 127}}),
+                  MInterval({{0, 127}, {0, 127}}));
+BENCHMARK_CAPTURE(BM_AggregateRegion, u32_sum_subbox3d, CellTypeId::kUInt32,
+                  AggregateOp::kSum, MInterval({{0, 15}, {0, 31}, {0, 31}}),
+                  MInterval({{2, 13}, {3, 28}, {1, 30}}));
+BENCHMARK_CAPTURE(BM_AggregateRegion, u16_avg_tile, CellTypeId::kUInt16,
+                  AggregateOp::kAvg, MInterval({{0, 127}, {0, 255}}),
+                  MInterval({{0, 127}, {0, 255}}));
+BENCHMARK_CAPTURE(BM_AggregateRegion, f64_sum_tile, CellTypeId::kFloat64,
+                  AggregateOp::kSum, MInterval({{0, 63}, {0, 127}}),
+                  MInterval({{0, 63}, {0, 127}}));
 
 // CRC-32C over one buffer of arg bytes: `Crc32c` (the CRC instruction
 // where the CPU has one) against the portable table loop it falls back to.

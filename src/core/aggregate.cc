@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "core/linearizer.h"
 
@@ -70,12 +71,38 @@ auto DispatchNumeric(CellType cell_type, F&& f) -> decltype(f(uint8_t{})) {
   return Status::Internal("unhandled cell type");
 }
 
+// The integer-exact fold rule for sums (DESIGN.md §10). For integer cell
+// types up to 32 bits, a sum of at most `cells` values with
+// `cells × max|T| <= 2^53` has every partial sum an integer of magnitude
+// at most 2^53, so each add of `Reduce<T>`'s double chain is exact and the
+// chain ends on the exact sum. Accumulating in a 64-bit integer and
+// converting once gives that same double, without the chain's
+// add-latency dependency. Float and 64-bit types, and larger regions,
+// keep the double chain.
+template <typename T>
+constexpr bool kHasExactSum = std::is_integral_v<T> && sizeof(T) <= 4;
+
+template <typename T>
+using ExactSum = std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>;
+
+template <typename T>
+bool SumIsExact(uint64_t cells) {
+  if constexpr (kHasExactSum<T>) {
+    constexpr uint64_t kMaxAbs =
+        std::is_signed_v<T> ? uint64_t{1} << (8 * sizeof(T) - 1)
+                            : uint64_t{std::numeric_limits<T>::max()};
+    return cells <= (uint64_t{1} << 53) / kMaxAbs;
+  } else {
+    return false;
+  }
+}
+
 // Run-based reduction over the cells of `region` inside `array` that
 // `keep` accepts, without a slice copy. When every cell is kept, the
-// accumulators and visit order are exactly those of `Reduce<T>` over
-// `array.Slice(region)` (row-major region order, doubles for sum/min/max,
-// uint64 for count), so the result is bit-identical to the slice kernel.
-// kAvg folds as a sum.
+// visit order is exactly that of `Reduce<T>` over `array.Slice(region)`
+// (row-major region order) and the accumulators are its own or, for sums
+// under `SumIsExact`, integer-exact ones, so the result is bit-identical
+// to the slice kernel. kAvg folds as a sum.
 template <typename T, typename Keep>
 FilteredAggregate ReduceRegionRuns(const Array& array, const MInterval& region,
                                    AggregateOp op, Keep keep) {
@@ -98,6 +125,14 @@ FilteredAggregate ReduceRegionRuns(const Array& array, const MInterval& region,
   switch (op) {
     case AggregateOp::kSum:
     case AggregateOp::kAvg: {
+      if constexpr (kHasExactSum<T>) {
+        if (SumIsExact<T>(region.CellCountOrDie())) {
+          ExactSum<T> sum = 0;
+          for_each_kept([&](T v) { sum += v; });
+          out.value = static_cast<double>(sum);
+          break;
+        }
+      }
       double sum = 0;
       for_each_kept([&](T v) { sum += static_cast<double>(v); });
       out.value = sum;
@@ -204,13 +239,16 @@ Status WalkRleCells(const std::vector<uint8_t>& stream, uint64_t cell_count,
 
 // Streaming reduction over an RLE stream. Cells are folded in decode order
 // with `Reduce<T>`'s accumulators; repeat runs spanning whole cells fold
-// without touching memory (sum still adds per cell — the adds must happen
-// in the legacy order for bit-identity — but min/max/count collapse to one
-// operation per run, which is exact: folding one value n times equals
-// folding it once for those ops).
+// without touching memory. Min/max/count collapse to one operation per
+// run, which is exact: folding one value n times equals folding it once
+// for those ops. An integer-exact sum (`SumIsExact`) folds a run as
+// `v * n`; the double chain still adds per cell, in decode order, for
+// bit-identity.
 template <typename T>
 Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
                                uint64_t cell_count, AggregateOp op) {
+  const bool exact = SumIsExact<T>(cell_count);
+  ExactSum<T> exact_sum = 0;
   double sum = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
@@ -222,6 +260,13 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
         switch (op) {
           case AggregateOp::kSum:
           case AggregateOp::kAvg:
+            if constexpr (kHasExactSum<T>) {
+              if (exact) {
+                exact_sum += static_cast<ExactSum<T>>(v) *
+                             static_cast<ExactSum<T>>(n);
+                break;
+              }
+            }
             for (uint64_t k = 0; k < n; ++k) sum += static_cast<double>(v);
             break;
           case AggregateOp::kMin:
@@ -236,6 +281,7 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
         }
       });
   if (!st.ok()) return st;
+  if (exact) sum = static_cast<double>(exact_sum);
   switch (op) {
     case AggregateOp::kSum:
       return sum;

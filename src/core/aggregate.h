@@ -38,9 +38,11 @@ Result<double> AggregateCells(const Array& array, AggregateOp op);
 /// materializing a slice: the reduction walks the innermost-axis runs the
 /// copy kernels enumerate (`ForEachRun`) and accumulates in registers.
 /// Cells are visited in row-major `region` order — exactly the order
-/// `array.Slice(region)` would linearize them in — so the result is
-/// bit-identical to `AggregateCells(*array.Slice(region), op)` while
-/// skipping the slice allocation and copy. `region` must be fixed and
+/// `array.Slice(region)` would linearize them in — and integer sums fold
+/// exactly in 64-bit integers where that gives the same double (the fold
+/// rule of DESIGN.md §10), so the result is bit-identical to
+/// `AggregateCells(*array.Slice(region), op)` while skipping the slice
+/// allocation and copy. `region` must be fixed and
 /// contained in `array.domain()`; numeric cell types only. `kAvg` divides
 /// by the region cell count.
 Result<double> AggregateRegion(const Array& array, const MInterval& region,
@@ -51,8 +53,8 @@ Result<double> AggregateRegion(const Array& array, const MInterval& region,
 /// storage/compression.h), without materializing the decoded buffer:
 /// literal bytes and short repeats are assembled into cells in a small
 /// register buffer; a repeat run spanning whole cells reduces them without
-/// any memory traffic. Cells are folded in linear (decode) order with the
-/// same accumulator types as `AggregateCells`, so the result is
+/// any memory traffic. Cells are folded in linear (decode) order under
+/// the same fold rule as `AggregateRegion`, so the result is
 /// bit-identical to decoding and reducing. `cell_count` is the tile's
 /// cell count (known from its domain); the stream must decode to exactly
 /// `cell_count * cell_type.size()` bytes (Corruption otherwise). Numeric
@@ -68,7 +70,7 @@ struct FilteredAggregate {
 };
 
 /// `AggregateRegion` over the cells of `region` that match `pred` only,
-/// visited in the same order with the same accumulators — so when every
+/// visited in the same order under the same fold rule — so when every
 /// cell matches, `value` is bit-identical to `AggregateRegion`. `kAvg`
 /// folds as `kSum`; divide by `matched`.
 Result<FilteredAggregate> AggregateRegionFiltered(const Array& array,

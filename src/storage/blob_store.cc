@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <unordered_set>
 
 namespace tilestore {
@@ -159,16 +160,43 @@ Result<std::vector<BlobId>> BlobStore::CopyContiguousBatch(
   return ids;
 }
 
-Result<std::vector<uint8_t>> BlobStore::Get(BlobId id) {
-  return GetImpl(id, /*coalesce=*/false, nullptr);
+Status BlobStore::CheckDeclaredSize(BlobId id, uint64_t size,
+                                    uint64_t max_size) const {
+  // The header's size is untrusted input: it must fit in the file's pages
+  // (a chain may run through any of them, behind `id` as well as after
+  // it) before any buffer is sized from it.
+  const uint64_t page_count = pool_->page_file()->page_count();
+  const uint64_t room =
+      page_count >= 2
+          ? header_capacity() + (page_count - 2) * continuation_capacity()
+          : 0;
+  if (size > room) {
+    return Status::Corruption(
+        "BLOB header at page " + std::to_string(id) + " declares " +
+        std::to_string(size) + " bytes; the whole file holds " +
+        std::to_string(room));
+  }
+  if (size > max_size) {
+    return Status::Corruption(
+        "BLOB header at page " + std::to_string(id) + " declares " +
+        std::to_string(size) + " bytes; at most " + std::to_string(max_size) +
+        " expected");
+  }
+  return Status::OK();
+}
+
+Result<std::vector<uint8_t>> BlobStore::Get(BlobId id, uint64_t max_size) {
+  return GetImpl(id, /*coalesce=*/false, max_size, nullptr);
 }
 
 Result<std::vector<uint8_t>> BlobStore::GetCoalesced(BlobId id,
-                                                     BlobReadStats* stats) {
-  return GetImpl(id, /*coalesce=*/true, stats);
+                                                     BlobReadStats* stats,
+                                                     uint64_t max_size) {
+  return GetImpl(id, /*coalesce=*/true, max_size, stats);
 }
 
 Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
+                                                uint64_t max_size,
                                                 BlobReadStats* stats) {
   PageFile* file = pool_->page_file();
   const size_t page_size = file->page_size();
@@ -187,6 +215,8 @@ Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
   }
   const uint64_t size = GetU64(page.data() + 8);
   PageId next = GetU64(page.data() + 16);
+  st = CheckDeclaredSize(id, size, max_size);
+  if (!st.ok()) return st;
 
   std::vector<uint8_t> out;
   out.reserve(size);
@@ -203,15 +233,16 @@ Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
     const uint64_t rem = (size - out.size() + continuation_capacity() - 1) /
                          continuation_capacity();
     if (next == id + 1 && id + 1 + rem <= file->page_count()) {
-      std::vector<uint8_t> buf(rem * page_size);
-      st = pool_->ReadRun(id + 1, rem, buf.data(), &runs);
+      // Scratch that ReadRun overwrites in full: not zero-filled.
+      auto buf = std::make_unique_for_overwrite<uint8_t[]>(rem * page_size);
+      st = pool_->ReadRun(id + 1, rem, buf.get(), &runs);
       if (!st.ok()) return st;
       for (uint64_t j = 0; j < rem && out.size() < size; ++j) {
         if (next != id + 1 + j) {
           fell_back = true;
           break;
         }
-        const uint8_t* p = buf.data() + j * page_size;
+        const uint8_t* p = buf.get() + j * page_size;
         next = GetU64(p);
         const size_t chunk =
             std::min<uint64_t>(size - out.size(), continuation_capacity());
@@ -250,12 +281,16 @@ Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
 
 Status BlobStore::GetBatch(std::span<const BlobId> ids,
                            std::vector<std::vector<uint8_t>>* payloads,
-                           BlobReadStats* stats) {
+                           BlobReadStats* stats,
+                           std::span<const uint64_t> max_sizes) {
   PageFile* file = pool_->page_file();
   const size_t page_size = file->page_size();
   const size_t n = ids.size();
   payloads->assign(n, {});
   if (n == 0) return Status::OK();
+  auto max_size_of = [&](size_t i) {
+    return max_sizes.empty() ? kNoSizeLimit : max_sizes[i];
+  };
 
   uint64_t runs = 0;
   uint64_t pages_touched = 0;
@@ -283,13 +318,15 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   // their destination slots are already adjacent because unique ids fill
   // `headers` in first-appearance order. Charges are deferred so they can
   // be replayed interleaved with each BLOB's continuation charges.
-  std::vector<uint8_t> headers(unique * page_size);
+  // Scratch buffers here and in phase B are overwritten in full by the
+  // reads, so they are not zero-filled.
+  auto headers = std::make_unique_for_overwrite<uint8_t[]>(unique * page_size);
   std::vector<PageRunRequest> header_runs;
   std::vector<size_t> header_run_of(unique, 0);  // unique index -> run
   header_runs.reserve(unique);
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
-    uint8_t* dst = headers.data() + batch_index[i] * page_size;
+    uint8_t* dst = headers.get() + batch_index[i] * page_size;
     if (!header_runs.empty()) {
       PageRunRequest& prev = header_runs.back();
       if (prev.first + prev.count == ids[i] &&
@@ -318,10 +355,12 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   };
   std::vector<Plan> plans(n);
   std::vector<PageRunRequest> cont_runs;
-  std::vector<std::vector<uint8_t>> cont_bufs;
+  // One scratch buffer per continuation run, freed as soon as its BLOB
+  // is assembled, so the batch never holds every payload twice.
+  std::vector<std::unique_ptr<uint8_t[]>> cont_bufs;
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
-    const uint8_t* header = headers.data() + batch_index[i] * page_size;
+    const uint8_t* header = headers.get() + batch_index[i] * page_size;
     if (GetU32(header) != kBlobMagic) {
       return Status::Corruption("page " + std::to_string(ids[i]) +
                                 " is not a BLOB header");
@@ -329,6 +368,8 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     Plan& plan = plans[i];
     plan.size = GetU64(header + 8);
     plan.next = GetU64(header + 16);
+    st = CheckDeclaredSize(ids[i], plan.size, max_size_of(i));
+    if (!st.ok()) return st;
     const uint64_t head_chunk =
         std::min<uint64_t>(plan.size, header_capacity());
     if (head_chunk < plan.size) {
@@ -338,9 +379,10 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
           ids[i] + 1 + plan.rem <= file->page_count()) {
         plan.speculate = true;
         plan.cont_index = cont_runs.size();
-        cont_bufs.emplace_back(plan.rem * page_size);
+        cont_bufs.push_back(
+            std::make_unique_for_overwrite<uint8_t[]>(plan.rem * page_size));
         cont_runs.push_back(
-            PageRunRequest{ids[i] + 1, plan.rem, cont_bufs.back().data()});
+            PageRunRequest{ids[i] + 1, plan.rem, cont_bufs.back().get()});
       }
     }
   }
@@ -361,7 +403,7 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     if (dup[i] != 0) {
       BlobReadStats dup_stats;
       Result<std::vector<uint8_t>> copy =
-          GetImpl(ids[i], /*coalesce=*/true, &dup_stats);
+          GetImpl(ids[i], /*coalesce=*/true, max_size_of(i), &dup_stats);
       if (!copy.ok()) return copy.status();
       runs += dup_stats.physical_runs;
       pages_touched += dup_stats.pages;
@@ -382,7 +424,7 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
       ++header_cursor;
     }
 
-    const uint8_t* header = headers.data() + batch_index[i] * page_size;
+    const uint8_t* header = headers.get() + batch_index[i] * page_size;
     std::vector<uint8_t>& out = (*payloads)[i];
     out.reserve(plan.size);
     const size_t head_chunk =
@@ -400,13 +442,13 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
                             cont_charges[cont_cursor].count);
         ++cont_cursor;
       }
-      const std::vector<uint8_t>& buf = cont_bufs[plan.cont_index];
+      const uint8_t* buf = cont_bufs[plan.cont_index].get();
       for (uint64_t j = 0; j < plan.rem && out.size() < plan.size; ++j) {
         if (next != ids[i] + 1 + j) {
           blob_fell_back = true;
           break;
         }
-        const uint8_t* p = buf.data() + j * page_size;
+        const uint8_t* p = buf + j * page_size;
         next = GetU64(p);
         const size_t chunk = std::min<uint64_t>(plan.size - out.size(),
                                                 continuation_capacity());
@@ -414,6 +456,7 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
                    p + kContinuationBytes + chunk);
         ++pages_touched;
       }
+      cont_bufs[plan.cont_index].reset();
     } else if (plan.rem > 0 && next != kInvalidPageId) {
       blob_fell_back = true;
     }
@@ -456,7 +499,10 @@ Result<uint64_t> BlobStore::Size(BlobId id) {
     return Status::Corruption("page " + std::to_string(id) +
                               " is not a BLOB header");
   }
-  return GetU64(page.data() + 8);
+  const uint64_t size = GetU64(page.data() + 8);
+  st = CheckDeclaredSize(id, size, kNoSizeLimit);
+  if (!st.ok()) return st;
+  return size;
 }
 
 Result<BlobStore::BlobExtent> BlobStore::Stat(BlobId id) {
@@ -470,6 +516,8 @@ Result<BlobStore::BlobExtent> BlobStore::Stat(BlobId id) {
   BlobExtent extent;
   extent.id = id;
   extent.size = GetU64(page.data() + 8);
+  st = CheckDeclaredSize(id, extent.size, kNoSizeLimit);
+  if (!st.ok()) return st;
   extent.pages = PagesFor(extent.size);
   const PageId next = GetU64(page.data() + 16);
   extent.starts_adjacent = extent.pages == 1 || next == id + 1;

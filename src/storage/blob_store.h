@@ -78,9 +78,17 @@ class BlobStore {
   Result<std::vector<BlobId>> CopyContiguousBatch(
       const std::vector<BlobId>& sources, uint64_t* bytes);
 
+  /// No bound beyond the file's size on a BLOB's declared payload size.
+  static constexpr uint64_t kNoSizeLimit = UINT64_MAX;
+
   /// Reads a BLOB back in full, one page at a time (the paper-exact cost
-  /// path: every chain page is a separate pool access).
-  Result<std::vector<uint8_t>> Get(BlobId id);
+  /// path: every chain page is a separate pool access). Every read checks
+  /// the header's declared size before sizing a buffer from it: a size
+  /// larger than a chain through every page of the file can hold, or than
+  /// `max_size` (the caller's expected payload size), is Corruption naming
+  /// the page.
+  Result<std::vector<uint8_t>> Get(BlobId id,
+                                   uint64_t max_size = kNoSizeLimit);
 
   /// Reads a BLOB back in full, speculating that its chain occupies
   /// consecutive pages (true for freshly `Put` BLOBs): all continuation
@@ -91,7 +99,8 @@ class BlobStore {
   /// consecutive chains; fragmented chains may charge extra for the
   /// speculatively read pages.
   Result<std::vector<uint8_t>> GetCoalesced(BlobId id,
-                                            BlobReadStats* stats = nullptr);
+                                            BlobReadStats* stats = nullptr,
+                                            uint64_t max_size = kNoSizeLimit);
 
   /// Batched `GetCoalesced` over many BLOBs: all header pages are
   /// submitted as one `BufferPool::ReadRunBatch`, then all speculative
@@ -102,10 +111,12 @@ class BlobStore {
   /// identical to calling `GetCoalesced` once per id. Fragmented chains
   /// fall back to the pointer walk for their tail, exactly like
   /// `GetCoalesced`. `payloads` is resized to `ids.size()`; on error the
-  /// first failure in `ids` order is returned. Thread-safe.
+  /// first failure in `ids` order is returned. `max_sizes`, when not
+  /// empty, holds one `max_size` bound per id. Thread-safe.
   Status GetBatch(std::span<const BlobId> ids,
                   std::vector<std::vector<uint8_t>>* payloads,
-                  BlobReadStats* stats = nullptr);
+                  BlobReadStats* stats = nullptr,
+                  std::span<const uint64_t> max_sizes = {});
 
   /// Payload size of a BLOB without reading the payload.
   Result<uint64_t> Size(BlobId id);
@@ -141,7 +152,9 @@ class BlobStore {
 
  private:
   Result<std::vector<uint8_t>> GetImpl(BlobId id, bool coalesce,
+                                       uint64_t max_size,
                                        BlobReadStats* stats);
+  Status CheckDeclaredSize(BlobId id, uint64_t size, uint64_t max_size) const;
   Result<BlobId> PutImpl(const uint8_t* data, size_t size, bool contiguous);
   Status WriteChain(const uint8_t* data, size_t size,
                     const std::vector<PageId>& chain);

@@ -50,24 +50,38 @@ bool BufferPool::TryReadCached(PageId id, uint8_t* out) {
 }
 
 void BufferPool::InsertEntry(PageId id, const uint8_t* data) {
-  if (capacity_ == 0) return;
+  if (shard_capacity_ == 0) return;
+  const size_t page_size = file_->page_size();
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(id);
   if (it != shard.map.end()) {
-    std::memcpy(it->second->data.data(), data, file_->page_size());
+    std::memcpy(it->second->data.data(), data, page_size);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  while (shard.lru.size() >= shard_capacity_ && !shard.lru.empty()) {
-    shard.map.erase(shard.lru.back().id);
-    shard.lru.pop_back();
+  // Take a frame: a spare one, a new one while the shard is below
+  // capacity, else the LRU victim's (with its list and map nodes). Frames
+  // are only allocated as the shard first fills.
+  if (!shard.spare.empty()) {
+    shard.lru.splice(shard.lru.begin(), shard.spare, shard.spare.begin());
+    shard.map.emplace(id, shard.lru.begin());
+  } else if (shard.lru.size() < shard_capacity_) {
+    shard.lru.push_front(
+        Entry{id, std::vector<uint8_t>(data, data + page_size)});
+    shard.map.emplace(id, shard.lru.begin());
+    return;
+  } else {
+    auto victim = std::prev(shard.lru.end());
+    auto node = shard.map.extract(victim->id);
+    node.key() = id;
+    shard.map.insert(std::move(node));
+    shard.lru.splice(shard.lru.begin(), shard.lru, victim);
     shard.evictions->Add(1);
   }
-  if (shard_capacity_ == 0) return;
-  shard.lru.push_front(Entry{
-      id, std::vector<uint8_t>(data, data + file_->page_size())});
-  shard.map[id] = shard.lru.begin();
+  Entry& frame = shard.lru.front();
+  frame.id = id;
+  std::memcpy(frame.data.data(), data, page_size);
 }
 
 TransactionContext* BufferPool::ActiveTxn() const {
@@ -243,14 +257,14 @@ void BufferPool::Invalidate(PageId id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(id);
   if (it == shard.map.end()) return;
-  shard.lru.erase(it->second);
+  shard.spare.splice(shard.spare.begin(), shard.lru, it->second);
   shard.map.erase(it);
 }
 
 void BufferPool::Clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
+    shard->spare.splice(shard->spare.end(), shard->lru);
     shard->map.clear();
   }
 }

@@ -48,6 +48,11 @@ struct DeferredPageCharge {
 /// path re-enters via `ApplyCommitted`, which writes through and warms
 /// the cache exactly as the unlogged path would have.
 ///
+/// Frames: a page frame is allocated the first time a shard grows to hold
+/// one more page and is then reused in place — an eviction overwrites the
+/// victim's frame, an invalidated page's frame is kept as a spare — so a
+/// warm pool reads misses without allocating.
+///
 /// Concurrency: the pool is thread-safe. The LRU is striped — page ids
 /// hash to one of several shards, each with its own mutex, list, and map —
 /// so concurrent readers on different pages rarely contend. Small pools
@@ -146,6 +151,9 @@ class BufferPool {
   struct Shard {
     std::mutex mu;
     LruList lru;  // front = most recently used
+    // Frames of invalidated or cleared pages, reused before any eviction;
+    // `lru.size() + spare.size()` never exceeds the shard's capacity.
+    LruList spare;
     std::unordered_map<PageId, LruList::iterator> map;
     // Per-stripe registry counters (resolved at pool construction).
     obs::Counter* hits = nullptr;

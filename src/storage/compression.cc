@@ -96,7 +96,7 @@ std::vector<uint8_t> Compress(Compression compression,
 }
 
 Result<std::vector<uint8_t>> Decompress(Compression compression,
-                                        const std::vector<uint8_t>& data,
+                                        std::vector<uint8_t> data,
                                         size_t expected_size) {
   switch (compression) {
     case Compression::kNone:
@@ -108,6 +108,10 @@ Result<std::vector<uint8_t>> Decompress(Compression compression,
       return RleDecompress(data, expected_size);
   }
   return Status::InvalidArgument("unknown compression codec");
+}
+
+uint64_t MaxEncodedSize(Compression compression, uint64_t raw_size) {
+  return compression == Compression::kRle ? 2 * raw_size : raw_size;
 }
 
 Compression CompressIfSmaller(Compression preferred,

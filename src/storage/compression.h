@@ -33,10 +33,17 @@ std::vector<uint8_t> Compress(Compression compression,
 
 /// Decompresses `data` produced by `Compress(compression, ...)`.
 /// `expected_size` is the known uncompressed size (tiles always know it
-/// from their domain); a mismatch yields Corruption.
+/// from their domain); a mismatch yields Corruption. `kNone` moves `data`
+/// into the result: pass an rvalue to decode without a copy.
 Result<std::vector<uint8_t>> Decompress(Compression compression,
-                                        const std::vector<uint8_t>& data,
+                                        std::vector<uint8_t> data,
                                         size_t expected_size);
+
+/// The largest encoding of `raw_size` bytes any valid `compression` stream
+/// can have: `raw_size` for `kNone`; twice it for `kRle`, whose every
+/// control byte yields at least one byte. A stored payload larger than
+/// this is corrupt.
+uint64_t MaxEncodedSize(Compression compression, uint64_t raw_size);
 
 /// Selective compression (the paper's "selective compression of blocks"):
 /// compresses with `preferred` but falls back to `kNone` when the codec

@@ -52,25 +52,26 @@ ThreadedPreadBackend::~ThreadedPreadBackend() = default;
 Status ThreadedPreadBackend::SubmitBatch(std::span<ReadOp> ops) {
   const size_t fanout =
       (threads_ > 1 && ops.size() > 1) ? std::min(threads_, ops.size()) : 1;
-  if (fanout <= 1) {
-    for (ReadOp& op : ops) {
-      op.status = op.file->ReadAt(op.offset, static_cast<size_t>(op.size),
-                                  op.out);
+  auto read_stripe = [ops, fanout](size_t t) {
+    for (size_t i = t; i < ops.size(); i += fanout) {
+      ReadOp& op = ops[i];
+      op.status =
+          op.file->ReadAt(op.offset, static_cast<size_t>(op.size), op.out);
     }
-  } else {
+  };
+  if (fanout > 1) {
     std::call_once(pool_once_,
                    [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
+    // Stripe 0 runs on the caller, which would otherwise sit idle until
+    // the pool finishes.
     TaskGroup group(pool_.get());
-    for (size_t t = 0; t < fanout; ++t) {
-      group.Run([ops, t, fanout] {
-        for (size_t i = t; i < ops.size(); i += fanout) {
-          ReadOp& op = ops[i];
-          op.status = op.file->ReadAt(op.offset,
-                                      static_cast<size_t>(op.size), op.out);
-        }
-      });
+    for (size_t t = 1; t < fanout; ++t) {
+      group.Run([&read_stripe, t] { read_stripe(t); });
     }
+    read_stripe(0);
     group.Wait();
+  } else {
+    read_stripe(0);
   }
   for (const ReadOp& op : ops) {
     if (!op.status.ok()) return op.status;

@@ -61,7 +61,9 @@ class IoBackend {
 ///
 /// With `threads` <= 1 (the default on single-core machines) the ops run
 /// inline on the submitting thread, which is byte- and order-identical to
-/// the historical read loop.
+/// the historical read loop. Otherwise a batch is cut into up to
+/// `threads` interleaved stripes: the submitting thread reads the first,
+/// pool workers the rest.
 class ThreadedPreadBackend final : public IoBackend {
  public:
   explicit ThreadedPreadBackend(size_t threads = 0);

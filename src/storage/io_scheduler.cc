@@ -21,6 +21,13 @@ double ElapsedMs(Clock::time_point start) {
       .count();
 }
 
+// The largest BLOB payload `entry` can have: its stored size is checked
+// against this before the payload is assembled.
+uint64_t MaxPayloadBytes(const TileEntry& entry, CellType cell_type) {
+  return MaxEncodedSize(entry.compression,
+                        entry.domain.CellCountOrDie() * cell_type.size());
+}
+
 }  // namespace
 
 void TileIOScheduler::set_metrics(obs::MetricsRegistry* registry) {
@@ -55,18 +62,19 @@ Result<Tile> TileIOScheduler::FetchOne(const TileEntry& entry,
                                        CellType cell_type, bool coalesce,
                                        TileIOStats* stats) {
   const Clock::time_point io_start = Clock::now();
+  const uint64_t max_size = MaxPayloadBytes(entry, cell_type);
   Result<std::vector<uint8_t>> data =
       coalesce ? [&] {
         BlobReadStats blob_stats;
         Result<std::vector<uint8_t>> r =
-            blobs_->GetCoalesced(entry.blob, &blob_stats);
+            blobs_->GetCoalesced(entry.blob, &blob_stats, max_size);
         if (stats != nullptr) {
           stats->coalesced_runs += blob_stats.physical_runs;
           if (blob_stats.fell_back) ++stats->chain_fallbacks;
         }
         return r;
       }()
-               : blobs_->Get(entry.blob);
+               : blobs_->Get(entry.blob, max_size);
   if (!data.ok()) return data.status();
   if (stats != nullptr) stats->io_summed_ms += ElapsedMs(io_start);
   return DecodePayload(entry, cell_type, std::move(data).MoveValue(), stats);
@@ -79,7 +87,7 @@ Result<Tile> TileIOScheduler::DecodePayload(const TileEntry& entry,
   const Clock::time_point decode_start = Clock::now();
   const size_t raw_size = entry.domain.CellCountOrDie() * cell_type.size();
   Result<std::vector<uint8_t>> cells =
-      Decompress(entry.compression, data, raw_size);
+      Decompress(entry.compression, std::move(data), raw_size);
   if (!cells.ok()) return cells.status();
   Result<Tile> tile =
       Tile::FromBuffer(entry.domain, cell_type, std::move(cells).MoveValue());
@@ -161,7 +169,7 @@ Status TileIOScheduler::FetchBatch(
         // Already-read bytes still get the span: one tile_fetch per tile.
         obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
         if (payload != nullptr) return std::move(*payload);
-        return blobs_->Get(entry.blob);
+        return blobs_->Get(entry.blob, MaxPayloadBytes(entry, cell_type));
       }();
       if (!data.ok()) return data.status();
       ++local->tiles;
@@ -268,14 +276,17 @@ Status TileIOScheduler::FetchBatch(
   }
 
   std::vector<BlobId> miss_ids(miss_idx.size());
+  std::vector<uint64_t> max_sizes(miss_idx.size());
   for (size_t i = 0; i < miss_idx.size(); ++i) {
     miss_ids[i] = entries[miss_idx[i]].blob;
+    max_sizes[i] = MaxPayloadBytes(entries[miss_idx[i]], cell_type);
   }
 
   const Clock::time_point io_start = Clock::now();
   std::vector<std::vector<uint8_t>> payloads;
   BlobReadStats batch_stats;
-  Status batch_status = blobs_->GetBatch(miss_ids, &payloads, &batch_stats);
+  Status batch_status =
+      blobs_->GetBatch(miss_ids, &payloads, &batch_stats, max_sizes);
   if (!miss_idx.empty()) {
     const double batch_io_ms = ElapsedMs(io_start);
     merged.io_summed_ms += batch_io_ms;

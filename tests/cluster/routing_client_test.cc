@@ -87,9 +87,7 @@ class ClusterTest : public ::testing::Test {
   }
 
   void Wipe(const std::string& path) {
-    (void)RemoveFile(path);
-    (void)RemoveFile(path + ".lock");
-    (void)RemoveFile(path + ".wal");
+    RemoveStoreFiles(path);
   }
 
   std::vector<ShardEndpoint> Eps() const {

@@ -167,7 +167,7 @@ TEST(PackedRTreeTest, ParseRejectsCorruptImages) {
 TEST(PackedRTreeTest, StoreReopensWithPackedIndexAndUpgradesOnWrite) {
   const std::string path =
       UniqueTestPath("packed_rtree_store_test.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   const MInterval domain({{0, 63}, {0, 63}});
   Array data =
       Array::Create(domain, CellType::Of(CellTypeId::kUInt8)).value();
@@ -206,7 +206,8 @@ TEST(PackedRTreeTest, StoreReopensWithPackedIndexAndUpgradesOnWrite) {
   store.reset();
   store = MDDStore::Open(path, options).MoveValue();
   EXPECT_TRUE(store->GetMDD("obj").value()->index_is_packed());
-  (void)RemoveFile(path);
+  store.reset();
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -38,9 +38,9 @@ class EndToEndTest : public ::testing::TestWithParam<EndToEndCase> {
   void SetUp() override {
     path_ = UniqueTestPath("end_to_end_") +
             std::string(GetParam().name) + ".db";
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
-  void TearDown() override { (void)RemoveFile(path_); }
+  void TearDown() override { RemoveStoreFiles(path_); }
 
   std::string path_;
 };

@@ -59,10 +59,7 @@ class CompactorTest : public ::testing::Test {
     Wipe();
   }
   void Wipe() {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
-    (void)RemoveFile(path_ + ".lock");
-    (void)RemoveFile(path_ + ".compact");
+    RemoveStoreFiles(path_);
   }
 
   Array Pattern(const MInterval& domain, int32_t scale) {

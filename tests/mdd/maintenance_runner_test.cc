@@ -73,12 +73,7 @@ class MaintenanceRunnerTest : public ::testing::Test {
     store_.reset();
     Wipe();
   }
-  void Wipe() {
-    for (const char* suffix :
-         {"", ".wal", ".lock", ".retile", ".compact", ".summ"}) {
-      (void)RemoveFile(path_ + suffix);
-    }
-  }
+  void Wipe() { RemoveStoreFiles(path_); }
   static MDDStoreOptions Options() {
     MDDStoreOptions options;
     options.page_size = 512;

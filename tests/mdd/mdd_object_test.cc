@@ -15,14 +15,14 @@ class MDDObjectTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("mdd_object_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   static Array SequentialArray(const MInterval& domain) {
@@ -181,7 +181,7 @@ TEST_F(MDDObjectTest, DirectoryIndexVariantBehavesIdentically) {
   options.page_size = 512;
   options.index_kind = IndexKind::kDirectory;
   const std::string path2 = UniqueTestPath("mdd_object_dir.db");
-  (void)RemoveFile(path2);
+  RemoveStoreFiles(path2);
   auto store2 = MDDStore::Create(path2, options).MoveValue();
   MDDObject* obj = store2
                        ->CreateMDD("obj", MInterval({{0, 49}}),
@@ -191,7 +191,7 @@ TEST_F(MDDObjectTest, DirectoryIndexVariantBehavesIdentically) {
   ASSERT_TRUE(obj->InsertTile(SequentialArray(MInterval({{25, 49}}))).ok());
   EXPECT_EQ(obj->FindTiles(MInterval({{20, 30}})).size(), 2u);
   store2.reset();
-  (void)RemoveFile(path2);
+  RemoveStoreFiles(path2);
 }
 
 }  // namespace

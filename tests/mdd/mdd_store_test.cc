@@ -14,9 +14,9 @@ class MDDStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("mdd_store_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
-  void TearDown() override { (void)RemoveFile(path_); }
+  void TearDown() override { RemoveStoreFiles(path_); }
 
   MDDStoreOptions SmallPages() {
     MDDStoreOptions options;

@@ -19,12 +19,10 @@ class MDDTxnTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("mdd_txn_test.db");
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
   void TearDown() override {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   MDDStoreOptions SmallPages() {
@@ -201,7 +199,7 @@ TEST_F(MDDTxnTest, BeginRequiresWalAndNoActiveTransaction) {
     EXPECT_TRUE(store->Commit().IsInvalidArgument());
     EXPECT_TRUE(store->Abort().IsInvalidArgument());
   }
-  (void)RemoveFile(path_);
+  RemoveStoreFiles(path_);
   auto store = MDDStore::Create(path_, SmallPages()).MoveValue();
   ASSERT_TRUE(store->Begin().ok());
   EXPECT_FALSE(store->Begin().ok());
@@ -259,7 +257,7 @@ TEST_F(MDDTxnTest, ReadPathCostIsIdenticalWithAndWithoutWal) {
   const MInterval domain({{0, 255}});
   const std::string logged_path = path_;
   const std::string unlogged_path = path_ + ".unlogged";
-  (void)RemoveFile(unlogged_path);
+  RemoveStoreFiles(unlogged_path);
 
   MDDStoreOptions unlogged = SmallPages();
   unlogged.wal_enabled = false;
@@ -296,8 +294,7 @@ TEST_F(MDDTxnTest, ReadPathCostIsIdenticalWithAndWithoutWal) {
   EXPECT_EQ(pages_read[0], pages_read[1]);
   EXPECT_EQ(read_seeks[0], read_seeks[1]);
   EXPECT_GT(pages_read[0], 0u);
-  (void)RemoveFile(unlogged_path);
-  (void)RemoveFile(unlogged_path + ".wal");
+  RemoveStoreFiles(unlogged_path);
 }
 
 }  // namespace

@@ -17,14 +17,14 @@ class MDDUpdateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("mdd_update_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   static Array Constant(const MInterval& domain, uint8_t value) {

@@ -18,12 +18,10 @@ class StoreLockTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("store_lock_test.db");
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".lock");
+    RemoveStoreFiles(path_);
   }
   void TearDown() override {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".lock");
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

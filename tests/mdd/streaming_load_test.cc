@@ -16,14 +16,14 @@ class StreamingLoadTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("streaming_load_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

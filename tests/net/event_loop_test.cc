@@ -152,7 +152,7 @@ class EventLoopServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("event_loop_server_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     store_ = MDDStore::Create(path_).MoveValue();
     MDDObject* obj =
         store_
@@ -171,9 +171,7 @@ class EventLoopServerTest : public ::testing::Test {
     if (server_) server_->Stop();
     server_.reset();
     store_.reset();
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".lock");
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

@@ -22,7 +22,7 @@ class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("net_server_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     store_ = MDDStore::Create(path_).MoveValue();
     MDDObject* obj =
         store_
@@ -49,9 +49,7 @@ class NetServerTest : public ::testing::Test {
     if (server_) server_->Stop();
     server_.reset();
     store_.reset();
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".lock");
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   void StartServer(TileServerOptions options = TileServerOptions()) {

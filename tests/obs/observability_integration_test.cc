@@ -23,8 +23,7 @@ class ObservabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("obs_integration_test.db");
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     options.worker_threads = 4;
@@ -32,8 +31,7 @@ class ObservabilityTest : public ::testing::Test {
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   static Array PatternArray(const MInterval& domain) {

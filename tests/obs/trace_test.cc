@@ -102,7 +102,7 @@ void CheckPerThreadNesting(const std::vector<TraceEvent>& events) {
 
 TEST(QueryTraceTest, ParallelQueryEmitsProperlyNestedSpans) {
   const std::string path = UniqueTestPath("trace_test.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions store_options;
   store_options.page_size = 512;
   store_options.worker_threads = 4;
@@ -149,12 +149,12 @@ TEST(QueryTraceTest, ParallelQueryEmitsProperlyNestedSpans) {
   CheckPerThreadNesting(events);
 
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
 }
 
 TEST(QueryTraceTest, SerialQuerySpansNestInsideQuerySpan) {
   const std::string path = UniqueTestPath("trace_serial_test.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions store_options;
   store_options.page_size = 512;
   auto store = MDDStore::Create(path, store_options).MoveValue();
@@ -184,7 +184,7 @@ TEST(QueryTraceTest, SerialQuerySpansNestInsideQuerySpan) {
   CheckPerThreadNesting(events);
 
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
 }
 
 // The span contract of the executor's one pipeline: every entry point,
@@ -194,7 +194,7 @@ TEST(QueryTraceTest, SerialQuerySpansNestInsideQuerySpan) {
 // predicate is set.
 TEST(QueryTraceTest, EveryEntryPointEmitsOneSpanPerPhase) {
   const std::string path = UniqueTestPath("trace_contract_test.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions store_options;
   store_options.page_size = 512;
   store_options.worker_threads = 4;
@@ -265,7 +265,7 @@ TEST(QueryTraceTest, EveryEntryPointEmitsOneSpanPerPhase) {
   }
 
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

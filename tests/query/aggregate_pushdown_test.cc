@@ -18,14 +18,14 @@ class AggregatePushdownTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("aggregate_pushdown_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

@@ -27,7 +27,7 @@ class ConcurrentQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("concurrent_query_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     options.worker_threads = 4;
@@ -44,7 +44,7 @@ class ConcurrentQueryTest : public ::testing::Test {
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;
@@ -138,7 +138,7 @@ TEST_F(ConcurrentQueryTest, SerialSchedulerPathCostMatchesLegacyLoop) {
   // summaries off so every tile is inspected; the RLE object takes the
   // encoded fast paths (filter and fold straight off the stream).
   const std::string path = UniqueTestPath("concurrent_query_cost_test.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions store_options;
   store_options.page_size = 512;
   store_options.tile_summaries = false;
@@ -215,7 +215,7 @@ TEST_F(ConcurrentQueryTest, SerialSchedulerPathCostMatchesLegacyLoop) {
     }
   }
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
 }
 
 TEST_F(ConcurrentQueryTest, ParallelColdQueryTotalsMatchSerialTransfer) {

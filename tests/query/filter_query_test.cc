@@ -81,11 +81,7 @@ class FilterQueryTest : public ::testing::Test {
     store_.reset();
     RemoveSidecars();
   }
-  void RemoveSidecars() {
-    for (const char* suffix : {"", ".wal", ".summ", ".lock"}) {
-      (void)RemoveFile(path_ + suffix);
-    }
-  }
+  void RemoveSidecars() { RemoveStoreFiles(path_); }
 
   MDDObject* LoadObject(const std::string& name, const Array& data,
                         const std::vector<Coord>& grid) {

@@ -4,7 +4,10 @@
 
 #include "test_paths.h"
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "tiling/aligned.h"
@@ -18,14 +21,14 @@ class RangeQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("range_query_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   static Array PatternArray(const MInterval& domain) {
@@ -49,6 +52,38 @@ class RangeQueryTest : public ::testing::Test {
   std::string path_;
   std::unique_ptr<MDDStore> store_;
 };
+
+// A tile BLOB whose header declares more bytes than its `TileEntry` can
+// encode to is rejected before the payload is assembled, on the serial
+// (`Get`) and the batched (`GetBatch`) fetch alike, naming the page.
+TEST_F(RangeQueryTest, OversizedTilePayloadIsCorruptionNamingThePage) {
+  const MInterval domain({{0, 19}, {0, 19}});
+  MDDObject* obj =
+      LoadObject("obj", PatternArray(domain), AlignedTiling::Regular(2, 512));
+  const TileEntry tile = obj->FindTiles(domain).front();
+  const uint64_t raw = tile.domain.CellCountOrDie() * sizeof(uint32_t);
+  std::vector<uint8_t> header(512);
+  BufferPool* pool = store_->buffer_pool();
+  ASSERT_TRUE(pool->ReadPage(tile.blob, header.data()).ok());
+  const uint64_t declared = raw + 4;  // still inside the BLOB's own pages
+  std::memcpy(header.data() + 8, &declared, sizeof(declared));
+  ASSERT_TRUE(pool->WritePage(tile.blob, header.data()).ok());
+
+  for (int parallelism : {1, 4}) {
+    RangeQueryOptions options;
+    options.parallelism = parallelism;
+    RangeQueryExecutor executor(store_.get(), options);
+    const Status st =
+        executor.ExecuteAggregate(obj, domain, AggregateOp::kSum).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find("page " + std::to_string(tile.blob)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.ToString().find("at most " + std::to_string(raw)),
+              std::string::npos)
+        << st.ToString();
+  }
+}
 
 TEST_F(RangeQueryTest, FullObjectReadMatchesSource) {
   const MInterval domain({{0, 19}, {0, 19}});

@@ -79,7 +79,7 @@ class RasqlEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("rasql_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
@@ -96,7 +96,7 @@ class RasqlEngineTest : public ::testing::Test {
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "test_paths.h"
@@ -68,6 +71,218 @@ TEST(AggregateRegionTest, RejectsBadInput) {
   Array rgb =
       Array::Create(domain, CellType::Of(CellTypeId::kRGB8)).value();
   EXPECT_FALSE(AggregateRegion(rgb, domain, AggregateOp::kSum).ok());
+}
+
+// The fixed-dimension random-region check above, for every numeric type,
+// with values drawn from the type's whole range (so integer sums span
+// their full magnitude). Also runs the filtered kernel with a predicate
+// that keeps every cell, which must equal the unfiltered value.
+template <typename T>
+void CheckRegionIdentity(CellTypeId id, uint64_t seed) {
+  const MInterval domain({{0, 24}, {0, 19}, {0, 9}});
+  Array data = Array::Create(domain, CellType::Of(id)).value();
+  Random fill(seed);
+  T* cells = reinterpret_cast<T*>(data.mutable_data());
+  for (uint64_t i = 0; i < data.cell_count(); ++i) {
+    if constexpr (std::is_integral_v<T>) {
+      uint64_t bits = fill.Next();
+      std::memcpy(&cells[i], &bits, sizeof(T));
+    } else {
+      cells[i] = static_cast<T>(fill.UniformInt(-999, 999)) / T{7};
+    }
+  }
+  const ValuePredicate keep_all{ValuePredicate::Kind::kBetween,
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity()};
+  Random rng(seed + 1);
+  for (int iter = 0; iter < 20; ++iter) {
+    std::vector<Coord> lo(3), hi(3);
+    for (size_t i = 0; i < 3; ++i) {
+      lo[i] = rng.UniformInt(domain.lo(i), domain.hi(i));
+      hi[i] = rng.UniformInt(lo[i], domain.hi(i));
+    }
+    const MInterval region = MInterval::Create(lo, hi).value();
+    Array slice = data.Slice(region).MoveValue();
+    for (AggregateOp op : kAllOps) {
+      const double reference = AggregateCells(slice, op).value();
+      EXPECT_EQ(AggregateRegion(data, region, op).value(), reference)
+          << data.cell_type().name() << " " << region.ToString() << " op "
+          << AggregateOpToName(op);
+      if (op == AggregateOp::kAvg) continue;  // filtered kAvg folds a sum
+      const FilteredAggregate filtered =
+          AggregateRegionFiltered(data, region, keep_all, op).value();
+      EXPECT_EQ(filtered.value, reference)
+          << data.cell_type().name() << " " << region.ToString() << " op "
+          << AggregateOpToName(op);
+      EXPECT_EQ(filtered.matched, region.CellCountOrDie());
+    }
+  }
+}
+
+TEST(AggregateRegionTest, MatchesSliceReduceForEveryNumericType) {
+  CheckRegionIdentity<uint8_t>(CellTypeId::kUInt8, 1);
+  CheckRegionIdentity<int8_t>(CellTypeId::kInt8, 2);
+  CheckRegionIdentity<uint16_t>(CellTypeId::kUInt16, 3);
+  CheckRegionIdentity<int16_t>(CellTypeId::kInt16, 4);
+  CheckRegionIdentity<uint32_t>(CellTypeId::kUInt32, 5);
+  CheckRegionIdentity<int32_t>(CellTypeId::kInt32, 6);
+  CheckRegionIdentity<uint64_t>(CellTypeId::kUInt64, 7);
+  CheckRegionIdentity<int64_t>(CellTypeId::kInt64, 8);
+  CheckRegionIdentity<float>(CellTypeId::kFloat32, 9);
+  CheckRegionIdentity<double>(CellTypeId::kFloat64, 10);
+}
+
+// ---------------------------------------------------------------------------
+// The integer-exact sum rule at its edges (DESIGN.md §10): integer cells
+// up to 32 bits sum in 64-bit integers while `cells × max|T| <= 2^53`,
+// and in the double chain past that. Either way every kernel must equal
+// `AggregateCells` over the slice, bit for bit.
+
+// A 1-D array of `n` cells, all `value`.
+template <typename T>
+Array ConstantArray(CellTypeId id, uint64_t n, T value) {
+  Array data = Array::Create(MInterval({{0, static_cast<Coord>(n) - 1}}),
+                             CellType::Of(id))
+                   .value();
+  T* cells = reinterpret_cast<T*>(data.mutable_data());
+  for (uint64_t i = 0; i < n; ++i) cells[i] = value;
+  return data;
+}
+
+std::vector<uint8_t> RleOf(const Array& data) {
+  return Compress(Compression::kRle,
+                  std::vector<uint8_t>(data.data(),
+                                       data.data() + data.size_bytes()));
+}
+
+// Every kernel over `data` (whole domain, plus the prefix of `region_cells`
+// cells when that is shorter) against the slice reference.
+void CheckSumKernels(const Array& data, uint64_t region_cells) {
+  const MInterval region({{0, static_cast<Coord>(region_cells) - 1}});
+  const Array slice = data.Slice(region).MoveValue();
+  const ValuePredicate keep_all{ValuePredicate::Kind::kBetween,
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity()};
+  const std::vector<uint8_t> stream = RleOf(slice);
+  for (AggregateOp op : {AggregateOp::kSum, AggregateOp::kAvg}) {
+    const double reference = AggregateCells(slice, op).value();
+    const std::string what = std::string(data.cell_type().name()) + " " +
+                             std::to_string(region_cells) + " cells op " +
+                             std::string(AggregateOpToName(op));
+    EXPECT_EQ(AggregateRegion(data, region, op).value(), reference) << what;
+    EXPECT_EQ(AggregateRleStream(stream, data.cell_type(), region_cells, op)
+                  .value(),
+              reference)
+        << what;
+    if (op == AggregateOp::kSum) {
+      EXPECT_EQ(
+          AggregateRegionFiltered(data, region, keep_all, op).value().value,
+          reference)
+          << what;
+    }
+  }
+}
+
+template <typename T>
+void CheckExtremes(CellTypeId id) {
+  std::vector<T> values = {T{0}, std::numeric_limits<T>::max()};
+  if (std::is_signed_v<T>) values.push_back(std::numeric_limits<T>::min());
+  for (T value : values) {
+    const Array data = ConstantArray<T>(id, 3000, value);
+    CheckSumKernels(data, 3000);
+    CheckSumKernels(data, 1);
+  }
+  // Alternating extremes: partial sums swing across zero.
+  Array mixed = ConstantArray<T>(id, 3001, std::numeric_limits<T>::max());
+  T* cells = reinterpret_cast<T*>(mixed.mutable_data());
+  for (uint64_t i = 1; i < mixed.cell_count(); i += 2) {
+    cells[i] = std::numeric_limits<T>::min();
+  }
+  CheckSumKernels(mixed, 3001);
+}
+
+TEST(AggregateExactSumTest, EveryIntegerTypeAtZeroMaxAndMin) {
+  CheckExtremes<uint8_t>(CellTypeId::kUInt8);
+  CheckExtremes<int8_t>(CellTypeId::kInt8);
+  CheckExtremes<uint16_t>(CellTypeId::kUInt16);
+  CheckExtremes<int16_t>(CellTypeId::kInt16);
+  CheckExtremes<uint32_t>(CellTypeId::kUInt32);
+  CheckExtremes<int32_t>(CellTypeId::kInt32);
+  CheckExtremes<uint64_t>(CellTypeId::kUInt64);
+  CheckExtremes<int64_t>(CellTypeId::kInt64);
+}
+
+// The guard is `cells <= floor(2^53 / max|T|)`: 2^21 cells for uint32
+// (max 2^32 - 1) and 2^22 for int32 (max|T| = 2^31). Each array holds one
+// cell more than its guard; the region of exactly the guard takes the
+// integer fold, the whole array the double chain.
+TEST(AggregateExactSumTest, RegionsAtTheGuardAndOnePast) {
+  constexpr uint64_t kU32Guard = (uint64_t{1} << 53) / 0xFFFFFFFFull;
+  static_assert(kU32Guard == uint64_t{1} << 21);
+  const Array u32 = ConstantArray<uint32_t>(CellTypeId::kUInt32,
+                                            kU32Guard + 1, 0xFFFFFFFFu);
+  CheckSumKernels(u32, kU32Guard);
+  CheckSumKernels(u32, kU32Guard + 1);
+
+  constexpr uint64_t kI32Guard = uint64_t{1} << 22;
+  const Array i32 = ConstantArray<int32_t>(
+      CellTypeId::kInt32, kI32Guard + 1, std::numeric_limits<int32_t>::min());
+  CheckSumKernels(i32, kI32Guard);  // exactly -2^53
+  EXPECT_EQ(AggregateRegion(
+                i32, MInterval({{0, static_cast<Coord>(kI32Guard) - 1}}),
+                AggregateOp::kSum)
+                .value(),
+            -9007199254740992.0);
+  CheckSumKernels(i32, kI32Guard + 1);
+}
+
+// Far enough past the guard the double chain rounds: 2^21 + 1 maximal
+// uint32 cells push the running sum past 2^53, where a further +1 is a tie
+// that rounds to even. The kernels must reproduce that rounding (the
+// chain), not the exact integer sum.
+TEST(AggregateExactSumTest, PastTheGuardTheDoubleChainRoundsAsBefore) {
+  constexpr uint64_t kMax = (uint64_t{1} << 21) + 1;
+  constexpr uint64_t kOnes = 64;
+  Array data = ConstantArray<uint32_t>(CellTypeId::kUInt32, kMax + kOnes,
+                                       0xFFFFFFFFu);
+  uint32_t* cells = reinterpret_cast<uint32_t*>(data.mutable_data());
+  for (uint64_t i = kMax; i < kMax + kOnes; ++i) cells[i] = 1;
+  CheckSumKernels(data, kMax + kOnes);
+  const uint64_t exact = kMax * 0xFFFFFFFFull + kOnes;
+  EXPECT_NE(AggregateRegion(data, data.domain(), AggregateOp::kSum).value(),
+            static_cast<double>(exact))
+      << "the double chain should have rounded; the fixture lost its point";
+}
+
+// A filter that drops cells: the filtered kernel sums exactly the kept
+// cells, in order, with the same double as the slice kernel over them.
+TEST(AggregateExactSumTest, FilteredKernelSumsTheKeptCells) {
+  const MInterval domain({{0, 63}, {0, 47}});
+  Array data =
+      Array::Create(domain, CellType::Of(CellTypeId::kInt32)).value();
+  Random fill(41);
+  int32_t* cells = reinterpret_cast<int32_t*>(data.mutable_data());
+  for (uint64_t i = 0; i < data.cell_count(); ++i) {
+    uint64_t bits = fill.Next();
+    std::memcpy(&cells[i], &bits, sizeof(int32_t));
+  }
+  const ValuePredicate positive{ValuePredicate::Kind::kGreater, 0, 0};
+  const MInterval region({{5, 60}, {3, 40}});
+  const Array slice = data.Slice(region).MoveValue();
+  std::vector<int32_t> kept;
+  const int32_t* slice_cells = reinterpret_cast<const int32_t*>(slice.data());
+  for (uint64_t i = 0; i < slice.cell_count(); ++i) {
+    if (positive.Matches(slice_cells[i])) kept.push_back(slice_cells[i]);
+  }
+  ASSERT_FALSE(kept.empty());
+  Array kept_array = ConstantArray<int32_t>(CellTypeId::kInt32, kept.size(), 0);
+  std::memcpy(kept_array.mutable_data(), kept.data(),
+              kept.size() * sizeof(int32_t));
+  const FilteredAggregate got =
+      AggregateRegionFiltered(data, region, positive, AggregateOp::kSum)
+          .value();
+  EXPECT_EQ(got.matched, kept.size());
+  EXPECT_EQ(got.value, AggregateCells(kept_array, AggregateOp::kSum).value());
 }
 
 template <typename T>
@@ -168,9 +383,7 @@ class RunAggregateQueryTest : public ::testing::Test {
     Wipe();
   }
   void Wipe() {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
-    (void)RemoveFile(path_ + ".lock");
+    RemoveStoreFiles(path_);
   }
 
   double Aggregate(MDDObject* obj, const MInterval& region, AggregateOp op,
@@ -309,8 +522,7 @@ TEST_F(RunAggregateQueryTest, AvgOverUncoveredRegionDividesByRegionCells) {
 // logical decoded tile size.
 TEST_F(RunAggregateQueryTest, ColdCostModelUnchangedByCacheAndKernel) {
   const std::string other_path = UniqueTestPath("run_aggregate_nocache.db");
-  (void)RemoveFile(other_path);
-  (void)RemoveFile(other_path + ".wal");
+  RemoveStoreFiles(other_path);
   MDDStoreOptions no_cache;
   no_cache.page_size = 512;
   no_cache.tile_cache_bytes = 0;
@@ -365,9 +577,7 @@ TEST_F(RunAggregateQueryTest, ColdCostModelUnchangedByCacheAndKernel) {
   }
 
   plain.reset();
-  (void)RemoveFile(other_path);
-  (void)RemoveFile(other_path + ".wal");
-  (void)RemoveFile(other_path + ".lock");
+  RemoveStoreFiles(other_path);
 }
 
 }  // namespace

@@ -14,14 +14,14 @@ class SubAggregateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("subaggregate_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   // A 12x10 cube where cell (x, y) holds x*100 + y, so block sums are easy

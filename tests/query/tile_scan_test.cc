@@ -16,7 +16,7 @@ class TileScanTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("tile_scan_test.db");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
     MDDStoreOptions options;
     options.page_size = 512;
     store_ = MDDStore::Create(path_, options).MoveValue();
@@ -33,7 +33,7 @@ class TileScanTest : public ::testing::Test {
   }
   void TearDown() override {
     store_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   std::string path_;

@@ -4,6 +4,9 @@
 
 #include "test_paths.h"
 
+#include <cstring>
+#include <string>
+
 #include "common/random.h"
 
 namespace tilestore {
@@ -23,7 +26,7 @@ class BlobStoreTest : public ::testing::Test {
     store_.reset();
     pool_.reset();
     file_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   static std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
@@ -241,6 +244,101 @@ TEST_F(BlobStoreTest, StatReportsFragmentedChains) {
   EXPECT_EQ(store_->Get(id).MoveValue(), data);
   EXPECT_TRUE(store_->Stat(kInvalidBlobId).status().IsCorruption() ||
               store_->Stat(kInvalidBlobId).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// A header's declared size is untrusted: every read path checks it before
+// sizing a buffer from it.
+
+class BlobStoreCorruptSizeTest : public BlobStoreTest {
+ protected:
+  // Rewrites the size field (bytes 8..15) of `id`'s header page.
+  void SetDeclaredSize(BlobId id, uint64_t size) {
+    std::vector<uint8_t> page(512);
+    ASSERT_TRUE(file_->ReadPage(id, page.data()).ok());
+    std::memcpy(page.data() + 8, &size, sizeof(size));
+    ASSERT_TRUE(pool_->WritePage(id, page.data()).ok());
+  }
+
+  // The payload bytes a chain through every page of the file (all but
+  // the superblock) holds.
+  uint64_t Room() const {
+    return store_->header_capacity() +
+           (file_->page_count() - 2) * store_->continuation_capacity();
+  }
+
+  static void ExpectCorruptionAt(const Status& st, BlobId id) {
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find("page " + std::to_string(id)),
+              std::string::npos)
+        << st.ToString();
+  }
+
+  Status GetBatchOf(std::vector<BlobId> ids,
+                    std::vector<uint64_t> max_sizes = {}) {
+    std::vector<std::vector<uint8_t>> payloads;
+    return store_->GetBatch(ids, &payloads, nullptr, max_sizes);
+  }
+};
+
+TEST_F(BlobStoreCorruptSizeTest, HugeSizeIsCorruptionOnEveryReadPath) {
+  const BlobId before = store_->Put(RandomBytes(100, 1)).value();
+  const BlobId id = store_->Put(RandomBytes(1500, 2)).value();  // 4 pages
+  const BlobId after = store_->Put(RandomBytes(900, 3)).value();
+  SetDeclaredSize(id, uint64_t{1} << 62);
+
+  ExpectCorruptionAt(store_->Get(id).status(), id);
+  ExpectCorruptionAt(store_->GetCoalesced(id).status(), id);
+  ExpectCorruptionAt(GetBatchOf({before, id, after}), id);
+  // A repeated id takes GetBatch's sequential path at its second place.
+  ExpectCorruptionAt(GetBatchOf({id, before, id}), id);
+  ExpectCorruptionAt(store_->Size(id).status(), id);
+  ExpectCorruptionAt(store_->Stat(id).status(), id);
+  // The neighbours are untouched.
+  EXPECT_EQ(store_->Get(before).value(), RandomBytes(100, 1));
+  EXPECT_EQ(store_->Get(after).value(), RandomBytes(900, 3));
+}
+
+TEST_F(BlobStoreCorruptSizeTest, SizeBoundIsWhatTheWholeFileHolds) {
+  const BlobId id = store_->Put(RandomBytes(1500, 4)).value();
+  store_->Put(RandomBytes(300, 5)).value();
+  const uint64_t room = Room();
+
+  // One byte past the bound: rejected before any buffer is sized.
+  SetDeclaredSize(id, room + 1);
+  for (const Status& st :
+       {store_->Get(id).status(), store_->GetCoalesced(id).status(),
+        GetBatchOf({id})}) {
+    ExpectCorruptionAt(st, id);
+    EXPECT_NE(st.ToString().find("whole file"), std::string::npos)
+        << st.ToString();
+  }
+
+  // Exactly at the bound the size is plausible; the chain walk then finds
+  // that the BLOB's own chain ends early — still Corruption.
+  SetDeclaredSize(id, room);
+  for (const Status& st :
+       {store_->Get(id).status(), store_->GetCoalesced(id).status(),
+        GetBatchOf({id})}) {
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(st.ToString().find("whole file"), std::string::npos)
+        << st.ToString();
+  }
+}
+
+TEST_F(BlobStoreCorruptSizeTest, CallerBoundRejectsLargerPayloads) {
+  const std::vector<uint8_t> data = RandomBytes(1500, 6);
+  const BlobId id = store_->Put(data).value();
+  const BlobId other = store_->Put(RandomBytes(200, 7)).value();
+
+  EXPECT_EQ(store_->Get(id, 1500).value(), data);
+  EXPECT_EQ(store_->GetCoalesced(id, nullptr, 1500).value(), data);
+  ExpectCorruptionAt(store_->Get(id, 1499).status(), id);
+  ExpectCorruptionAt(store_->GetCoalesced(id, nullptr, 1499).status(), id);
+
+  EXPECT_TRUE(GetBatchOf({other, id}, {200, 1500}).ok());
+  ExpectCorruptionAt(GetBatchOf({other, id}, {200, 1499}), id);
+  ExpectCorruptionAt(GetBatchOf({id, other, id}, {1500, 200, 1499}), id);
 }
 
 }  // namespace

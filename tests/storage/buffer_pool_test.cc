@@ -4,7 +4,13 @@
 
 #include "test_paths.h"
 
+#include <algorithm>
+#include <list>
 #include <vector>
+
+#include "common/random.h"
+#include "storage/txn.h"
+#include "storage/wal.h"
 
 namespace tilestore {
 namespace {
@@ -19,7 +25,7 @@ class BufferPoolTest : public ::testing::Test {
   }
   void TearDown() override {
     file_.reset();
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   PageId WritePageVia(BufferPool* pool, uint8_t fill) {
@@ -224,6 +230,195 @@ TEST_F(BufferPoolTest, SmallPoolsUseOneShardLargeOnesStripe) {
   EXPECT_EQ(small.shard_count(), 1u);
   BufferPool large(file_.get(), 4096);
   EXPECT_GT(large.shard_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Frame reuse: evicted and invalidated pages hand their frames to the next
+// miss, so every test below fills pages with a per-page byte pattern and
+// checks whole pages, not first bytes.
+
+std::vector<uint8_t> PagePattern(PageId id, uint8_t salt) {
+  std::vector<uint8_t> page(512);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<uint8_t>(id * 31 + i * 7 + salt);
+  }
+  return page;
+}
+
+TEST_F(BufferPoolTest, ReusedFrameNeverReturnsTheVictimsBytes) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(file_->AllocatePage().value());
+    ASSERT_TRUE(file_->WritePage(ids.back(), PagePattern(ids.back(), 0).data())
+                    .ok());
+  }
+  BufferPool pool(file_.get(), 2);
+  std::vector<uint8_t> out(512);
+  // a, b fill the pool; c takes a's frame, then a takes c's.
+  for (int step : {0, 1, 2, 2, 1, 0, 0}) {
+    ASSERT_TRUE(pool.ReadPage(ids[step], out.data()).ok());
+    EXPECT_EQ(out, PagePattern(ids[step], 0)) << "step " << step;
+    EXPECT_LE(pool.cached_pages(), 2u);
+  }
+  EXPECT_EQ(pool.misses(), 4u);
+  EXPECT_EQ(pool.hits(), 3u);
+  EXPECT_EQ(pool.evictions(), 2u);
+  // A coalesced run over reused frames also returns each page's own bytes.
+  std::vector<uint8_t> run(3 * 512);
+  ASSERT_TRUE(pool.ReadRun(ids[0], 3, run.data()).ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::equal(run.begin() + i * 512, run.begin() + (i + 1) * 512,
+                           PagePattern(ids[i], 0).begin()))
+        << "run page " << i;
+  }
+}
+
+TEST_F(BufferPoolTest, InvalidateThenRereadReturnsFreshBytes) {
+  BufferPool pool(file_.get(), 4);
+  const PageId a = file_->AllocatePage().value();
+  const PageId b = file_->AllocatePage().value();
+  ASSERT_TRUE(pool.WritePage(a, PagePattern(a, 1).data()).ok());
+  // The file changes behind the pool (as when a freed page is reused);
+  // after Invalidate the pool must read the new bytes, not its old frame.
+  ASSERT_TRUE(file_->WritePage(a, PagePattern(a, 2).data()).ok());
+  pool.Invalidate(a);
+  std::vector<uint8_t> out(512);
+  ASSERT_TRUE(pool.ReadPage(a, out.data()).ok());
+  EXPECT_EQ(out, PagePattern(a, 2));
+  // The invalidated frame is reused by the next page cached.
+  pool.Invalidate(a);
+  ASSERT_TRUE(file_->WritePage(b, PagePattern(b, 3).data()).ok());
+  ASSERT_TRUE(pool.ReadPage(b, out.data()).ok());
+  EXPECT_EQ(out, PagePattern(b, 3));
+  model_.Reset();
+  ASSERT_TRUE(pool.ReadPage(b, out.data()).ok());
+  EXPECT_EQ(out, PagePattern(b, 3));
+  EXPECT_EQ(model_.pages_read(), 0u);
+  EXPECT_EQ(pool.cached_pages(), 1u);
+}
+
+// A reference LRU (one list, no frames) replays a random mix of reads,
+// writes, invalidations and clears; the pool's hits, misses, evictions,
+// physical reads and contents must match it step for step.
+TEST_F(BufferPoolTest, EvictionCountsAndLruOrderMatchReferenceLru) {
+  constexpr size_t kCapacity = 5;
+  constexpr int kPages = 12;
+  std::vector<PageId> ids;
+  std::vector<uint8_t> salt(kPages, 0);
+  for (int i = 0; i < kPages; ++i) {
+    ids.push_back(file_->AllocatePage().value());
+    ASSERT_TRUE(file_->WritePage(ids[i], PagePattern(ids[i], 0).data()).ok());
+  }
+  BufferPool pool(file_.get(), kCapacity);
+  std::list<PageId> lru;  // front = most recently used
+  uint64_t hits = 0, misses = 0, evictions = 0;
+  auto touch = [&](PageId id) {
+    auto it = std::find(lru.begin(), lru.end(), id);
+    if (it != lru.end()) {
+      lru.splice(lru.begin(), lru, it);
+      return true;
+    }
+    if (lru.size() == kCapacity) {
+      lru.pop_back();
+      ++evictions;
+    }
+    lru.push_front(id);
+    return false;
+  };
+
+  Random rng(5);
+  std::vector<uint8_t> out(512);
+  for (int step = 0; step < 2000; ++step) {
+    const int i = static_cast<int>(rng.Uniform(kPages));
+    const PageId id = ids[i];
+    const uint64_t action = rng.Uniform(20);
+    if (action < 14) {
+      model_.Reset();
+      ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());
+      const bool hit = touch(id);
+      hit ? ++hits : ++misses;
+      EXPECT_EQ(model_.pages_read(), hit ? 0u : 1u) << "step " << step;
+      ASSERT_EQ(out, PagePattern(id, salt[i])) << "step " << step;
+    } else if (action < 17) {
+      salt[i] = static_cast<uint8_t>(step);
+      ASSERT_TRUE(pool.WritePage(id, PagePattern(id, salt[i]).data()).ok());
+      touch(id);
+    } else if (action < 19) {
+      pool.Invalidate(id);
+      lru.remove(id);
+    } else {
+      pool.Clear();
+      lru.clear();
+    }
+    ASSERT_EQ(pool.hits(), hits) << "step " << step;
+    ASSERT_EQ(pool.misses(), misses) << "step " << step;
+    ASSERT_EQ(pool.evictions(), evictions) << "step " << step;
+    ASSERT_EQ(pool.cached_pages(), lru.size()) << "step " << step;
+  }
+}
+
+TEST_F(BufferPoolTest, StripedPoolNeverExceedsCapacity) {
+  constexpr size_t kCapacity = 256;  // the smallest striped pool
+  BufferPool pool(file_.get(), kCapacity);
+  ASSERT_GT(pool.shard_count(), 1u);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 600; ++i) {
+    ids.push_back(file_->AllocatePage().value());
+    ASSERT_TRUE(file_->WritePage(ids[i], PagePattern(ids[i], 0).data()).ok());
+  }
+  Random rng(6);
+  std::vector<uint8_t> out(512);
+  for (int step = 0; step < 5000; ++step) {
+    const PageId id = ids[rng.Uniform(ids.size())];
+    if (rng.Uniform(10) == 0) {
+      pool.Invalidate(id);
+    } else {
+      ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());
+      ASSERT_EQ(out, PagePattern(id, 0)) << "step " << step;
+    }
+    ASSERT_LE(pool.cached_pages(), kCapacity) << "step " << step;
+  }
+  EXPECT_GT(pool.evictions(), 0u);
+}
+
+// Pages staged by the active transaction shadow the pool even after the
+// pool has recycled the frames around them.
+TEST_F(BufferPoolTest, StagedOverlayShadowsReusedFrames) {
+  BufferPool pool(file_.get(), 2);
+  auto wal = WriteAheadLog::Open(path_ + ".wal", nullptr).MoveValue();
+  TxnManager txns(file_.get(), &pool, wal.get(),
+                  /*checkpoint_threshold_bytes=*/0);
+  file_->set_txn_manager(&txns);
+  pool.set_txn_manager(&txns);
+
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(file_->AllocatePage().value());
+    ASSERT_TRUE(pool.WritePage(ids[i], PagePattern(ids[i], 0).data()).ok());
+  }
+  std::vector<uint8_t> out(512);
+  ASSERT_TRUE(txns.Begin().ok());
+  ASSERT_TRUE(pool.WritePage(ids[0], PagePattern(ids[0], 9).data()).ok());
+  // Cycle the other pages through the two frames.
+  for (int round = 0; round < 3; ++round) {
+    for (int i : {1, 2}) {
+      ASSERT_TRUE(pool.ReadPage(ids[i], out.data()).ok());
+      EXPECT_EQ(out, PagePattern(ids[i], 0));
+    }
+    ASSERT_TRUE(pool.ReadPage(ids[0], out.data()).ok());
+    EXPECT_EQ(out, PagePattern(ids[0], 9)) << "round " << round;
+    std::vector<uint8_t> run(3 * 512);
+    ASSERT_TRUE(pool.ReadRun(ids[0], 3, run.data()).ok());
+    EXPECT_TRUE(std::equal(run.begin(), run.begin() + 512,
+                           PagePattern(ids[0], 9).begin()));
+  }
+  ASSERT_TRUE(txns.Abort().ok());
+  ASSERT_TRUE(pool.ReadPage(ids[0], out.data()).ok());
+  EXPECT_EQ(out, PagePattern(ids[0], 0));
+  EXPECT_LE(pool.cached_pages(), 2u);
+
+  pool.set_txn_manager(nullptr);
+  file_->set_txn_manager(nullptr);
 }
 
 }  // namespace

@@ -112,16 +112,14 @@ class CompactCrashMatrixTest : public ::testing::Test {
     base_ = UniqueTestPath("compact_crash_base.db");
     trial_ = UniqueTestPath("compact_crash_trial.db");
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
     BuildBaseStore();
   }
   void TearDown() override {
     SetFaultInjector(nullptr);
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
   }
 

@@ -107,6 +107,32 @@ TEST(CompressionTest, SelectiveCompressionFallsBackOnNoise) {
   EXPECT_LT(stored.size(), sparse.size());
 }
 
+TEST(CompressionTest, NoneMovesAnRvalueWithoutCopying) {
+  std::vector<uint8_t> data(4096, 3);
+  const uint8_t* buffer = data.data();
+  Result<std::vector<uint8_t>> back =
+      Decompress(Compression::kNone, std::move(data), 4096);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->data(), buffer);
+}
+
+TEST(CompressionTest, MaxEncodedSizeBoundsEveryValidStream) {
+  EXPECT_EQ(MaxEncodedSize(Compression::kNone, 100), 100u);
+  // The longest valid stream for n bytes is n one-byte literals.
+  std::vector<uint8_t> worst;
+  for (int i = 0; i < 50; ++i) worst.insert(worst.end(), {0x00, 9});
+  EXPECT_EQ(worst.size(), MaxEncodedSize(Compression::kRle, 50));
+  EXPECT_TRUE(Decompress(Compression::kRle, worst, 50).ok());
+  // The encoder never comes near it, on noise or on tiny inputs.
+  Random rng(4);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{1000}}) {
+    std::vector<uint8_t> noise(n);
+    for (uint8_t& b : noise) b = static_cast<uint8_t>(rng.Uniform(256));
+    EXPECT_LE(Compress(Compression::kRle, noise).size(),
+              MaxEncodedSize(Compression::kRle, n));
+  }
+}
+
 TEST(CompressionTest, Names) {
   EXPECT_EQ(CompressionToString(Compression::kNone), "none");
   EXPECT_EQ(CompressionToString(Compression::kRle), "rle");

@@ -100,16 +100,14 @@ class CrashRecoveryMatrixTest : public ::testing::Test {
     base_ = UniqueTestPath("crash_matrix_base.db");
     trial_ = UniqueTestPath("crash_matrix_trial.db");
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
     BuildBaseStore();
   }
   void TearDown() override {
     SetFaultInjector(nullptr);
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
   }
 

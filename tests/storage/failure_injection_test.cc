@@ -27,13 +27,11 @@ class FailureInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("failure_injection_test.db");
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
   void TearDown() override {
     SetFaultInjector(nullptr);
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   // Overwrites `n` bytes at `offset` of the store file.

@@ -20,12 +20,10 @@ class FsckTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("fsck_test.db");
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
   void TearDown() override {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
+    RemoveStoreFiles(path_);
   }
 
   MDDStoreOptions SmallPages() {

@@ -26,11 +26,11 @@ class IoBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("io_backend_test.bin");
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
   void TearDown() override {
     SetFaultInjector(nullptr);
-    (void)RemoveFile(path_);
+    RemoveStoreFiles(path_);
   }
 
   // A file of `n` bytes with position-dependent content.
@@ -229,7 +229,7 @@ struct QueryOutcome {
 };
 
 QueryOutcome RunWorkload(const std::string& path, IoBackend* backend) {
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions options;
   options.page_size = 512;
   options.worker_threads = 4;
@@ -270,7 +270,7 @@ QueryOutcome RunWorkload(const std::string& path, IoBackend* backend) {
     }
   }
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   return outcome;
 }
 

@@ -111,16 +111,14 @@ class RetileCrashMatrixTest : public ::testing::Test {
     base_ = UniqueTestPath("retile_crash_base.db");
     trial_ = UniqueTestPath("retile_crash_trial.db");
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
     BuildBaseStore();
   }
   void TearDown() override {
     SetFaultInjector(nullptr);
     for (const std::string& p : {base_, trial_}) {
-      (void)RemoveFile(p);
-      (void)RemoveFile(p + ".wal");
+      RemoveStoreFiles(p);
     }
   }
 

@@ -162,9 +162,7 @@ class TileCacheStoreTest : public ::testing::Test {
     Wipe();
   }
   void Wipe() {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
-    (void)RemoveFile(path_ + ".lock");
+    RemoveStoreFiles(path_);
   }
 
   Array Pattern(const MInterval& domain, int32_t scale) {
@@ -324,8 +322,7 @@ TEST_F(TileCacheStoreTest, CrashRecoveryStartsCold) {
   // Simulated kill: copy db + WAL while the original store is still live
   // (its buffered state never reaches the copy).
   const std::string crashed = UniqueTestPath("tile_cache_crash_copy.db");
-  (void)RemoveFile(crashed);
-  (void)RemoveFile(crashed + ".wal");
+  RemoveStoreFiles(crashed);
   namespace fs = std::filesystem;
   fs::copy_file(path_, crashed, fs::copy_options::overwrite_existing);
   if (fs::exists(path_ + ".wal")) {
@@ -345,9 +342,7 @@ TEST_F(TileCacheStoreTest, CrashRecoveryStartsCold) {
   ASSERT_EQ(result.size_bytes(), expected.size());
   EXPECT_EQ(std::memcmp(result.data(), expected.data(), expected.size()), 0);
   recovered.reset();
-  (void)RemoveFile(crashed);
-  (void)RemoveFile(crashed + ".wal");
-  (void)RemoveFile(crashed + ".lock");
+  RemoveStoreFiles(crashed);
 }
 
 TEST_F(TileCacheStoreTest, ByteIdenticalCacheOnAndOffAtEveryParallelism) {
@@ -378,8 +373,7 @@ TEST_F(TileCacheStoreTest, ColdRunsBypassTheCache) {
 // every result must stay byte-identical. Run under TSan in CI.
 TEST(TileCacheConcurrencyTest, HotTileHammerWithInvalidator) {
   const std::string path = UniqueTestPath("tile_cache_concurrency_test.db");
-  (void)RemoveFile(path);
-  (void)RemoveFile(path + ".wal");
+  RemoveStoreFiles(path);
   MDDStoreOptions options;
   options.page_size = 512;
   options.tile_cache_bytes = 1 << 20;
@@ -440,9 +434,7 @@ TEST(TileCacheConcurrencyTest, HotTileHammerWithInvalidator) {
   invalidator.join();
   EXPECT_EQ(failures.load(), 0);
   store.reset();
-  (void)RemoveFile(path);
-  (void)RemoveFile(path + ".wal");
-  (void)RemoveFile(path + ".lock");
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <string>
 
 namespace tilestore {
@@ -27,6 +28,15 @@ inline std::string UniqueTestPath(const std::string& stem) {
   }
   return ::testing::TempDir() + "/" + stem + "_" + name + "_" +
          std::to_string(::getpid());
+}
+
+/// Removes a test store's files: `db` itself and its `.wal`, `.lock`,
+/// `.summ`, `.retile` and `.compact` sidecars. Missing files are ignored.
+inline void RemoveStoreFiles(const std::string& db) {
+  for (const char* suffix :
+       {"", ".wal", ".lock", ".summ", ".retile", ".compact"}) {
+    std::remove((db + suffix).c_str());
+  }
 }
 
 }  // namespace tilestore

@@ -56,9 +56,7 @@ class RetilerStoreTest : public ::testing::Test {
     Wipe();
   }
   void Wipe() {
-    (void)RemoveFile(path_);
-    (void)RemoveFile(path_ + ".wal");
-    (void)RemoveFile(path_ + ".lock");
+    RemoveStoreFiles(path_);
   }
 
   Array Pattern(const MInterval& domain, int32_t scale) {
@@ -364,8 +362,7 @@ TEST_F(RetilerStoreTest, BackgroundLoopMigratesHotObject) {
 // every result must stay byte-identical. Run under TSan in CI.
 TEST(RetilerConcurrencyTest, ReadersStayByteIdenticalDuringMigration) {
   const std::string path = UniqueTestPath("retiler_concurrency_test.db");
-  (void)RemoveFile(path);
-  (void)RemoveFile(path + ".wal");
+  RemoveStoreFiles(path);
   MDDStoreOptions store_options;
   store_options.page_size = 512;
   store_options.tile_cache_bytes = 1 << 20;
@@ -444,9 +441,7 @@ TEST(RetilerConcurrencyTest, ReadersStayByteIdenticalDuringMigration) {
   obj = store->GetMDD("hot").value();
   EXPECT_TRUE(obj->Validate().ok());
   store.reset();
-  (void)RemoveFile(path);
-  (void)RemoveFile(path + ".wal");
-  (void)RemoveFile(path + ".lock");
+  RemoveStoreFiles(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ TEST_P(StrategyConformanceTest, CompleteDeterministicAndQueryable) {
 
   // (4): end-to-end round trip through the storage manager.
   const std::string path = UniqueTestPath("conformance.db");
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
   MDDStoreOptions options;
   options.page_size = 512;
   auto store = MDDStore::Create(path, options).MoveValue();
@@ -167,7 +167,7 @@ TEST_P(StrategyConformanceTest, CompleteDeterministicAndQueryable) {
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_TRUE(back->Equals(data));
   store.reset();
-  (void)RemoveFile(path);
+  RemoveStoreFiles(path);
 }
 
 std::vector<FullCase> AllCases() {

@@ -46,7 +46,7 @@ class CliTest : public ::testing::Test {
     db_ = UniqueTestPath("cli_test.db");
     raw_ = UniqueTestPath("cli_test_raw.bin");
     out_ = UniqueTestPath("cli_test_out.bin");
-    (void)RemoveFile(db_);
+    RemoveStoreFiles(db_);
     (void)RemoveFile(raw_);
     (void)RemoveFile(out_);
     // 64x64 uint8 raster: cell (x,y) = (x + y) & 0xFF.
@@ -58,7 +58,7 @@ class CliTest : public ::testing::Test {
     }
   }
   void TearDown() override {
-    (void)RemoveFile(db_);
+    RemoveStoreFiles(db_);
     (void)RemoveFile(raw_);
     (void)RemoveFile(out_);
   }
