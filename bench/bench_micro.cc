@@ -1,12 +1,13 @@
 // Experiment E12 (DESIGN.md): google-benchmark microbenchmarks of the hot
-// kernels — row-major offset computation, region copy (query
-// post-processing), the per-tile aggregate fold, CRC-32C (every wire
-// frame, page and WAL record), the tiling algorithms themselves, and index
-// search.
+// kernels — row-major offset computation, region copy and default fill
+// (query post-processing), the per-tile aggregate fold and filter,
+// CRC-32C (every wire frame, page and WAL record), the tiling algorithms
+// themselves, and index search.
 //
 // The binary additionally measures warm-cache read-path throughput at
 // parallelism 1/2/4/8 and merges the result into BENCH_readpath.json
-// (pass --readpath_only to skip the google-benchmark suites).
+// (pass --readpath_only to skip the google-benchmark suites). A run with
+// --benchmark_filter times the selected kernels only and skips it.
 
 #include <benchmark/benchmark.h>
 
@@ -114,11 +115,82 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_Crc32c, Crc32c)->Arg(64)->Arg(4 << 10)->Arg(128 << 10);
+// 256 KiB is one timeseries_ingest filter reply.
+BENCHMARK_TEMPLATE(BM_Crc32c, Crc32c)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(128 << 10)
+    ->Arg(256 << 10);
 BENCHMARK_TEMPLATE(BM_Crc32c, Crc32cPortable)
     ->Arg(64)
     ->Arg(4 << 10)
-    ->Arg(128 << 10);
+    ->Arg(128 << 10)
+    ->Arg(256 << 10);
+
+// `FillRegion` of a non-zero default over `region` of a buffer linearized
+// over `domain`: the default fill of a composed query result.
+void BM_FillRegion(benchmark::State& state, CellType cell_type,
+                   const MInterval& domain, const MInterval& region) {
+  std::vector<uint8_t> buf(domain.CellCountOrDie() * cell_type.size());
+  const std::vector<uint8_t> pattern(cell_type.size(), 0xA5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FillRegion(domain, buf.data(), region,
+                                        pattern.data(), cell_type.size()));
+    benchmark::ClobberMemory();
+  }
+  const int64_t cells = static_cast<int64_t>(region.CellCountOrDie());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * cells);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * cells *
+                          static_cast<int64_t>(cell_type.size()));
+}
+// A timeseries_ingest filter reply (8 slabs x 64 sensors of uint16) whose
+// 6 older slabs are uncovered by accept-all tiles, and an inner box of a
+// 3-D rgb8 animation.
+BENCHMARK_CAPTURE(BM_FillRegion, u16_filter_reply,
+                  CellType::Of(CellTypeId::kUInt16),
+                  MInterval({{0, 2047}, {0, 63}}),
+                  MInterval({{0, 1535}, {0, 63}}));
+BENCHMARK_CAPTURE(BM_FillRegion, rgb8_box3d, CellType::Of(CellTypeId::kRGB8),
+                  MInterval({{0, 29}, {0, 159}, {0, 119}}),
+                  MInterval({{2, 27}, {10, 149}, {5, 114}}));
+
+// `FilterRegionInto` of `part` of one tile: the per-tile work of a filter
+// query over an inspected tile. Random cells; the constants keep about
+// half of them.
+void BM_FilterRegion(benchmark::State& state, CellTypeId id,
+                     ValuePredicate pred, const MInterval& domain,
+                     const MInterval& part) {
+  Array tile = Array::Create(domain, CellType::Of(id)).value();
+  Random rng(11);
+  for (uint64_t i = 0; i < tile.cell_count(); ++i) {
+    if (id == CellTypeId::kFloat64) {
+      reinterpret_cast<double*>(tile.mutable_data())[i] =
+          static_cast<double>(rng.UniformInt(0, 9999)) / 10;
+    } else {
+      reinterpret_cast<uint16_t*>(tile.mutable_data())[i] =
+          static_cast<uint16_t>(rng.UniformInt(0, 999));
+    }
+  }
+  Array result = Array::Create(part, tile.cell_type()).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FilterRegionInto(tile, part, pred, &result));
+    benchmark::ClobberMemory();
+  }
+  const int64_t cells = static_cast<int64_t>(part.CellCountOrDie());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * cells);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * cells *
+                          static_cast<int64_t>(tile.cell_type().size()));
+}
+// A timeseries_ingest tile (256 steps x 128 sensors) filtered over the
+// 64 queried sensors, and a float64 tile's left half.
+BENCHMARK_CAPTURE(BM_FilterRegion, u16_greater, CellTypeId::kUInt16,
+                  ValuePredicate{ValuePredicate::Kind::kGreater, 499, 0},
+                  MInterval({{0, 255}, {0, 127}}),
+                  MInterval({{0, 255}, {0, 63}}));
+BENCHMARK_CAPTURE(BM_FilterRegion, f64_between, CellTypeId::kFloat64,
+                  ValuePredicate{ValuePredicate::Kind::kBetween, 250, 750},
+                  MInterval({{0, 127}, {0, 255}}),
+                  MInterval({{0, 127}, {0, 127}}));
 
 void BM_AlignedTiling(benchmark::State& state) {
   SalesCubeSpec spec;
@@ -265,6 +337,10 @@ int MeasureReadPath(bool smoke, const std::string& io_backend) {
 int main(int argc, char** argv) {
   bool readpath_only = false;
   bool smoke = false;
+  // A filtered run times the named kernels only; the read-path
+  // measurement (and its BENCH_readpath.json record) is left to a full or
+  // --smoke run.
+  bool filtered_run = false;
   const std::string io_backend =
       tilestore::bench::FlagString(argc, argv, "io-backend", "");
   int filtered_argc = 0;
@@ -280,6 +356,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--io-backend=", 13) == 0) continue;
+    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) {
+      filtered_run = true;
+    }
     filtered[filtered_argc++] = argv[i];
   }
   if (!readpath_only) {
@@ -290,6 +369,7 @@ int main(int argc, char** argv) {
     }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    if (filtered_run) return 0;
   }
   return tilestore::bench::MeasureReadPath(smoke, io_backend);
 }

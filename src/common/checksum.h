@@ -8,7 +8,8 @@ namespace tilestore {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41 reflected) over `data`;
 /// used for wire frames, superblock, WAL record, sidecar and per-page
-/// checksums. On x86-64 CPUs with SSE4.2 it runs the `crc32` instruction,
+/// checksums. On x86-64 CPUs with SSE4.2 it runs the `crc32` instruction
+/// as three interleaved streams joined by compile-time shift tables,
 /// chosen once, on first use, from the CPU alone; elsewhere it runs
 /// `Crc32cPortable`. Both paths return the same value. `seed` allows
 /// incremental computation:

@@ -71,6 +71,27 @@ auto DispatchNumeric(CellType cell_type, F&& f) -> decltype(f(uint8_t{})) {
   return Status::Internal("unhandled cell type");
 }
 
+// Calls `f(match)` with a comparator for `pred`'s kind, chosen once per
+// call rather than per cell, so each kernel's inner loop holds one
+// comparison it can vectorize. `match(v)` is `pred.Matches(v)` for every
+// double v, NaN included (no comparison with NaN holds).
+template <typename F>
+decltype(auto) DispatchPredicate(const ValuePredicate& pred, F&& f) {
+  const double a = pred.a;
+  const double b = pred.b;
+  switch (pred.kind) {
+    case ValuePredicate::Kind::kLess:
+      return f([a](double v) { return v < a; });
+    case ValuePredicate::Kind::kGreater:
+      return f([a](double v) { return v > a; });
+    case ValuePredicate::Kind::kBetween:
+      return f([a, b](double v) { return v >= a && v <= b; });
+    case ValuePredicate::Kind::kEqual:
+      return f([a](double v) { return v == a; });
+  }
+  return f([](double) { return false; });  // as `Matches`: no such kind
+}
+
 // The integer-exact fold rule for sums (DESIGN.md §10). For integer cell
 // types up to 32 bits, a sum of at most `cells` values with
 // `cells × max|T| <= 2^53` has every partial sum an integer of magnitude
@@ -300,10 +321,10 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
 // Copies the matching cells of an RLE tile into `result`: linear tile cell
 // k lives in innermost-axis run k / L at offset k % L, and the runs'
 // destination offsets are precomputed once.
-template <typename T>
+template <typename T, typename Match>
 Result<uint64_t> FilterRleStream(const std::vector<uint8_t>& stream,
-                                 const MInterval& tile_domain,
-                                 const ValuePredicate& pred, Array* result) {
+                                 const MInterval& tile_domain, Match match,
+                                 Array* result) {
   const uint64_t run_len =
       static_cast<uint64_t>(tile_domain.Extent(tile_domain.dim() - 1));
   const uint64_t cells = tile_domain.CellCountOrDie();
@@ -318,7 +339,7 @@ Result<uint64_t> FilterRleStream(const std::vector<uint8_t>& stream,
       stream, cells, [&](const uint8_t* cell, uint64_t n) {
         T v;
         std::memcpy(&v, cell, sizeof(T));
-        if (!pred.Matches(static_cast<double>(v))) {
+        if (!match(static_cast<double>(v))) {
           cell_index += n;
           return;
         }
@@ -326,12 +347,9 @@ Result<uint64_t> FilterRleStream(const std::vector<uint8_t>& stream,
         while (n > 0) {
           const uint64_t in_run =
               std::min<uint64_t>(n, run_len - (cell_index % run_len));
-          uint8_t* d = data + (dst_runs[cell_index / run_len] +
-                               (cell_index % run_len)) *
-                                  sizeof(T);
-          for (uint64_t c = 0; c < in_run; ++c) {
-            std::memcpy(d + c * sizeof(T), cell, sizeof(T));
-          }
+          T* d = reinterpret_cast<T*>(data) + dst_runs[cell_index / run_len] +
+                 cell_index % run_len;
+          std::fill_n(d, in_run, v);
           cell_index += in_run;
           n -= in_run;
         }
@@ -422,8 +440,10 @@ Result<FilteredAggregate> AggregateRegionFiltered(const Array& array,
   return DispatchNumeric(
       array.cell_type(), [&](auto zero) -> Result<FilteredAggregate> {
         using T = decltype(zero);
-        return ReduceRegionRuns<T>(array, region, op, [&](T v) {
-          return pred.Matches(static_cast<double>(v));
+        return DispatchPredicate(pred, [&](auto match) {
+          return ReduceRegionRuns<T>(array, region, op, [match](T v) {
+            return match(static_cast<double>(v));
+          });
         });
       });
 }
@@ -441,15 +461,20 @@ Status FilterRegionInto(const Array& tile, const MInterval& part,
     using T = decltype(zero);
     const T* src = reinterpret_cast<const T*>(tile.data());
     T* dst = reinterpret_cast<T*>(result->mutable_data());
-    ForEachRun(tile.domain(), result->domain(), part,
-               [&](uint64_t src_off, uint64_t dst_off) {
-                 for (uint64_t i = 0; i < run; ++i) {
-                   const T v = src[src_off + i];
-                   if (pred.Matches(static_cast<double>(v))) {
-                     dst[dst_off + i] = v;
+    DispatchPredicate(pred, [&](auto match) {
+      // A select, not a conditional store: every cell of the part is
+      // rewritten, a non-matching one with its own bytes, so the loop
+      // vectorizes. Only the part's cells are touched, so concurrent
+      // calls on disjoint parts stay disjoint.
+      ForEachRun(tile.domain(), result->domain(), part,
+                 [&](uint64_t src_off, uint64_t dst_off) {
+                   const T* s = src + src_off;
+                   T* d = dst + dst_off;
+                   for (uint64_t i = 0; i < run; ++i) {
+                     d[i] = match(static_cast<double>(s[i])) ? s[i] : d[i];
                    }
-                 }
-               });
+                 });
+    });
     return Status::OK();
   });
 }
@@ -461,7 +486,10 @@ Result<uint64_t> FilterRleStreamInto(const std::vector<uint8_t>& stream,
   Status st = CheckRegionInside(tile_domain, result->domain());
   if (!st.ok()) return st;
   return DispatchNumeric(result->cell_type(), [&](auto zero) {
-    return FilterRleStream<decltype(zero)>(stream, tile_domain, pred, result);
+    return DispatchPredicate(pred, [&](auto match) {
+      return FilterRleStream<decltype(zero)>(stream, tile_domain, match,
+                                             result);
+    });
   });
 }
 

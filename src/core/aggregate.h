@@ -81,8 +81,10 @@ Result<FilteredAggregate> AggregateRegionFiltered(const Array& array,
 /// Copies the cells of `part` that match `pred` from `tile` into the same
 /// cells of `result`; the other cells of `result` keep their bytes (the
 /// default fill). `part` must lie inside both domains; the cell types must
-/// agree. Distinct calls may write disjoint parts of one `result`
-/// concurrently.
+/// agree. The predicate's kind is dispatched once per call and each cell
+/// of `part` is stored as a select (the cell, or its own old bytes), so
+/// the loop vectorizes; no cell outside `part` is touched, and distinct
+/// calls may write disjoint parts of one `result` concurrently.
 Status FilterRegionInto(const Array& tile, const MInterval& part,
                         const ValuePredicate& pred, Array* result);
 

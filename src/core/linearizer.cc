@@ -1,5 +1,6 @@
 #include "core/linearizer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -85,14 +86,28 @@ Status FillRegion(const MInterval& dst_domain, uint8_t* dst,
   Status st = ValidateRegion(dst_domain, dst_domain, region);
   if (!st.ok()) return st;
 
-  const uint64_t run_cells =
-      static_cast<uint64_t>(region.Extent(region.dim() - 1));
-  const auto* pattern = static_cast<const uint8_t*>(cell_value);
+  // The pattern is laid out once, by doubling, over the first `block`
+  // bytes of the region's first run (whole cells, at most kBlockBytes
+  // unless one cell is larger); every run, the rest of the first one
+  // included, is then filled with `memcpy`s of that block.
+  constexpr size_t kBlockBytes = 4096;
+  const size_t run_bytes =
+      static_cast<size_t>(region.Extent(region.dim() - 1)) * cell_size;
+  const size_t block = std::min(
+      run_bytes, std::max<size_t>(kBlockBytes / cell_size, 1) * cell_size);
+  uint8_t* first =
+      dst + RowMajorOffset(dst_domain, region.LowCorner()) * cell_size;
+  std::memcpy(first, cell_value, cell_size);
+  for (size_t have = cell_size; have < block; have *= 2) {
+    std::memcpy(first + have, first, std::min(have, block - have));
+  }
   ForEachRun(dst_domain, dst_domain, region,
              [&](uint64_t /*src_off*/, uint64_t dst_off) {
                uint8_t* out = dst + dst_off * cell_size;
-               for (uint64_t c = 0; c < run_cells; ++c) {
-                 std::memcpy(out + c * cell_size, pattern, cell_size);
+               for (size_t done = out == first ? block : 0; done < run_bytes;
+                    done += block) {
+                 std::memcpy(out + done, first,
+                             std::min(block, run_bytes - done));
                }
              });
   return Status::OK();

@@ -44,6 +44,9 @@ Status CopyRegion(const MInterval& src_domain, const uint8_t* src,
 /// Fills `region` of a buffer linearized over `dst_domain` with copies of
 /// the `cell_size`-byte pattern at `cell_value` (the paper's default value
 /// for uncovered areas). Same containment requirements as `CopyRegion`.
+/// Like the copy, it works run by run: the pattern is laid out once over
+/// the start of the first run (up to 4 KiB of whole cells), and every run
+/// is then `memcpy`s of that block — never one call per cell.
 Status FillRegion(const MInterval& dst_domain, uint8_t* dst,
                   const MInterval& region, const void* cell_value,
                   size_t cell_size);

@@ -27,6 +27,22 @@ size_t WorkerCount(const TileServerOptions& options) {
              : std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
 }
 
+// A range or filter query reply: the composed cells become the payload's
+// body as they are, behind a small encoded prefix.
+SplitPayload QueryReply(Array array) {
+  // Encoding overhead: status byte + interval (1 + 16*dim) + cell type +
+  // u64 length prefix; rounded up so the framed payload can never exceed
+  // the protocol bound and poison the client's connection.
+  const size_t overhead = 16 + 16 * array.domain().dim();
+  if (array.size_bytes() + overhead > kMaxPayloadBytes) {
+    return EncodeErrorResponse(Status::OutOfRange(
+        "query result exceeds the wire message bound; split the region"));
+  }
+  return EncodeQueryResultSplit(array.domain(),
+                                static_cast<uint8_t>(array.cell_type().id()),
+                                std::move(array).TakeBuffer());
+}
+
 }  // namespace
 
 TileServer::TileServer(MDDStore* store, TileServerOptions options)
@@ -155,11 +171,12 @@ struct TileServer::EventConn {
   FrameHeader header;
   std::vector<uint8_t> in;  // payload being received (moved to the worker)
   size_t got = 0;
-  // The response being flushed: its header, encoded in place, and the
-  // handler's payload, sent together without joining them.
-  uint8_t out_header[kHeaderBytes] = {};
+  // The response being flushed: its header, encoded in place and followed
+  // by the payload's prefix, and the payload's body, sent together
+  // without joining them. `out_head` keeps its capacity across replies.
+  std::vector<uint8_t> out_head;
   std::vector<uint8_t> out;
-  size_t out_pos = 0;  // bytes of header + payload already sent
+  size_t out_pos = 0;  // bytes of out_head + out already sent
   bool close_after_send = false;
   /// Closed (hangup/forced) while a worker still owes a completion.
   bool doomed = false;
@@ -233,7 +250,7 @@ void TileServer::EventLoopMain() {
     }
 
     // Completions from the workers (they Wake() after pushing).
-    std::vector<std::pair<EventConn*, std::vector<uint8_t>>> finished;
+    std::vector<std::pair<EventConn*, SplitPayload>> finished;
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       finished.swap(completions_);
@@ -384,7 +401,7 @@ void TileServer::EventExecute(EventConn* conn) {
   pool_->Submit([this, conn, op = conn->header.op,
                  payload = std::move(conn->in)] {
     const uint64_t trace_id = store_->trace()->NextTraceId();
-    std::vector<uint8_t> response;
+    SplitPayload response;
     {
       obs::TraceScope span(store_->trace(), trace_id, WireOpName(op).data());
       if (options_.debug_handler_delay_ms > 0) {
@@ -411,8 +428,7 @@ void TileServer::EventExecute(EventConn* conn) {
   });
 }
 
-void TileServer::EventFinish(EventConn* conn,
-                             std::vector<uint8_t> response) {
+void TileServer::EventFinish(EventConn* conn, SplitPayload response) {
   conn->job_outstanding = false;
   --ev_inflight_;
   inflight_gauge_->Add(-1);
@@ -452,12 +468,15 @@ void TileServer::EventFinish(EventConn* conn,
   }
 }
 
-void TileServer::EventSendResponse(EventConn* conn,
-                                   std::vector<uint8_t> payload,
+void TileServer::EventSendResponse(EventConn* conn, SplitPayload payload,
                                    bool close_after_send) {
+  conn->out_head.resize(kHeaderBytes + payload.prefix.size());
   EncodeFrameHeader(conn->header.op, /*response=*/true,
-                    conn->header.request_id, payload, conn->out_header);
-  conn->out = std::move(payload);
+                    conn->header.request_id, payload.prefix, payload.body,
+                    conn->out_head.data());
+  std::copy(payload.prefix.begin(), payload.prefix.end(),
+            conn->out_head.begin() + kHeaderBytes);
+  conn->out = std::move(payload.body);
   conn->out_pos = 0;
   conn->close_after_send = close_after_send;
   conn->state = EventConn::State::kWriting;
@@ -475,10 +494,10 @@ void TileServer::EventSendResponse(EventConn* conn,
 }
 
 bool TileServer::EventWriteStep(EventConn* conn) {
-  const size_t total = kHeaderBytes + conn->out.size();
+  const size_t total = conn->out_head.size() + conn->out.size();
   while (conn->out_pos < total) {
     Result<size_t> put =
-        conn->sock.SendSome(conn->out_header, conn->out, conn->out_pos);
+        conn->sock.SendSome(conn->out_head, conn->out, conn->out_pos);
     if (!put.ok()) {
       EventCloseConn(conn);
       return false;
@@ -579,9 +598,9 @@ void TileServer::EventSweep() {
   }
 }
 
-std::vector<uint8_t> TileServer::Dispatch(WireOp op,
-                                          const std::vector<uint8_t>& payload,
-                                          uint64_t trace_id) {
+SplitPayload TileServer::Dispatch(WireOp op,
+                                  const std::vector<uint8_t>& payload,
+                                  uint64_t trace_id) {
   switch (op) {
     case WireOp::kPing:
       return EncodePingResponse();
@@ -658,7 +677,7 @@ std::vector<uint8_t> TileServer::HandleOpenMDD(
   return EncodeOpenMDDResponse(resp);
 }
 
-std::vector<uint8_t> TileServer::HandleRangeQuery(
+SplitPayload TileServer::HandleRangeQuery(
     const std::vector<uint8_t>& payload, uint64_t trace_id) {
   (void)trace_id;  // spans are emitted by the executor under its own id
   RangeQueryRequest req;
@@ -672,22 +691,10 @@ std::vector<uint8_t> TileServer::HandleRangeQuery(
   RangeQueryExecutor executor(store_, options);
   Result<Array> array = executor.Execute(*obj, req.region);
   if (!array.ok()) return EncodeErrorResponse(array.status());
-  RangeQueryResponse resp;
-  resp.domain = array->domain();
-  resp.cell_type_id = static_cast<uint8_t>(array->cell_type().id());
-  resp.cells = std::move(*array).TakeBuffer();
-  // Encoding overhead: status byte + interval (1 + 16*dim) + cell type +
-  // u64 length prefix; rounded up so the framed payload can never exceed
-  // the protocol bound and poison the client's connection.
-  const size_t overhead = 16 + 16 * resp.domain.dim();
-  if (resp.cells.size() + overhead > kMaxPayloadBytes) {
-    return EncodeErrorResponse(Status::OutOfRange(
-        "query result exceeds the wire message bound; split the region"));
-  }
-  return EncodeRangeQueryResponse(resp);
+  return QueryReply(std::move(array).MoveValue());
 }
 
-std::vector<uint8_t> TileServer::HandleFilterQuery(
+SplitPayload TileServer::HandleFilterQuery(
     const std::vector<uint8_t>& payload, uint64_t trace_id) {
   (void)trace_id;  // spans are emitted by the executor under its own id
   // A server pinned to wire v1 never announced the op in its hello, so it
@@ -718,18 +725,7 @@ std::vector<uint8_t> TileServer::HandleFilterQuery(
   RangeQueryExecutor executor(store_, options);
   Result<Array> array = executor.Execute(*obj, req.region);
   if (!array.ok()) return EncodeErrorResponse(array.status());
-  FilterQueryResponse resp;
-  resp.domain = array->domain();
-  resp.cell_type_id = static_cast<uint8_t>(array->cell_type().id());
-  resp.cells = std::move(*array).TakeBuffer();
-  // Same wire bound as range_query: status byte + interval + cell type +
-  // u64 length prefix, rounded up.
-  const size_t overhead = 16 + 16 * resp.domain.dim();
-  if (resp.cells.size() + overhead > kMaxPayloadBytes) {
-    return EncodeErrorResponse(Status::OutOfRange(
-        "query result exceeds the wire message bound; split the region"));
-  }
-  return EncodeFilterQueryResponse(resp);
+  return QueryReply(std::move(array).MoveValue());
 }
 
 std::vector<uint8_t> TileServer::HandleAggregate(

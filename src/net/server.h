@@ -172,20 +172,19 @@ class TileServer {
   /// Hands the parked request to a pool worker.
   void EventExecute(EventConn* conn);
   /// Completion (loop thread): deadline check, response, next waiter.
-  void EventFinish(EventConn* conn, std::vector<uint8_t> response);
-  void EventSendResponse(EventConn* conn, std::vector<uint8_t> payload,
+  void EventFinish(EventConn* conn, SplitPayload response);
+  void EventSendResponse(EventConn* conn, SplitPayload payload,
                          bool close_after_send);
   void EventCloseConn(EventConn* conn);
   /// Periodic timeouts: idle connections, stalled payloads/writes, and
   /// admission-queue waits.
   void EventSweep();
   /// Decodes and executes one request; returns the response payload.
-  std::vector<uint8_t> Dispatch(WireOp op,
-                                const std::vector<uint8_t>& payload,
-                                uint64_t trace_id);
+  SplitPayload Dispatch(WireOp op, const std::vector<uint8_t>& payload,
+                        uint64_t trace_id);
   std::vector<uint8_t> HandleOpenMDD(const std::vector<uint8_t>& payload);
-  std::vector<uint8_t> HandleRangeQuery(const std::vector<uint8_t>& payload,
-                                        uint64_t trace_id);
+  SplitPayload HandleRangeQuery(const std::vector<uint8_t>& payload,
+                                uint64_t trace_id);
   std::vector<uint8_t> HandleAggregate(const std::vector<uint8_t>& payload,
                                        uint64_t trace_id);
   std::vector<uint8_t> HandleInsertTiles(const std::vector<uint8_t>& payload);
@@ -193,8 +192,8 @@ class TileServer {
   std::vector<uint8_t> HandleRetile(const std::vector<uint8_t>& payload);
   std::vector<uint8_t> HandleHello(const std::vector<uint8_t>& payload);
   std::vector<uint8_t> HandleCompact(const std::vector<uint8_t>& payload);
-  std::vector<uint8_t> HandleFilterQuery(const std::vector<uint8_t>& payload,
-                                         uint64_t trace_id);
+  SplitPayload HandleFilterQuery(const std::vector<uint8_t>& payload,
+                                 uint64_t trace_id);
 
   MDDStore* store_;
   const TileServerOptions options_;
@@ -229,7 +228,7 @@ class TileServer {
   size_t ev_inflight_ = 0;
   std::deque<EventConn*> ev_admission_queue_;
   std::mutex completions_mu_;
-  std::vector<std::pair<EventConn*, std::vector<uint8_t>>> completions_;
+  std::vector<std::pair<EventConn*, SplitPayload>> completions_;
 
   // net.* metrics, resolved once at construction.
   obs::Counter* accepted_;

@@ -69,14 +69,22 @@ bool WireOpValid(uint16_t raw) {
 void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
                        std::span<const uint8_t> payload, uint8_t* out,
                        uint16_t version) {
+  EncodeFrameHeader(op, response, request_id, payload, {}, out, version);
+}
+
+void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
+                       std::span<const uint8_t> prefix,
+                       std::span<const uint8_t> body, uint8_t* out,
+                       uint16_t version) {
   PutU32(out, kWireMagic);
   PutU16(out + 4, version);
   const uint16_t op_raw =
       static_cast<uint16_t>(op) | (response ? kResponseFlag : 0);
   PutU16(out + 6, op_raw);
   PutU64(out + 8, request_id);
-  PutU32(out + 16, static_cast<uint32_t>(payload.size()));
-  PutU32(out + 20, Crc32c(payload.data(), payload.size()));
+  PutU32(out + 16, static_cast<uint32_t>(prefix.size() + body.size()));
+  PutU32(out + 20, Crc32c(body.data(), body.size(),
+                          Crc32c(prefix.data(), prefix.size())));
   PutU32(out + 24, Crc32c(out, 24));
 }
 
@@ -354,18 +362,14 @@ ByteWriter OkWriter() {
 }
 
 // Range and filter query responses: status byte, domain, cell type, then
-// the length-prefixed cells. Sized up front, so the cells are copied once
-// and the buffer never regrows.
-std::vector<uint8_t> EncodeQueryResult(const MInterval& domain,
+// the length-prefixed cells. This is everything before the cells.
+std::vector<uint8_t> QueryResultPrefix(const MInterval& domain,
                                        uint8_t cell_type_id,
-                                       const std::vector<uint8_t>& cells) {
-  ByteWriter w;
-  w.Reserve(1 + 1 + 16 * domain.dim() + 1 + 8 + cells.size());
-  w.U8(static_cast<uint8_t>(StatusCode::kOk));
+                                       uint64_t cell_bytes) {
+  ByteWriter w = OkWriter();
   WriteInterval(&w, domain);
   w.U8(cell_type_id);
-  w.U64(cells.size());
-  w.Bytes(cells.data(), cells.size());
+  w.U64(cell_bytes);
   return w.Take();
 }
 
@@ -403,8 +407,20 @@ std::vector<uint8_t> EncodeOpenMDDResponse(const OpenMDDResponse& resp) {
   return w.Take();
 }
 
+SplitPayload EncodeQueryResultSplit(const MInterval& domain,
+                                    uint8_t cell_type_id,
+                                    std::vector<uint8_t> cells) {
+  SplitPayload out;
+  out.prefix = QueryResultPrefix(domain, cell_type_id, cells.size());
+  out.body = std::move(cells);
+  return out;
+}
+
 std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp) {
-  return EncodeQueryResult(resp.domain, resp.cell_type_id, resp.cells);
+  std::vector<uint8_t> out =
+      QueryResultPrefix(resp.domain, resp.cell_type_id, resp.cells.size());
+  out.insert(out.end(), resp.cells.begin(), resp.cells.end());
+  return out;
 }
 
 std::vector<uint8_t> EncodeAggregateResponse(const AggregateResponse& resp) {
@@ -576,11 +592,6 @@ Status DecodeRetileResponse(const std::vector<uint8_t>& payload,
   st = r.U64(&out->tiles_after);
   if (!st.ok()) return st;
   return r.U64(&out->cells_moved);
-}
-
-std::vector<uint8_t> EncodeFilterQueryResponse(
-    const FilterQueryResponse& resp) {
-  return EncodeQueryResult(resp.domain, resp.cell_type_id, resp.cells);
 }
 
 Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,

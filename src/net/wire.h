@@ -96,6 +96,14 @@ void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
                        std::span<const uint8_t> payload, uint8_t* out,
                        uint16_t version = kWireVersion);
 
+/// The header of a frame whose payload is `prefix` followed by `body`,
+/// held apart: the payload CRC chains through `Crc32c`'s seed, so the
+/// header is byte-identical to that of the joined payload.
+void EncodeFrameHeader(WireOp op, bool response, uint64_t request_id,
+                       std::span<const uint8_t> prefix,
+                       std::span<const uint8_t> body, uint8_t* out,
+                       uint16_t version = kWireVersion);
+
 /// Validates magic/version/CRC/length of the `kHeaderBytes` at `buf`.
 /// Versions outside [kMinWireVersion, kWireVersion] yield Unimplemented;
 /// everything else Corruption.
@@ -303,6 +311,26 @@ struct CompactResponse {
   uint64_t bytes_moved = 0;
 };
 
+/// A response payload held as two buffers: the frame's payload is
+/// `prefix` followed by `body`. A query reply keeps its composed cells as
+/// `body`, so the server frames and sends them without copying them into
+/// one encoded payload. Any other payload converts implicitly, as the
+/// `body` behind an empty prefix.
+struct SplitPayload {
+  SplitPayload() = default;
+  SplitPayload(std::vector<uint8_t> payload)  // NOLINT: implicit by design
+      : body(std::move(payload)) {}
+  std::vector<uint8_t> prefix;
+  std::vector<uint8_t> body;
+};
+
+/// The range and filter query reply, split: `prefix` is the status byte,
+/// domain, cell type and cell-byte length; `body` takes `cells` by move.
+/// Joined, it is `EncodeRangeQueryResponse` of the same fields.
+SplitPayload EncodeQueryResultSplit(const MInterval& domain,
+                                    uint8_t cell_type_id,
+                                    std::vector<uint8_t> cells);
+
 std::vector<uint8_t> EncodePingResponse();
 std::vector<uint8_t> EncodeOpenMDDResponse(const OpenMDDResponse& resp);
 std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp);
@@ -313,7 +341,6 @@ std::vector<uint8_t> EncodeStatsResponse(const StatsResponse& resp);
 std::vector<uint8_t> EncodeRetileResponse(const RetileResponse& resp);
 std::vector<uint8_t> EncodeHelloResponse(const HelloResponse& resp);
 std::vector<uint8_t> EncodeCompactResponse(const CompactResponse& resp);
-std::vector<uint8_t> EncodeFilterQueryResponse(const FilterQueryResponse& resp);
 
 Status DecodeResponseStatus(ByteReader* r, Status* server_status);
 Status DecodePingResponse(const std::vector<uint8_t>& payload,

@@ -83,6 +83,37 @@ TEST(ChecksumTest, IncrementalSplitsAgreeAcrossPaths) {
   }
 }
 
+TEST(ChecksumTest, MatchesPortableReferenceAtStreamBlockBoundaries) {
+  // The hardware path runs three streams over 3 x 8 KiB, then 3 x 256 B
+  // blocks, and joins them; the tail runs one stream. Lengths at, just
+  // around and at multiples of both group sizes, at every start offset,
+  // seeded and unseeded, must agree with the table loop.
+  std::vector<size_t> lengths;
+  for (size_t group : {size_t{3 * 8192}, size_t{3 * 256}}) {
+    for (size_t multiple : {1, 2, 3, 5}) {
+      const size_t n = group * multiple;
+      for (long delta : {-8L, -1L, 0L, 1L, 8L}) {
+        lengths.push_back(static_cast<size_t>(static_cast<long>(n) + delta));
+      }
+    }
+  }
+  lengths.push_back(3 * 8192 + 3 * 256);
+  lengths.push_back(3 * 8192 + 3 * 256 + 7);
+  lengths.push_back(3 * 8192 - 3 * 256);
+  Random rng(3 * 8192);
+  std::vector<uint8_t> buf(5 * 3 * 8192 + 8 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (uint32_t seed : {0u, 0xC0FFEE11u}) {
+        ASSERT_EQ(Crc32c(buf.data() + offset, n, seed),
+                  Crc32cPortable(buf.data() + offset, n, seed))
+            << "n=" << n << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
 TEST(ChecksumTest, EmptyInputIsZero) {
   EXPECT_EQ(Crc32c(nullptr, 0), 0u);
   EXPECT_EQ(Crc32c("x", 0), 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/checksum.h"
 
@@ -265,6 +266,34 @@ TEST(NetWireResponses, QueryResultViewPointsIntoThePayload) {
   EXPECT_TRUE(DecodeQueryResultView(EncodeRangeQueryResponse(resp), &server,
                                     &view)
                   .IsCorruption());
+}
+
+TEST(NetWireResponses, SplitQueryReplyFramesLikeTheJoinedOne) {
+  // The server sends a query reply as a small prefix and the cells held
+  // apart; the frame on the wire must be byte-identical to the joined one.
+  RangeQueryResponse resp;
+  resp.domain = MInterval({{-3, 40}, {2, 9}});
+  resp.cell_type_id = static_cast<uint8_t>(CellTypeId::kUInt16);
+  resp.cells.resize(resp.domain.CellCountOrDie() * 2);
+  for (size_t i = 0; i < resp.cells.size(); ++i) {
+    resp.cells[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const std::vector<uint8_t> joined = EncodeRangeQueryResponse(resp);
+  std::vector<uint8_t> cells = resp.cells;
+  const uint8_t* cells_data = cells.data();
+  const SplitPayload split =
+      EncodeQueryResultSplit(resp.domain, resp.cell_type_id, std::move(cells));
+  EXPECT_EQ(split.body.data(), cells_data);  // moved, not copied
+  std::vector<uint8_t> rejoined = split.prefix;
+  rejoined.insert(rejoined.end(), split.body.begin(), split.body.end());
+  EXPECT_EQ(rejoined, joined);
+
+  uint8_t one[kHeaderBytes];
+  uint8_t two[kHeaderBytes];
+  EncodeFrameHeader(WireOp::kFilterQuery, /*response=*/true, 77, joined, one);
+  EncodeFrameHeader(WireOp::kFilterQuery, /*response=*/true, 77, split.prefix,
+                    split.body, two);
+  EXPECT_EQ(std::memcmp(one, two, kHeaderBytes), 0);
 }
 
 TEST(NetWireRequests, TruncatedPayloadIsCorruption) {

@@ -504,6 +504,73 @@ TEST_F(FilterQueryTest, DifferentialAcrossRandomPredicatesAndRegions) {
   }
 }
 
+TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
+  // A zero default is what `Array::Create` writes anyway, so only a
+  // non-zero one shows the fill. Four distinct bytes also show a pattern
+  // laid out at the wrong width or offset. Every third grid tile is left
+  // out, so regions cross uncovered cells; a result cell holds the stored
+  // value only where a tile covers it and the value matches, the default
+  // everywhere else.
+  const MInterval domain({{0, 40}, {0, 35}});
+  const CellType type = CellType::Of(CellTypeId::kUInt32);
+  const std::vector<uint8_t> dflt = {0x11, 0x22, 0x33, 0x44};
+  Array data = Array::Create(domain, type).value();
+  Random rng(2718);
+  ForEachPoint(domain, [&](const Point& p) {
+    data.Set<uint32_t>(p, static_cast<uint32_t>(rng.UniformInt(0, 511)));
+  });
+  MDDObject* obj = store_->CreateMDD("sparse", domain, type).value();
+  ASSERT_TRUE(obj->SetDefaultCell(dflt).ok());
+  std::vector<MInterval> covered;
+  const TilingSpec grid = GridTiling(domain, {9, 14});
+  for (size_t i = 0; i < grid.size(); ++i) {
+    if (i % 3 == 1) continue;
+    ASSERT_TRUE(obj->InsertTile(data.Slice(grid[i]).value()).ok());
+    covered.push_back(grid[i]);
+  }
+
+  for (int trial = 0; trial < 30; ++trial) {
+    ValuePredicate pred;
+    pred.kind = static_cast<ValuePredicate::Kind>(rng.UniformInt(0, 3));
+    pred.a = static_cast<double>(rng.UniformInt(0, 511));
+    pred.b = pred.a + rng.UniformInt(0, 150);
+    std::vector<Coord> lo(2), hi(2);
+    for (size_t i = 0; i < 2; ++i) {
+      lo[i] = rng.UniformInt(domain.lo(i), domain.hi(i));
+      hi[i] = rng.UniformInt(lo[i], domain.hi(i));
+    }
+    const MInterval region = MInterval::Create(lo, hi).value();
+
+    std::vector<uint8_t> expected;
+    ForEachPoint(region, [&](const Point& p) {
+      bool is_covered = false;
+      for (const MInterval& tile : covered) {
+        is_covered = is_covered || tile.Contains(p);
+      }
+      const uint32_t v = data.At<uint32_t>(p);
+      if (is_covered && pred.Matches(v)) {
+        const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
+        expected.insert(expected.end(), bytes, bytes + sizeof(v));
+      } else {
+        expected.insert(expected.end(), dflt.begin(), dflt.end());
+      }
+    });
+
+    for (int parallelism : {1, 4}) {
+      RangeQueryOptions options;
+      options.predicate = pred;
+      options.parallelism = parallelism;
+      RangeQueryExecutor exec(store_.get(), options);
+      Result<Array> got = exec.Execute(obj, region);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(got->size_bytes(), expected.size());
+      EXPECT_EQ(std::memcmp(got->data(), expected.data(), expected.size()), 0)
+          << "p=" << parallelism << " trial " << trial << " "
+          << pred.ToString() << " region " << region.ToString();
+    }
+  }
+}
+
 TEST_F(FilterQueryTest, NonNumericCellTypeIsRejected) {
   MDDObject* obj = store_
                        ->CreateMDD("rgb", MInterval({{0, 7}, {0, 7}}),
