@@ -42,9 +42,11 @@ RoutingTileClient::RoutingTileClient(ShardMap map,
   // lets every connection verify it reached the shard the map claims.
   options_.shard_options.handshake = true;
   shards_.resize(map_.shard_count());
-  const size_t workers = std::min<size_t>(
+  // The calling thread runs one leg of every fan-out, so the pool holds
+  // the other concurrent legs only.
+  const size_t legs = std::min<size_t>(
       std::max<size_t>(options_.max_fanout, 1), map_.shard_count());
-  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+  if (legs > 1) pool_ = std::make_unique<ThreadPool>(legs - 1);
   requests_ = registry_.counter("cluster.requests");
   fanout_calls_ = registry_.counter("cluster.fanout_calls");
   partial_results_ = registry_.counter("cluster.partial_results");
@@ -132,16 +134,29 @@ void RoutingTileClient::Scatter(std::vector<ShardCall<Reply>>* calls) {
   }
   fanout_calls_->Add(calls->size());
   fanout_width_->Observe(static_cast<double>(by_shard.size()));
-  TaskGroup group(pool_.get());
-  for (auto& entry : by_shard) {
-    const uint32_t shard = entry.first;
-    const std::vector<size_t>* indices = &entry.second;
-    group.Run([this, shard, indices, calls] {
-      for (const size_t i : *indices) {
-        (*calls)[i].result = CallShard<Reply>(shard, (*calls)[i].request);
+  if (by_shard.empty()) return;
+  auto run_shard = [this, calls](uint32_t shard,
+                                 const std::vector<size_t>& indices) {
+    for (size_t k = 0; k < indices.size(); ++k) {
+      ShardCall<Reply>& call = (*calls)[indices[k]];
+      call.result = CallShard<Reply>(shard, call.request);
+      if constexpr (std::is_same_v<Reply, std::span<const uint8_t>>) {
+        // A payload view lives until the connection's next call.
+        if (k + 1 < indices.size() && call.result.ok()) {
+          call.kept.assign(call.result->begin(), call.result->end());
+          call.result = std::span<const uint8_t>(call.kept);
+        }
       }
-    });
+    }
+  };
+  // The calling thread runs the last shard's calls itself: a single-shard
+  // request never touches the pool, and a fan-out hands it only the others.
+  TaskGroup group(pool_.get());
+  const auto last = std::prev(by_shard.end());
+  for (auto it = by_shard.begin(); it != last; ++it) {
+    group.Run([&run_shard, it] { run_shard(it->first, it->second); });
   }
+  run_shard(last->first, last->second);
   group.Wait();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,8 +21,9 @@ struct RoutingClientOptions {
   /// client always negotiates v2 and verifies shard identity);
   /// `request_timeout_ms` is the per-shard deadline of every fan-out leg.
   net::TileClientOptions shard_options;
-  /// Upper bound on concurrently in-flight shard requests (the fan-out
-  /// worker-pool size). Shards beyond it queue.
+  /// Upper bound on concurrently in-flight shard requests: the calling
+  /// thread runs one shard's leg and a pool of `max_fanout - 1` threads
+  /// the others. Shards beyond it queue.
   size_t max_fanout = 8;
   /// Verify at connect time that each endpoint reports the shard id the
   /// map assigns it, turning a miswired map into a connect error instead
@@ -83,16 +85,20 @@ class RoutingTileClient : public net::ClientInterface {
 
  private:
   /// One shard's share of a request. `Reply` is the decoded
-  /// `net::Response`, or the verified reply payload when the router reads
-  /// the body in place (fanned-out query results are stitched from it).
+  /// `net::Response`, or a view of the verified reply payload when the
+  /// router reads the body in place (fanned-out query results are stitched
+  /// from it).
   template <class Reply>
   struct ShardCall {
     uint32_t shard = 0;
     net::Request request;
     Result<Reply> result = Status::Internal("not dispatched");
+    /// A payload view's own copy, taken when the shard's connection is
+    /// reused for another sub-call before the router stitches.
+    std::vector<uint8_t> kept;
   };
   using SubCall = ShardCall<net::Response>;
-  using PayloadCall = ShardCall<std::vector<uint8_t>>;
+  using PayloadCall = ShardCall<std::span<const uint8_t>>;
 
   RoutingTileClient(ShardMap map, RoutingClientOptions options);
 
@@ -101,7 +107,8 @@ class RoutingTileClient : public net::ClientInterface {
   Status ConnectShard(uint32_t shard, int attempts);
 
   /// Runs every sub-call, grouped by shard (one task per shard keeps each
-  /// connection single-threaded), bounded by the fan-out pool.
+  /// connection single-threaded). The calling thread runs the last group
+  /// itself; the pool runs the others.
   template <class Reply>
   void Scatter(std::vector<ShardCall<Reply>>* calls);
 

@@ -45,7 +45,7 @@ class ByteWriter {
 /// Corruption status instead of UB.
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& buf) : buf_(buf) {}
+  explicit ByteReader(std::span<const uint8_t> buf) : buf_(buf) {}
 
   Status U8(uint8_t* v) { return Raw(v, 1); }
   Status U16(uint16_t* v) { return Raw(v, 2); }
@@ -91,7 +91,7 @@ class ByteReader {
                               std::to_string(pos_));
   }
 
-  const std::vector<uint8_t>& buf_;
+  std::span<const uint8_t> buf_;
   size_t pos_ = 0;
 };
 

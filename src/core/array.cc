@@ -8,7 +8,8 @@ namespace {
 constexpr uint64_t kMaxArrayBytes = 4ull << 30;
 }  // namespace
 
-Result<Array> Array::Create(const MInterval& domain, CellType cell_type) {
+Result<Array> Array::Create(const MInterval& domain, CellType cell_type,
+                            uint8_t fill) {
   if (!domain.IsFixed()) {
     return Status::InvalidArgument("array domain must be fixed: " +
                                    domain.ToString());
@@ -20,7 +21,7 @@ Result<Array> Array::Create(const MInterval& domain, CellType cell_type) {
     return Status::OutOfRange("array of " + std::to_string(bytes) +
                               " bytes exceeds in-memory limit");
   }
-  return Array(domain, cell_type, std::vector<uint8_t>(bytes, 0));
+  return Array(domain, cell_type, std::vector<uint8_t>(bytes, fill));
 }
 
 Result<Array> Array::FromBuffer(const MInterval& domain, CellType cell_type,

@@ -26,9 +26,11 @@ class Array {
   /// An empty 0-d array; useful only as a placeholder.
   Array() = default;
 
-  /// Allocates a zero-initialized array over `domain` (must be fixed and
-  /// small enough for memory; fails with OutOfRange otherwise).
-  static Result<Array> Create(const MInterval& domain, CellType cell_type);
+  /// Allocates an array over `domain` with every byte set to `fill` (zero
+  /// by default); `domain` must be fixed and small enough for memory
+  /// (fails with OutOfRange otherwise).
+  static Result<Array> Create(const MInterval& domain, CellType cell_type,
+                              uint8_t fill = 0);
 
   /// Wraps an existing buffer (moved in). `data.size()` must equal
   /// `domain.CellCount() * cell_type.size()`.

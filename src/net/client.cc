@@ -58,9 +58,10 @@ Status TileClient::Handshake(bool* downgrade) {
   HelloRequest hello;
   hello.max_version = kWireVersion;
   hello.expected_shard_id = options_.expected_shard_id;
-  std::vector<uint8_t> payload;
-  Status st = RoundTrip(WireOp::kHello, EncodeHelloRequest(hello), &payload);
-  if (!st.ok()) {
+  Result<std::span<const uint8_t>> payload =
+      RoundTrip(WireOp::kHello, EncodeHelloRequest(hello));
+  if (!payload.ok()) {
+    const Status& st = payload.status();
     // A deadline expiry is a slow server, not a v1 one — downgrading here
     // would hide its shard identity behind the standalone defaults.
     if (st.IsDeadlineExceeded()) return st;
@@ -72,7 +73,7 @@ Status TileClient::Handshake(bool* downgrade) {
   }
   Status server;
   HelloResponse resp;
-  st = DecodeHelloResponse(payload, &server, &resp);
+  Status st = DecodeHelloResponse(*payload, &server, &resp);
   if (!st.ok()) {
     healthy_ = false;
     return st;
@@ -99,8 +100,8 @@ Status TileClient::Handshake(bool* downgrade) {
   return Status::OK();
 }
 
-Status TileClient::RoundTrip(WireOp op, const std::vector<uint8_t>& request,
-                             std::vector<uint8_t>* response) {
+Result<std::span<const uint8_t>> TileClient::RoundTrip(
+    WireOp op, const std::vector<uint8_t>& request) {
   if (!healthy_ || !socket_.valid()) {
     return Status::Unavailable("connection is closed or poisoned");
   }
@@ -140,17 +141,21 @@ Status TileClient::RoundTrip(WireOp op, const std::vector<uint8_t>& request,
     healthy_ = false;
     return st;
   }
-  response->resize(header.payload_len);
-  st = socket_.RecvAll(response->data(), response->size(), deadline);
-  if (st.ok()) st = VerifyPayload(header, *response);
+  if (recv_buf_.size() < header.payload_len) {
+    recv_buf_.resize(header.payload_len);
+  }
+  const std::span<const uint8_t> payload(recv_buf_.data(),
+                                         header.payload_len);
+  st = socket_.RecvAll(recv_buf_.data(), payload.size(), deadline);
+  if (st.ok()) st = VerifyPayload(header, payload);
   if (!st.ok()) {
     healthy_ = false;
     return st;
   }
-  return Status::OK();
+  return payload;
 }
 
-Result<std::vector<uint8_t>> TileClient::CallForPayload(
+Result<std::span<const uint8_t>> TileClient::CallForPayload(
     const Request& request) {
   const WireOp op = RequestOp(request);
   // v2-only ops never go out on a v1 conversation: a genuine v1 server
@@ -162,12 +167,12 @@ Result<std::vector<uint8_t>> TileClient::CallForPayload(
         "version " +
         std::to_string(wire_version_));
   }
-  std::vector<uint8_t> payload;
-  Status st = RoundTrip(op, EncodeRequest(request), &payload);
-  if (!st.ok()) return st;
-  ByteReader r(payload);
+  Result<std::span<const uint8_t>> payload =
+      RoundTrip(op, EncodeRequest(request));
+  if (!payload.ok()) return payload.status();
+  ByteReader r(*payload);
   Status server;
-  st = DecodeResponseStatus(&r, &server);
+  Status st = DecodeResponseStatus(&r, &server);
   if (!st.ok()) {
     healthy_ = false;
     return st;
@@ -177,7 +182,7 @@ Result<std::vector<uint8_t>> TileClient::CallForPayload(
 }
 
 Result<Response> TileClient::Call(const Request& request) {
-  Result<std::vector<uint8_t>> payload = CallForPayload(request);
+  Result<std::span<const uint8_t>> payload = CallForPayload(request);
   if (!payload.ok()) return payload.status();
   // The server's status byte read OK in `CallForPayload`; only the body
   // can still be malformed.

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "net/client_api.h"
 #include "net/socket.h"
@@ -51,9 +53,11 @@ class TileClient : public ClientInterface {
 
   /// `Call` without the final decode: the verified response payload of
   /// one round trip, status byte included, for callers that read the body
-  /// in place (the router stitches query cells straight from it). A
-  /// server-side error comes back as the error status, as from `Call`.
-  Result<std::vector<uint8_t>> CallForPayload(const Request& request);
+  /// in place (the router stitches query cells straight from it). The view
+  /// points into this client's receive buffer and stays valid until its
+  /// next call. A server-side error comes back as the error status, as
+  /// from `Call`.
+  Result<std::span<const uint8_t>> CallForPayload(const Request& request);
 
   /// True until an I/O or protocol error poisoned the connection.
   bool healthy() const override { return healthy_; }
@@ -69,9 +73,10 @@ class TileClient : public ClientInterface {
   TileClient(Socket socket, TileClientOptions options)
       : socket_(std::move(socket)), options_(options) {}
 
-  /// Sends one request frame and reads the matching response payload.
-  Status RoundTrip(WireOp op, const std::vector<uint8_t>& request,
-                   std::vector<uint8_t>* response);
+  /// Sends one request frame and receives the matching response payload
+  /// into `recv_buf_`; the view is valid until the next round trip.
+  Result<std::span<const uint8_t>> RoundTrip(
+      WireOp op, const std::vector<uint8_t>& request);
 
   /// Runs the kHello exchange; on success records the negotiated version
   /// and shard identity. Returns NotFound-as-downgrade via `*downgrade`
@@ -85,6 +90,9 @@ class TileClient : public ClientInterface {
   uint16_t wire_version_ = kWireVersion;
   uint32_t shard_id_ = 0;
   uint32_t shard_count_ = 1;
+  // Receives every response payload. It only grows, so a steady stream of
+  // replies is received with no allocation and no zero-fill.
+  std::vector<uint8_t> recv_buf_;
 };
 
 }  // namespace net

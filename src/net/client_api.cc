@@ -61,7 +61,7 @@ std::vector<uint8_t> EncodeRequest(const Request& request) {
       request);
 }
 
-Status DecodeResponsePayload(WireOp op, const std::vector<uint8_t>& payload,
+Status DecodeResponsePayload(WireOp op, std::span<const uint8_t> payload,
                              Status* server_status, Response* out) {
   Status st;
   switch (op) {

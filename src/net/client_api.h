@@ -59,7 +59,7 @@ std::vector<uint8_t> EncodeRequest(const Request& request);
 /// Structural validation (cell-type range, cells-vs-domain size) happens
 /// here or in the wire decoders it calls, so the typed wrappers are
 /// infallible conversions.
-Status DecodeResponsePayload(WireOp op, const std::vector<uint8_t>& payload,
+Status DecodeResponsePayload(WireOp op, std::span<const uint8_t> payload,
                              Status* server_status, Response* out);
 
 /// Remote object metadata, the response of `OpenMDD`.

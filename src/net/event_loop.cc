@@ -4,7 +4,9 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -59,8 +61,9 @@ Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
 #endif
   std::unique_ptr<EventLoop> loop(
       new EventLoop(epoll_fd, pipe_fds[0], pipe_fds[1]));
-  // The wake pipe is an ordinary registered fd with a null tag; Wait
-  // recognizes it and drains it instead of reporting an event.
+  // The wake pipe is an ordinary registered fd tagged with the loop
+  // itself; Wait recognizes it and drains it instead of reporting an
+  // event.
   if (Status st = loop->Add(pipe_fds[0], /*want_read=*/true,
                             /*want_write=*/false, loop.get());
       !st.ok()) {
@@ -84,52 +87,82 @@ const char* EventLoop::backend() const {
   return epoll_fd_ >= 0 ? "epoll" : "poll";
 }
 
-Status EventLoop::Add(int fd, bool want_read, bool want_write, void* tag) {
-  if (tag == nullptr) {
-    return Status::InvalidArgument("event loop tags must be non-null");
-  }
-  if (!interest_.emplace(fd, Interest{tag, want_read, want_write}).second) {
-    return Status::InvalidArgument("fd already registered with event loop");
-  }
+size_t EventLoop::watched_fds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return interest_.size();
+}
+
+Status EventLoop::Control(int op, int fd, const Interest& interest) {
 #ifdef __linux__
   if (epoll_fd_ >= 0) {
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      interest_.erase(fd);
-      return Status::IOError(ErrnoText("epoll_ctl ADD"));
+    if (interest.want_read) ev.events |= EPOLLIN;
+    if (interest.want_write) ev.events |= EPOLLOUT;
+    if (interest.one_shot) ev.events |= EPOLLONESHOT;
+    ev.data.ptr = interest.tag;
+    if (::epoll_ctl(epoll_fd_, op, fd, &ev) != 0) {
+      return Status::IOError(ErrnoText(op == EPOLL_CTL_ADD ? "epoll_ctl ADD"
+                                                           : "epoll_ctl MOD"));
     }
   }
+#else
+  (void)op;
+  (void)fd;
+  (void)interest;
 #endif
+  return Status::OK();
+}
+
+Status EventLoop::Add(int fd, bool want_read, bool want_write, void* tag,
+                      bool one_shot) {
+  if (tag == nullptr) {
+    return Status::InvalidArgument("event loop tags must be non-null");
+  }
+  const Interest interest{tag, want_read, want_write, one_shot,
+                          /*disarmed=*/false};
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!interest_.emplace(fd, interest).second) {
+      return Status::InvalidArgument("fd already registered with event loop");
+    }
+#ifdef __linux__
+    if (Status st = Control(EPOLL_CTL_ADD, fd, interest); !st.ok()) {
+      interest_.erase(fd);
+      return st;
+    }
+#endif
+    wake = polling_;
+  }
+  if (wake) Wake();
   return Status::OK();
 }
 
 Status EventLoop::Update(int fd, bool want_read, bool want_write) {
-  auto it = interest_.find(fd);
-  if (it == interest_.end()) {
-    return Status::InvalidArgument("fd not registered with event loop");
-  }
-  it->second.want_read = want_read;
-  it->second.want_write = want_write;
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return Status::IOError(ErrnoText("epoll_ctl MOD"));
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = interest_.find(fd);
+    if (it == interest_.end()) {
+      return Status::InvalidArgument("fd not registered with event loop");
     }
-  }
+    it->second.want_read = want_read;
+    it->second.want_write = want_write;
+    it->second.disarmed = false;
+#ifdef __linux__
+    if (Status st = Control(EPOLL_CTL_MOD, fd, it->second); !st.ok()) {
+      return st;
+    }
 #endif
+    wake = polling_;
+  }
+  if (wake) Wake();
   return Status::OK();
 }
 
 Status EventLoop::Remove(int fd) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (interest_.erase(fd) == 0) {
     return Status::InvalidArgument("fd not registered with event loop");
   }
@@ -143,32 +176,32 @@ Status EventLoop::Remove(int fd) {
   return Status::OK();
 }
 
-Result<size_t> EventLoop::Wait(int timeout_ms, std::vector<Event>* out) {
-  out->clear();
-  auto drain_wake = [this] {
-    uint8_t buf[64];
-    while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
-    }
-  };
+void EventLoop::DrainWake() {
+  uint8_t buf[64];
+  while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
+  }
+}
 
+Result<size_t> EventLoop::Wait(int timeout_ms, std::vector<Event>* out,
+                               size_t max_events) {
+  out->clear();
+  max_events = std::clamp<size_t>(max_events, 1, 128);
 #ifdef __linux__
   if (epoll_fd_ >= 0) {
     epoll_event events[128];
-    const int n = ::epoll_wait(epoll_fd_, events, 128, timeout_ms);
+    const int n = ::epoll_wait(epoll_fd_, events,
+                               static_cast<int>(max_events), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) return size_t{0};
       return Status::IOError(ErrnoText("epoll_wait"));
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_read_fd_) {
-        drain_wake();
+      if (events[i].data.ptr == this) {
+        DrainWake();
         continue;
       }
-      auto it = interest_.find(fd);
-      if (it == interest_.end()) continue;  // removed by an earlier event
       Event ev;
-      ev.tag = it->second.tag;
+      ev.tag = events[i].data.ptr;
       ev.readable = (events[i].events & EPOLLIN) != 0;
       ev.writable = (events[i].events & EPOLLOUT) != 0;
       ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
@@ -177,31 +210,60 @@ Result<size_t> EventLoop::Wait(int timeout_ms, std::vector<Event>* out) {
     return out->size();
   }
 #endif
+  return PollWait(timeout_ms, out, max_events);
+}
 
+Result<size_t> EventLoop::PollWait(int timeout_ms, std::vector<Event>* out,
+                                   size_t max_events) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // One leader polls at a time; `polling_` marks it.
+  const auto no_leader = [this] { return !polling_; };
+  if (timeout_ms < 0) {
+    poll_turn_.wait(lock, no_leader);
+  } else if (!poll_turn_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                                  no_leader)) {
+    return size_t{0};  // another thread polled for the whole timeout
+  }
+  polling_ = true;
   std::vector<pollfd> fds;
+  std::vector<void*> tags;
   fds.reserve(interest_.size());
-  poll_tags_.clear();
-  poll_tags_.reserve(interest_.size());
+  tags.reserve(interest_.size());
   for (const auto& [fd, interest] : interest_) {
+    if (interest.disarmed) continue;
     short events = 0;
     if (interest.want_read) events |= POLLIN;
     if (interest.want_write) events |= POLLOUT;
     fds.push_back(pollfd{fd, events, 0});
-    poll_tags_.push_back(interest.tag);
+    tags.push_back(interest.tag);
   }
+  lock.unlock();
   const int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int poll_errno = errno;
+  lock.lock();
+  polling_ = false;
+  poll_turn_.notify_one();
   if (n < 0) {
-    if (errno == EINTR) return size_t{0};
+    if (poll_errno == EINTR) return size_t{0};
+    errno = poll_errno;
     return Status::IOError(ErrnoText("poll"));
   }
-  for (size_t i = 0; i < fds.size(); ++i) {
+  for (size_t i = 0; i < fds.size() && out->size() < max_events; ++i) {
     if (fds[i].revents == 0) continue;
     if (fds[i].fd == wake_read_fd_) {
-      drain_wake();
+      DrainWake();
       continue;
     }
+    // The fd may have been removed, re-registered or disarmed while this
+    // round polled; only its current, armed registration reports.
+    auto it = interest_.find(fds[i].fd);
+    if (it == interest_.end() || it->second.tag != tags[i] ||
+        it->second.disarmed) {
+      continue;
+    }
+    if (it->second.one_shot) it->second.disarmed = true;
     Event ev;
-    ev.tag = poll_tags_[i];
+    ev.tag = tags[i];
     ev.readable = (fds[i].revents & POLLIN) != 0;
     ev.writable = (fds[i].revents & POLLOUT) != 0;
     ev.hangup = (fds[i].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;

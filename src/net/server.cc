@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
+#include "common/thread_pool.h"
 #include "core/aggregate.h"
 #include "layout/sfc.h"
 #include "obs/trace.h"
@@ -20,7 +22,31 @@ double ElapsedMs(Clock::time_point since) {
       .count();
 }
 
-// Request-execution workers: as configured, else clamp(hw threads, 2, 8).
+// How often the standby sweeps timeouts, and how long a thread waits for
+// readiness while `Stop` drains.
+constexpr int kTickMs = 10;
+// A worker's wait between events. Nothing in the unsaturated path needs a
+// worker on a timer; the bound only caps how long a worker can miss the
+// start of a drain.
+constexpr int kWorkerWaitMs = 100;
+constexpr int64_t kNever = INT64_MAX;
+
+int64_t SweepAt(Clock::time_point t) {
+  return t == Clock::time_point::max()
+             ? kNever
+             : std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   t.time_since_epoch())
+                   .count();
+}
+
+Clock::time_point IdleDeadline(const TileServerOptions& options,
+                               Clock::time_point idle_since) {
+  return options.idle_timeout_ms > 0
+             ? idle_since + std::chrono::milliseconds(options.idle_timeout_ms)
+             : Clock::time_point::max();
+}
+
+// Serving threads: as configured, else clamp(hw threads, 2, 8).
 size_t WorkerCount(const TileServerOptions& options) {
   return options.event_loop_workers != 0
              ? options.event_loop_workers
@@ -71,6 +97,7 @@ TileServer::TileServer(MDDStore* store, TileServerOptions options)
   eventloop_loops_ = m->counter("net.eventloop.loops");
   eventloop_events_ = m->counter("net.eventloop.events");
   eventloop_watched_fds_ = m->gauge("net.eventloop.watched_fds");
+  handoffs_ = m->counter("net.handoffs");
   threads_gauge_ = m->gauge("net.threads");
 
   RetilerOptions retile_options;
@@ -114,62 +141,36 @@ Status TileServer::Start() {
   Result<std::unique_ptr<EventLoop>> loop = EventLoop::Create();
   if (!loop.ok()) return loop.status();
   loop_ = std::move(loop).MoveValue();
-  // The listener's tag is the Listener itself; connections tag their
-  // EventConn. One fixed worker pool executes requests — connection count
-  // is bounded by `max_connections` fds, not by threads.
+  // The listener's tag is the Listener itself; connections tag their Conn.
+  // Everything is one-shot: the thread that takes an event owns the fd
+  // until it re-arms it.
   Status st = loop_->Add(listener_.fd(), /*want_read=*/true,
-                         /*want_write=*/false, &listener_);
+                         /*want_write=*/false, &listener_, /*one_shot=*/true);
   if (!st.ok()) return st;
-  pool_ = std::make_unique<ThreadPool>(WorkerCount(options_));
-  threads_gauge_->Set(1 + static_cast<int64_t>(pool_->size()));
+  workers_ = WorkerCount(options_);
+  threads_gauge_->Set(static_cast<int64_t>(workers_) + 1);
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { EventLoopMain(); });
+  for (size_t i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerMain(); });
+  }
+  threads_.emplace_back([this] { StandbyMain(); });
   if (options_.auto_retile) retiler_->Start();
   if (options_.auto_compact) compactor_->Start();
   return Status::OK();
 }
 
-void TileServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
-  // Drain the re-tiler and compactor first: their in-flight steps
-  // complete (an atomic RetileRegion / RelocateTiles), remaining steps
-  // are parked — the object is left in a valid state either way.
-  if (retiler_) retiler_->Stop();
-  if (compactor_) compactor_->Stop();
-  // The loop notices `stopping_`, closes the listener and idle
-  // connections, and returns once in-flight requests have answered (or
-  // `drain_timeout_ms` passed).
-  loop_->Wake();
-  loop_thread_.join();
-  // Joining the workers guarantees no one references loop_ or the
-  // connection objects afterwards; late completions just settle gauges.
-  pool_.reset();
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    for (auto& completion : completions_) {
-      (void)completion;
-      inflight_gauge_->Add(-1);
-    }
-    completions_.clear();
-  }
-  econns_.clear();
-  ev_zombies_.clear();
-  ev_live_.clear();
-  loop_.reset();
-}
-
-/// One multiplexed connection: a small state machine driven by readiness
-/// events on the loop thread. While `kExecuting` the fd is parked (no
-/// interest) so level-triggered readiness does not spin.
-struct TileServer::EventConn {
+/// One multiplexed connection: a small state machine. Only its owner — the
+/// thread that took its event, or that took it from the parked queue —
+/// touches its buffers; sweeps and `Stop` read `phase`/`sweep_at_ns` and
+/// may shut the socket down, which hands the close to the next owner.
+struct TileServer::Conn {
   enum class State { kHeader, kPayload, kExecuting, kWriting };
 
   Socket sock;
   State state = State::kHeader;
   uint8_t header_raw[kHeaderBytes];
   FrameHeader header;
-  std::vector<uint8_t> in;  // payload being received (moved to the worker)
+  std::vector<uint8_t> in;  // payload being received
   size_t got = 0;
   // The response being flushed: its header, encoded in place and followed
   // by the payload's prefix, and the payload's body, sent together
@@ -178,152 +179,185 @@ struct TileServer::EventConn {
   std::vector<uint8_t> out;
   size_t out_pos = 0;  // bytes of out_head + out already sent
   bool close_after_send = false;
-  /// Closed (hangup/forced) while a worker still owes a completion.
-  bool doomed = false;
-  /// A worker owns a pending completion for this connection.
-  bool job_outstanding = false;
-  bool in_admission_queue = false;
+  std::thread::id reader;  // the thread that read the current request
   Clock::time_point idle_since;
-  Clock::time_point queued_at;
+  Clock::time_point queued_at;  // under admit_mu_ while parked
   Clock::time_point request_start;
   Deadline request_deadline = Deadline::max();
+
+  // Published with a release store before the fd is armed; the next owner
+  // acquires it when it takes the event.
+  std::atomic<Phase> phase{Phase::kOwned};
+  // When a sweep should shut the armed connection down (kNever: never).
+  std::atomic<int64_t> sweep_at_ns{kNever};
 };
 
-void TileServer::EventLoopMain() {
-  std::vector<EventLoop::Event> events;
-  bool draining = false;
-  Clock::time_point drain_deadline{};
-  // Sweeping walks every connection; under load the loop iterates once
-  // per completion, so an unthrottled sweep is O(connections) per request.
-  // Timeouts only need coarse granularity.
-  constexpr auto kSweepInterval = std::chrono::milliseconds(10);
-  Clock::time_point last_sweep = Clock::now();
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire) && !draining) {
-      draining = true;
-      drain_deadline =
-          Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
-      (void)loop_->Remove(listener_.fd());
-      listener_.Close();
-      // Idle connections close immediately; in-flight requests, queued
-      // admissions, and pending responses drain below.
-      std::vector<EventConn*> idle;
-      for (auto& [fd, conn] : econns_) {
-        if (conn->state == EventConn::State::kHeader) {
-          idle.push_back(conn.get());
-        } else if (conn->state == EventConn::State::kPayload) {
-          frame_errors_->Add(1);
-          idle.push_back(conn.get());
-        }
-      }
-      for (EventConn* conn : idle) EventCloseConn(conn);
-    }
-    if (draining) {
-      bool writing = false;
-      for (auto& [fd, conn] : econns_) {
-        if (conn->state == EventConn::State::kWriting) {
-          writing = true;
-          break;
-        }
-      }
-      const bool drained =
-          ev_inflight_ == 0 && ev_admission_queue_.empty() && !writing;
-      if (drained || Clock::now() >= drain_deadline) break;
-    }
+bool TileServer::Drained() {
+  if (!stopping_.load()) return false;
+  if (Clock::now() >= drain_deadline_) return true;
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  return conns_.empty();
+}
 
-    Result<size_t> n = loop_->Wait(/*timeout_ms=*/10, &events);
-    eventloop_loops_->Add(1);
-    eventloop_watched_fds_->Set(
-        static_cast<int64_t>(loop_->watched_fds()));
-    if (n.ok() && *n > 0) {
-      eventloop_events_->Add(*n);
-      for (const EventLoop::Event& ev : events) {
-        if (ev.tag == &listener_) {
-          if (!draining) EventAccept();
-          continue;
-        }
-        EventConn* conn = static_cast<EventConn*>(ev.tag);
-        // An earlier event in this batch may have closed the connection.
-        if (ev_live_.count(conn) == 0) continue;
-        EventHandleIo(conn, ev);
+void TileServer::Stop() {
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  drain_deadline_ =
+      Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
+  stopping_.store(true);
+  // Drain the re-tiler and compactor first: their in-flight steps
+  // complete (an atomic RetileRegion / RelocateTiles), remaining steps
+  // are parked — the object is left in a valid state either way.
+  if (retiler_) retiler_->Stop();
+  if (compactor_) compactor_->Stop();
+  // Idle and half-read connections close now, through the thread that
+  // takes their hangup; executing, parked and writing ones drain. An owner
+  // that arms after `stopping_` closes the connection itself instead.
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (auto& [fd, conn] : conns_) {
+      const Phase phase = conn->phase.load();
+      if (phase == Phase::kIdle || phase == Phase::kReading) {
+        conn->sock.Shutdown();
       }
-    }
-
-    // Completions from the workers (they Wake() after pushing).
-    std::vector<std::pair<EventConn*, SplitPayload>> finished;
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      finished.swap(completions_);
-    }
-    for (auto& [conn, response] : finished) {
-      EventFinish(conn, std::move(response));
-    }
-
-    const Clock::time_point now = Clock::now();
-    if (now - last_sweep >= kSweepInterval) {
-      last_sweep = now;
-      EventSweep();
     }
   }
-
-  // Forced exit: anything still open lost the drain race.
-  for (auto& [fd, conn] : econns_) {
+  loop_->Wake();
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+  // Forced exit: anything still open lost the drain race. No thread is
+  // left, so nothing else owns these connections.
+  for (auto& [fd, conn] : conns_) {
     conn->sock.Close();
     conns_gauge_->Add(-1);
   }
+  conns_.clear();
+  parked_.clear();
+  listener_.Close();
   eventloop_watched_fds_->Set(0);
+  loop_.reset();
 }
 
-void TileServer::EventAccept() {
+void TileServer::WorkerMain() {
+  std::vector<EventLoop::Event> events;
+  bool saw_stop = false;
   for (;;) {
-    Result<Socket> accepted = listener_.AcceptNonBlocking();
-    if (!accepted.ok()) return;  // drained (or the listener broke)
-    if (econns_.size() >= options_.max_connections) {
-      refused_->Add(1);
-      continue;  // RAII-closes the socket: explicit refusal, no queue
+    if (stopping_.load()) {
+      if (!saw_stop) {
+        saw_stop = true;
+        loop_->Wake();  // pass the stop on to a thread still waiting
+      }
+      if (Drained()) break;
     }
-    accepted_->Add(1);
-    auto conn = std::make_unique<EventConn>();
+    if (Conn* parked = TakeParked()) {
+      Execute(parked);
+      continue;
+    }
+    Result<size_t> n =
+        loop_->Wait(saw_stop ? kTickMs : kWorkerWaitMs, &events,
+                    /*max_events=*/1);
+    eventloop_loops_->Add(1);
+    if (!n.ok() || *n == 0) continue;
+    eventloop_events_->Add(*n);
+    for (const EventLoop::Event& ev : events) HandleEvent(ev, /*worker=*/true);
+  }
+  loop_->Wake();
+}
+
+void TileServer::StandbyMain() {
+  std::vector<EventLoop::Event> events;
+  Clock::time_point last_sweep = Clock::now();
+  uint64_t last_starts = starts_.load();
+  bool reading = false;
+  while (!Drained()) {
+    bool saturated = false;
+    {
+      std::lock_guard<std::mutex> lock(admit_mu_);
+      saturated = inflight_ >= workers_;
+    }
+    // The standby reads only once every worker has been busy for a whole
+    // tick with no request started in it, so a briefly saturated server
+    // gets no extra reader, and no wake-up either.
+    const uint64_t starts = starts_.load();
+    reading = saturated && (reading || starts == last_starts);
+    last_starts = starts;
+    if (reading) {
+      Result<size_t> n = loop_->Wait(kTickMs, &events, /*max_events=*/1);
+      eventloop_loops_->Add(1);
+      if (n.ok() && *n > 0) {
+        eventloop_events_->Add(*n);
+        for (const EventLoop::Event& ev : events) {
+          HandleEvent(ev, /*worker=*/false);
+        }
+      }
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kTickMs));
+    }
+    const Clock::time_point now = Clock::now();
+    if (now - last_sweep >= std::chrono::milliseconds(kTickMs)) {
+      last_sweep = now;
+      Sweep();
+    }
+  }
+}
+
+void TileServer::HandleEvent(const EventLoop::Event& ev, bool worker) {
+  if (ev.tag == &listener_) {
+    Accept();
+    return;
+  }
+  Conn* conn = static_cast<Conn*>(ev.tag);
+  // Taking the event makes this thread the owner; the acquire pairs with
+  // the previous owner's release before it armed the fd.
+  conn->phase.exchange(Phase::kOwned, std::memory_order_acq_rel);
+  // A hangup or a spurious event falls through to the read or write,
+  // which closes the connection or re-arms it.
+  if (conn->state == Conn::State::kWriting) {
+    WriteStep(conn);
+  } else {
+    ReadStep(conn, worker);
+  }
+}
+
+void TileServer::Accept() {
+  for (;;) {
+    if (stopping_.load()) return;  // the listener stays disarmed
+    Result<Socket> accepted = listener_.AcceptNonBlocking();
+    if (!accepted.ok()) break;  // drained (or the listener broke)
+    auto conn = std::make_unique<Conn>();
     conn->sock = std::move(accepted).MoveValue();
     conn->idle_since = Clock::now();
     const int fd = conn->sock.fd();
-    if (!loop_->Add(fd, /*want_read=*/true, /*want_write=*/false,
-                    conn.get())
-             .ok()) {
-      continue;  // fd limit burst: drop the connection
-    }
-    ev_live_.insert(conn.get());
-    econns_[fd] = std::move(conn);
-    conns_gauge_->Add(1);
-  }
-}
-
-void TileServer::EventHandleIo(EventConn* conn, const EventLoop::Event& ev) {
-  switch (conn->state) {
-    case EventConn::State::kHeader:
-    case EventConn::State::kPayload:
-      (void)EventReadStep(conn);
-      return;
-    case EventConn::State::kWriting:
-      if (ev.writable) {
-        (void)EventWriteStep(conn);
-      } else if (ev.hangup) {
-        EventCloseConn(conn);
+    Conn* raw = conn.get();
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      if (conns_.size() >= options_.max_connections) {
+        refused_->Add(1);
+        continue;  // RAII-closes the socket: explicit refusal, no queue
       }
-      return;
-    case EventConn::State::kExecuting:
-      // Parked fds still report hangups; the response has nowhere to go.
-      if (ev.hangup) EventCloseConn(conn);
-      return;
+      conns_[fd] = std::move(conn);
+    }
+    accepted_->Add(1);
+    conns_gauge_->Add(1);
+    raw->sweep_at_ns.store(SweepAt(IdleDeadline(options_, raw->idle_since)));
+    raw->phase.store(Phase::kIdle);
+    // `Stop` may have missed a connection inserted after its pass.
+    if (stopping_.load() ||
+        !loop_->Add(fd, /*want_read=*/true, /*want_write=*/false, raw,
+                    /*one_shot=*/true)
+             .ok()) {
+      Close(raw);
+    }
   }
+  eventloop_watched_fds_->Set(static_cast<int64_t>(loop_->watched_fds()));
+  (void)loop_->Update(listener_.fd(), /*want_read=*/true,
+                      /*want_write=*/false);
 }
 
-bool TileServer::EventReadStep(EventConn* conn) {
+void TileServer::ReadStep(Conn* conn, bool worker) {
   for (;;) {
-    uint8_t* buf = conn->state == EventConn::State::kHeader
-                       ? conn->header_raw
-                       : conn->in.data();
-    const size_t need = conn->state == EventConn::State::kHeader
+    uint8_t* buf = conn->state == Conn::State::kHeader ? conn->header_raw
+                                                       : conn->in.data();
+    const size_t need = conn->state == Conn::State::kHeader
                             ? kHeaderBytes
                             : conn->in.size();
     while (conn->got < need) {
@@ -332,29 +366,31 @@ bool TileServer::EventReadStep(EventConn* conn) {
       if (!r.ok()) {
         // A clean hangup between requests closes quietly; a payload cut
         // off mid-message is a frame error.
-        if (conn->state == EventConn::State::kPayload) {
-          frame_errors_->Add(1);
-        }
-        EventCloseConn(conn);
-        return false;
+        if (conn->state == Conn::State::kPayload) frame_errors_->Add(1);
+        Close(conn);
+        return;
       }
-      if (*r == 0) return true;  // drained; wait for the next event
+      if (*r == 0) {  // drained; wait for the next event
+        Arm(conn, conn->state == Conn::State::kHeader ? Phase::kIdle
+                                                      : Phase::kReading);
+        return;
+      }
       conn->got += *r;
     }
-    if (conn->state == EventConn::State::kHeader) {
+    if (conn->state == Conn::State::kHeader) {
       Status st = DecodeHeader(conn->header_raw, &conn->header);
       if (st.ok() && conn->header.response) {
         st = Status::Corruption("unexpected response frame from client");
       }
       if (!st.ok()) {
         frame_errors_->Add(1);
-        EventCloseConn(conn);
-        return false;
+        Close(conn);
+        return;
       }
       // The request clock starts once the header is in.
       conn->request_start = Clock::now();
       conn->request_deadline = DeadlineAfterMs(options_.request_timeout_ms);
-      conn->state = EventConn::State::kPayload;
+      conn->state = Conn::State::kPayload;
       conn->in.assign(conn->header.payload_len, 0);
       conn->got = 0;
       continue;  // a zero-length payload completes immediately
@@ -362,114 +398,115 @@ bool TileServer::EventReadStep(EventConn* conn) {
     Status st = VerifyPayload(conn->header, conn->in);
     if (!st.ok()) {
       frame_errors_->Add(1);
-      EventCloseConn(conn);
-      return false;
+      Close(conn);
+      return;
     }
     bytes_received_->Add(kHeaderBytes + conn->in.size());
     requests_->Add(1);
-    conn->state = EventConn::State::kExecuting;
-    (void)loop_->Update(conn->sock.fd(), /*want_read=*/false,
-                        /*want_write=*/false);
-    EventAdmit(conn);
-    return true;
+    conn->state = Conn::State::kExecuting;
+    conn->reader = std::this_thread::get_id();
+    Admit(conn, worker);
+    return;
   }
 }
 
-void TileServer::EventAdmit(EventConn* conn) {
+void TileServer::Admit(Conn* conn, bool worker) {
   const size_t capacity = std::max<size_t>(options_.max_inflight_requests, 1);
-  if (ev_inflight_ < capacity) {
-    ++ev_inflight_;
-    inflight_gauge_->Add(1);
-    EventExecute(conn);
-    return;
+  enum { kRun, kPark, kReject } verdict;
+  bool nudge = false;
+  {
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    if (worker && inflight_ < capacity) {
+      verdict = kRun;
+      ++inflight_;
+    } else if (inflight_ + parked_.size() >=
+               capacity + options_.admission_queue_limit) {
+      verdict = kReject;
+    } else {
+      // Over the in-flight limit, or read by the standby: the next worker
+      // to finish takes it. A worker that went idle meanwhile needs a
+      // wake-up, since nothing else would bring it back.
+      verdict = kPark;
+      conn->queued_at = Clock::now();
+      parked_.push_back(conn);
+      nudge = !worker && inflight_ < std::min(workers_, capacity);
+    }
   }
-  if (ev_admission_queue_.size() >= options_.admission_queue_limit) {
-    rejected_overload_->Add(1);
-    EventSendResponse(conn,
-                      EncodeErrorResponse(Status::Unavailable(
-                          "overloaded: in-flight request limit reached")),
-                      /*close_after_send=*/false);
-    return;
+  switch (verdict) {
+    case kRun:
+      inflight_gauge_->Add(1);
+      starts_.fetch_add(1, std::memory_order_relaxed);
+      Execute(conn);
+      return;
+    case kReject:
+      rejected_overload_->Add(1);
+      SendReply(conn,
+                EncodeErrorResponse(Status::Unavailable(
+                    "overloaded: in-flight request limit reached")),
+                /*close_after_send=*/false);
+      return;
+    case kPark:
+      if (nudge) loop_->Wake();
+      return;
   }
-  conn->queued_at = Clock::now();
-  conn->in_admission_queue = true;
-  ev_admission_queue_.push_back(conn);
 }
 
-void TileServer::EventExecute(EventConn* conn) {
-  conn->job_outstanding = true;
-  pool_->Submit([this, conn, op = conn->header.op,
-                 payload = std::move(conn->in)] {
-    const uint64_t trace_id = store_->trace()->NextTraceId();
-    SplitPayload response;
-    {
-      obs::TraceScope span(store_->trace(), trace_id, WireOpName(op).data());
-      if (options_.debug_handler_delay_ms > 0) {
-        // Sliced so shutdown is never held up by the debug delay.
-        const Deadline wake = DeadlineAfterMs(options_.debug_handler_delay_ms);
-        while (Clock::now() < wake &&
-               !stopping_.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
+TileServer::Conn* TileServer::TakeParked() {
+  const size_t capacity = std::max<size_t>(options_.max_inflight_requests, 1);
+  Conn* conn = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    if (parked_.empty() || inflight_ >= capacity) return nullptr;
+    conn = parked_.front();
+    parked_.pop_front();
+    ++inflight_;
+  }
+  inflight_gauge_->Add(1);
+  starts_.fetch_add(1, std::memory_order_relaxed);
+  return conn;
+}
+
+void TileServer::Execute(Conn* conn) {
+  if (conn->reader != std::this_thread::get_id()) handoffs_->Add(1);
+  const WireOp op = conn->header.op;
+  const std::vector<uint8_t> payload = std::move(conn->in);
+  const uint64_t trace_id = store_->trace()->NextTraceId();
+  SplitPayload response;
+  {
+    obs::TraceScope span(store_->trace(), trace_id, WireOpName(op).data());
+    if (options_.debug_handler_delay_ms > 0) {
+      // Sliced so shutdown is never held up by the debug delay.
+      const Deadline wake = DeadlineAfterMs(options_.debug_handler_delay_ms);
+      while (Clock::now() < wake && !stopping_.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
-      response = Dispatch(op, payload, trace_id);
     }
-    // One wake per queue transition, not per completion: the loop drains
-    // the whole queue each iteration, so a non-empty queue already has a
-    // pending wake-up and further writes to the pipe would only add
-    // syscall churn under load.
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      first = completions_.empty();
-      completions_.emplace_back(conn, std::move(response));
-    }
-    if (first) loop_->Wake();
-  });
-}
-
-void TileServer::EventFinish(EventConn* conn, SplitPayload response) {
-  conn->job_outstanding = false;
-  --ev_inflight_;
+    response = Dispatch(op, payload, trace_id);
+  }
+  op_latency_ms_[static_cast<size_t>(op)]->Observe(
+      ElapsedMs(conn->request_start));
+  bool close_after_send = false;
+  if (Clock::now() > conn->request_deadline) {
+    // Finished after its deadline: the client has likely given up;
+    // answer with a timeout status and drop the connection.
+    request_timeouts_->Add(1);
+    response = EncodeErrorResponse(Status::DeadlineExceeded(
+        "request deadline expired on the server"));
+    close_after_send = true;
+  }
+  // The slot frees before the reply leaves, so a client that sends its
+  // next request the moment this reply lands never meets it still taken.
+  // A parked request is taken over by the caller's next `TakeParked`.
+  {
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    --inflight_;
+  }
   inflight_gauge_->Add(-1);
-
-  if (conn->doomed) {
-    // Peer hung up while the request ran; drop the response and the husk.
-    for (auto it = ev_zombies_.begin(); it != ev_zombies_.end(); ++it) {
-      if (it->get() == conn) {
-        ev_zombies_.erase(it);
-        break;
-      }
-    }
-  } else {
-    op_latency_ms_[static_cast<size_t>(conn->header.op)]->Observe(
-        ElapsedMs(conn->request_start));
-    bool close_after_send = false;
-    if (Clock::now() > conn->request_deadline) {
-      // Finished after its deadline: the client has likely given up;
-      // answer with a timeout status and drop the connection.
-      request_timeouts_->Add(1);
-      response = EncodeErrorResponse(Status::DeadlineExceeded(
-          "request deadline expired on the server"));
-      close_after_send = true;
-    }
-    EventSendResponse(conn, std::move(response), close_after_send);
-  }
-
-  // Freed slots admit queued waiters in arrival order.
-  const size_t capacity = std::max<size_t>(options_.max_inflight_requests, 1);
-  while (ev_inflight_ < capacity && !ev_admission_queue_.empty()) {
-    EventConn* next = ev_admission_queue_.front();
-    ev_admission_queue_.pop_front();
-    next->in_admission_queue = false;
-    ++ev_inflight_;
-    inflight_gauge_->Add(1);
-    EventExecute(next);
-  }
+  SendReply(conn, std::move(response), close_after_send);
 }
 
-void TileServer::EventSendResponse(EventConn* conn, SplitPayload payload,
-                                   bool close_after_send) {
+void TileServer::SendReply(Conn* conn, SplitPayload payload,
+                           bool close_after_send) {
   conn->out_head.resize(kHeaderBytes + payload.prefix.size());
   EncodeFrameHeader(conn->header.op, /*response=*/true,
                     conn->header.request_id, payload.prefix, payload.body,
@@ -479,123 +516,116 @@ void TileServer::EventSendResponse(EventConn* conn, SplitPayload payload,
   conn->out = std::move(payload.body);
   conn->out_pos = 0;
   conn->close_after_send = close_after_send;
-  conn->state = EventConn::State::kWriting;
+  conn->state = Conn::State::kWriting;
   if (close_after_send) {
     // A timeout answer gets a fresh grace deadline — the request's own
     // has already expired.
     conn->request_deadline = DeadlineAfterMs(options_.request_timeout_ms);
   }
-  // Optimistic flush; anything left waits for writability.
-  if (EventWriteStep(conn) &&
-      conn->state == EventConn::State::kWriting) {
-    (void)loop_->Update(conn->sock.fd(), /*want_read=*/false,
-                        /*want_write=*/true);
-  }
+  WriteStep(conn);
 }
 
-bool TileServer::EventWriteStep(EventConn* conn) {
+void TileServer::WriteStep(Conn* conn) {
   const size_t total = conn->out_head.size() + conn->out.size();
   while (conn->out_pos < total) {
     Result<size_t> put =
         conn->sock.SendSome(conn->out_head, conn->out, conn->out_pos);
     if (!put.ok()) {
-      EventCloseConn(conn);
-      return false;
+      Close(conn);
+      return;
     }
-    if (*put == 0) return true;  // kernel buffer full; wait for writable
+    if (*put == 0) {  // kernel buffer full; wait for writability
+      Arm(conn, Phase::kWriting);
+      return;
+    }
     conn->out_pos += *put;
   }
   bytes_sent_->Add(total);
   conn->out = std::vector<uint8_t>();  // an idle connection holds no reply
-  if (conn->close_after_send ||
-      stopping_.load(std::memory_order_acquire)) {
-    EventCloseConn(conn);
-    return false;
+  if (conn->close_after_send || stopping_.load()) {
+    Close(conn);
+    return;
   }
-  conn->state = EventConn::State::kHeader;
+  conn->state = Conn::State::kHeader;
   conn->got = 0;
   conn->idle_since = Clock::now();
   conn->request_deadline = Deadline::max();
-  (void)loop_->Update(conn->sock.fd(), /*want_read=*/true,
-                      /*want_write=*/false);
-  return true;
+  Arm(conn, Phase::kIdle);
 }
 
-void TileServer::EventCloseConn(EventConn* conn) {
-  ev_live_.erase(conn);
-  if (conn->in_admission_queue) {
-    for (auto it = ev_admission_queue_.begin();
-         it != ev_admission_queue_.end(); ++it) {
-      if (*it == conn) {
-        ev_admission_queue_.erase(it);
-        break;
-      }
-    }
-    conn->in_admission_queue = false;
+void TileServer::Arm(Conn* conn, Phase phase) {
+  conn->sweep_at_ns.store(
+      SweepAt(phase == Phase::kIdle ? IdleDeadline(options_, conn->idle_since)
+                                    : conn->request_deadline));
+  conn->phase.store(phase);
+  // Pairs with `Stop`, which sets `stopping_` and then reads `phase`:
+  // either this thread sees the stop, or `Stop` sees the phase.
+  if (phase != Phase::kWriting && stopping_.load()) {
+    if (phase == Phase::kReading) frame_errors_->Add(1);
+    Close(conn);
+    return;
   }
+  if (!loop_->Update(conn->sock.fd(), /*want_read=*/phase != Phase::kWriting,
+                     /*want_write=*/phase == Phase::kWriting)
+           .ok()) {
+    Close(conn);
+  }
+}
+
+void TileServer::Close(Conn* conn) {
   const int fd = conn->sock.fd();
   (void)loop_->Remove(fd);
-  conn->sock.Close();
-  conns_gauge_->Add(-1);
-  auto it = econns_.find(fd);
-  if (it == econns_.end()) return;
-  if (conn->job_outstanding) {
-    // A worker still owes a completion that names this object; keep the
-    // husk until EventFinish reaps it.
-    conn->doomed = true;
-    ev_zombies_.push_back(std::move(it->second));
+  {
+    // Under the map's lock, so a sweep never shuts down a reused fd.
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conn->sock.Close();
+    conns_.erase(fd);  // destroys `conn`
   }
-  econns_.erase(it);
+  conns_gauge_->Add(-1);
 }
 
-void TileServer::EventSweep() {
+void TileServer::Sweep() {
   const Clock::time_point now = Clock::now();
 
-  // Queued admissions that waited `admission_wait_ms` are overloaded.
-  while (!ev_admission_queue_.empty()) {
-    EventConn* front = ev_admission_queue_.front();
-    if (now - front->queued_at <
-        std::chrono::milliseconds(options_.admission_wait_ms)) {
-      break;
+  // Parked requests that waited `admission_wait_ms` are overloaded; the
+  // sweeping thread takes them over to answer.
+  std::vector<Conn*> expired;
+  {
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    while (!parked_.empty() &&
+           now - parked_.front()->queued_at >=
+               std::chrono::milliseconds(options_.admission_wait_ms)) {
+      expired.push_back(parked_.front());
+      parked_.pop_front();
     }
-    ev_admission_queue_.pop_front();
-    front->in_admission_queue = false;
+  }
+  for (Conn* conn : expired) {
     rejected_overload_->Add(1);
-    EventSendResponse(front,
-                      EncodeErrorResponse(Status::Unavailable(
-                          "overloaded: in-flight request limit reached")),
-                      /*close_after_send=*/false);
+    SendReply(conn,
+              EncodeErrorResponse(Status::Unavailable(
+                  "overloaded: in-flight request limit reached")),
+              /*close_after_send=*/false);
   }
 
-  std::vector<EventConn*> idle;
-  std::vector<EventConn*> overdue;
-  for (auto& [fd, conn] : econns_) {
-    switch (conn->state) {
-      case EventConn::State::kHeader:
-        if (options_.idle_timeout_ms > 0 &&
-            now - conn->idle_since >
-                std::chrono::milliseconds(options_.idle_timeout_ms)) {
-          idle.push_back(conn.get());
-        }
-        break;
-      case EventConn::State::kPayload:
-      case EventConn::State::kWriting:
-        if (now > conn->request_deadline) overdue.push_back(conn.get());
-        break;
-      case EventConn::State::kExecuting:
-        break;  // completion handles its own deadline accounting
+  // Idle connections, payloads that never finish arriving and writes that
+  // cannot flush are shut down; the thread that takes the hangup closes
+  // them (a cut-off payload counts as a frame error there).
+  const int64_t now_ns = SweepAt(now);
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (auto& [fd, conn] : conns_) {
+      const Phase phase = conn->phase.load();
+      if (phase == Phase::kOwned) continue;
+      int64_t at = conn->sweep_at_ns.load();
+      if (now_ns <= at ||
+          !conn->sweep_at_ns.compare_exchange_strong(at, kNever)) {
+        continue;
+      }
+      if (phase == Phase::kIdle) idle_disconnects_->Add(1);
+      conn->sock.Shutdown();
     }
   }
-  for (EventConn* conn : idle) {
-    idle_disconnects_->Add(1);
-    EventCloseConn(conn);
-  }
-  for (EventConn* conn : overdue) {
-    // A payload that never finishes arriving is a frame error; a write
-    // that cannot flush closes quietly.
-    if (conn->state == EventConn::State::kPayload) frame_errors_->Add(1);
-    EventCloseConn(conn);
-  }
+  eventloop_watched_fds_->Set(static_cast<int64_t>(loop_->watched_fds()));
 }
 
 SplitPayload TileServer::Dispatch(WireOp op,

@@ -2,6 +2,7 @@
 #define TILESTORE_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -9,11 +10,8 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "mdd/mdd_store.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
@@ -65,7 +63,9 @@ struct TileServerOptions {
   int debug_handler_delay_ms = 0;
   /// Ignored; kept only because `perfbench/` still sets it.
   bool event_loop = false;
-  /// Request-execution workers; 0 picks clamp(hardware threads, 2, 8).
+  /// Serving threads: each waits for readiness and runs the requests it
+  /// reads, so this also bounds the threads that ever execute requests.
+  /// 0 picks clamp(hardware threads, 2, 8).
   size_t event_loop_workers = 0;
   /// Run the online re-tiler's background loop (DESIGN.md §12): hot
   /// objects are periodically re-tiled to fit the observed workload.
@@ -109,10 +109,12 @@ struct TileServerOptions {
 
 /// \brief TCP front end for one `MDDStore` (DESIGN.md §9).
 ///
-/// One loop thread (DESIGN.md §11) multiplexes the listener and every
-/// connection over readiness notifications (epoll, or poll when forced
-/// with `TILESTORE_EVENT_LOOP=poll`); a small fixed worker pool executes
-/// requests, so idle connections cost file descriptors, not threads. Read
+/// `event_loop_workers` threads wait together on one readiness set
+/// (DESIGN.md §11: epoll, or poll when forced with
+/// `TILESTORE_EVENT_LOOP=poll`) with one-shot arming, so idle connections
+/// cost file descriptors, not threads. The thread that takes a
+/// connection's event owns it until it re-arms it: on that one thread it
+/// reads the request, admits it, executes it and sends the reply. Read
 /// requests execute concurrently through the store's thread-safe read
 /// path; `InsertTiles` takes an exclusive lock (one writer, no concurrent
 /// readers), and is applied as one atomic store transaction when the store
@@ -121,9 +123,11 @@ struct TileServerOptions {
 ///
 /// Overload is explicit: beyond `max_inflight_requests` executing plus
 /// `admission_queue_limit` waiting, requests are answered immediately with
-/// `Unavailable` ("overloaded"), never silently stalled. `Stop` drains
-/// gracefully: in-flight requests finish and their responses flush before
-/// connections close.
+/// `Unavailable` ("overloaded"), never silently stalled. While every
+/// worker is busy, one standby thread reads new requests and parks or
+/// rejects them; it never executes one. `Stop` drains gracefully:
+/// in-flight requests finish and their responses flush before connections
+/// close.
 class TileServer {
  public:
   explicit TileServer(MDDStore* store,
@@ -155,30 +159,41 @@ class TileServer {
   layout::Compactor* compactor() { return compactor_.get(); }
 
  private:
-  // All EventXxx methods and all ev_* state below belong to the loop
-  // thread exclusively; workers only push into `completions_` (mutex) and
-  // call `loop_->Wake()`.
-  struct EventConn;
-  void EventLoopMain();
-  void EventAccept();
-  void EventHandleIo(EventConn* conn, const EventLoop::Event& ev);
+  struct Conn;
+  /// What an armed connection waits for, published for sweeps and `Stop`
+  /// (which may only shut a connection down, never touch its buffers).
+  enum class Phase : uint8_t { kOwned, kIdle, kReading, kWriting };
+
+  /// Worker thread: waits on the readiness set and serves what it takes.
+  void WorkerMain();
+  /// Standby thread: runs the periodic sweep, and reads (never executes)
+  /// requests while every worker has been busy for a whole tick.
+  void StandbyMain();
+  /// Serves one readiness event on the thread that took it.
+  void HandleEvent(const EventLoop::Event& ev, bool worker);
+  void Accept();
   /// Drains readable bytes, advancing kHeader -> kPayload -> admission.
-  /// Returns false when the connection was closed.
-  bool EventReadStep(EventConn* conn);
-  /// Flushes pending response bytes. Returns false when closed.
-  bool EventWriteStep(EventConn* conn);
-  /// Admission control: execute, queue, or reject as overloaded.
-  void EventAdmit(EventConn* conn);
-  /// Hands the parked request to a pool worker.
-  void EventExecute(EventConn* conn);
-  /// Completion (loop thread): deadline check, response, next waiter.
-  void EventFinish(EventConn* conn, SplitPayload response);
-  void EventSendResponse(EventConn* conn, SplitPayload payload,
-                         bool close_after_send);
-  void EventCloseConn(EventConn* conn);
-  /// Periodic timeouts: idle connections, stalled payloads/writes, and
-  /// admission-queue waits.
-  void EventSweep();
+  void ReadStep(Conn* conn, bool worker);
+  /// Admission control: execute here, park, or reject as overloaded.
+  void Admit(Conn* conn, bool worker);
+  /// Executes an admitted request on this thread and sends its reply.
+  void Execute(Conn* conn);
+  /// Takes the oldest parked request if a slot is free (counts it in); a
+  /// worker calls it before every wait, so a parked request needs no
+  /// wake-up once any worker finishes.
+  Conn* TakeParked();
+  void SendReply(Conn* conn, SplitPayload payload, bool close_after_send);
+  /// Flushes the pending reply, then waits for the next request.
+  void WriteStep(Conn* conn);
+  /// Re-arms the connection (or closes it once `Stop` began).
+  void Arm(Conn* conn, Phase phase);
+  void Close(Conn* conn);
+  /// Periodic timeouts: parked requests that waited too long, idle
+  /// connections, and stalled payloads and writes.
+  void Sweep();
+  /// True once `Stop` began and every connection closed (or the drain
+  /// timed out).
+  bool Drained();
   /// Decodes and executes one request; returns the response payload.
   SplitPayload Dispatch(WireOp op, const std::vector<uint8_t>& payload,
                         uint64_t trace_id);
@@ -216,19 +231,25 @@ class TileServer {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::unique_ptr<ThreadPool> pool_;
+  // Written before `stopping_` is set, read after it is seen.
+  std::chrono::steady_clock::time_point drain_deadline_{};
 
-  // Loop state (loop thread only, except completions_/its mutex).
   std::unique_ptr<EventLoop> loop_;
-  std::thread loop_thread_;
-  std::unordered_map<int, std::unique_ptr<EventConn>> econns_;  // by fd
-  std::unordered_set<EventConn*> ev_live_;  // liveness check for event tags
-  // Closed while a worker still owes a completion; destroyed at finish.
-  std::vector<std::unique_ptr<EventConn>> ev_zombies_;
-  size_t ev_inflight_ = 0;
-  std::deque<EventConn*> ev_admission_queue_;
-  std::mutex completions_mu_;
-  std::vector<std::pair<EventConn*, SplitPayload>> completions_;
+  size_t workers_ = 0;
+  std::vector<std::thread> threads_;  // the workers, then the standby
+
+  std::mutex conns_mu_;  // the map, and closing a connection's fd
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;  // by fd
+
+  // Admission: requests executing (each on its own worker, so this also
+  // counts busy workers) and requests parked behind the in-flight limit
+  // (each owned by the queue).
+  std::mutex admit_mu_;
+  size_t inflight_ = 0;
+  std::deque<Conn*> parked_;
+  // Requests started; the standby reads it to tell a stuck saturation
+  // from a busy but moving one.
+  std::atomic<uint64_t> starts_{0};
 
   // net.* metrics, resolved once at construction.
   obs::Counter* accepted_;
@@ -247,7 +268,9 @@ class TileServer {
   obs::Counter* eventloop_loops_;
   obs::Counter* eventloop_events_;
   obs::Gauge* eventloop_watched_fds_;
-  // Server threads: the loop thread + the worker pool.
+  // Requests executed on a thread other than the one that read them.
+  obs::Counter* handoffs_;
+  // Server threads: the workers + the standby.
   obs::Gauge* threads_gauge_;
 };
 

@@ -137,12 +137,16 @@ Status Socket::SendAll(std::span<const uint8_t> head,
   const size_t total = head.size() + body.size();
   size_t done = 0;
   while (done < total) {
+    Result<size_t> put = SendSome(head, body, done);
+    if (!put.ok()) return put.status();
+    if (*put > 0) {
+      done += *put;
+      continue;
+    }
+    // The socket buffer is full: only now wait for room.
     const int ready = WaitReady(fd_, POLLOUT, deadline);
     if (ready == 0) return Status::DeadlineExceeded("send timed out");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll send"));
-    Result<size_t> put = SendSome(head, body, done);
-    if (!put.ok()) return put.status();
-    done += *put;
   }
   return Status::OK();
 }
@@ -150,19 +154,23 @@ Status Socket::SendAll(std::span<const uint8_t> head,
 Status Socket::RecvAll(uint8_t* out, size_t n, Deadline deadline) {
   size_t done = 0;
   while (done < n) {
-    const int ready = WaitReady(fd_, POLLIN, deadline);
-    if (ready == 0) return Status::DeadlineExceeded("recv timed out");
-    if (ready < 0) return Status::IOError(ErrnoMessage("poll recv"));
     const ssize_t got = ::recv(fd_, out + done, n - done, 0);
-    if (got < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(ErrnoMessage("recv"));
+    if (got > 0) {
+      done += static_cast<size_t>(got);
+      continue;
     }
     if (got == 0) {
       if (done == 0) return Status::NotFound("eof");
       return Status::IOError("connection closed mid-message");
     }
-    done += static_cast<size_t>(got);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Status::IOError(ErrnoMessage("recv"));
+    }
+    // Nothing buffered: only now wait for the peer.
+    const int ready = WaitReady(fd_, POLLIN, deadline);
+    if (ready == 0) return Status::DeadlineExceeded("recv timed out");
+    if (ready < 0) return Status::IOError(ErrnoMessage("poll recv"));
   }
   return Status::OK();
 }
@@ -208,6 +216,10 @@ Result<size_t> Socket::SendSome(std::span<const uint8_t> head,
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
     return Status::IOError(ErrnoMessage("send"));
   }
+}
+
+void Socket::Shutdown() {
+  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::Close() {

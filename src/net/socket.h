@@ -22,8 +22,9 @@ Deadline DeadlineAfterMs(int ms);
 /// \brief RAII TCP socket: deadline-bounded blocking I/O for clients,
 /// non-blocking single reads and writes for the server's event loop.
 ///
-/// Blocking operations wait for readiness with `poll` and give up with
-/// `DeadlineExceeded` once their deadline passes.
+/// Blocking operations try the call first and wait for readiness with
+/// `poll` only when it would block, giving up with `DeadlineExceeded` once
+/// their deadline passes.
 class Socket {
  public:
   Socket() = default;
@@ -69,6 +70,11 @@ class Socket {
   /// written (> 0), or 0 when the call would block or nothing is left.
   Result<size_t> SendSome(std::span<const uint8_t> head,
                           std::span<const uint8_t> body, size_t offset);
+
+  /// Shuts both directions down without closing the fd: a peer sees EOF,
+  /// and a thread waiting on the fd sees a hangup, while the fd number
+  /// stays owned by this socket.
+  void Shutdown();
 
   void Close();
 

@@ -122,7 +122,7 @@ Status DecodeHeader(const uint8_t* buf, FrameHeader* out) {
 }
 
 Status VerifyPayload(const FrameHeader& header,
-                     const std::vector<uint8_t>& payload) {
+                     std::span<const uint8_t> payload) {
   if (payload.size() != header.payload_len) {
     return Status::Corruption("wire payload length mismatch");
   }
@@ -375,7 +375,7 @@ std::vector<uint8_t> QueryResultPrefix(const MInterval& domain,
 
 // The owning decoders: the view plus the one copy of the cells.
 template <class Response>
-Status DecodeQueryResultInto(const std::vector<uint8_t>& payload,
+Status DecodeQueryResultInto(std::span<const uint8_t> payload,
                              Status* server_status, Response* out) {
   QueryResultView view;
   Status st = DecodeQueryResultView(payload, server_status, &view);
@@ -479,13 +479,13 @@ Status DecodeResponseStatus(ByteReader* r, Status* server_status) {
   return Status::OK();
 }
 
-Status DecodePingResponse(const std::vector<uint8_t>& payload,
+Status DecodePingResponse(std::span<const uint8_t> payload,
                           Status* server_status) {
   ByteReader r(payload);
   return DecodeResponseStatus(&r, server_status);
 }
 
-Status DecodeOpenMDDResponse(const std::vector<uint8_t>& payload,
+Status DecodeOpenMDDResponse(std::span<const uint8_t> payload,
                              Status* server_status, OpenMDDResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -505,13 +505,13 @@ Status DecodeOpenMDDResponse(const std::vector<uint8_t>& payload,
   return r.U64(&out->tile_count);
 }
 
-Status DecodeRangeQueryResponse(const std::vector<uint8_t>& payload,
+Status DecodeRangeQueryResponse(std::span<const uint8_t> payload,
                                 Status* server_status,
                                 RangeQueryResponse* out) {
   return DecodeQueryResultInto(payload, server_status, out);
 }
 
-Status DecodeAggregateResponse(const std::vector<uint8_t>& payload,
+Status DecodeAggregateResponse(std::span<const uint8_t> payload,
                                Status* server_status, AggregateResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -523,7 +523,7 @@ Status DecodeAggregateResponse(const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
-Status DecodeInsertTilesResponse(const std::vector<uint8_t>& payload,
+Status DecodeInsertTilesResponse(std::span<const uint8_t> payload,
                                  Status* server_status,
                                  InsertTilesResponse* out) {
   ByteReader r(payload);
@@ -532,7 +532,7 @@ Status DecodeInsertTilesResponse(const std::vector<uint8_t>& payload,
   return r.U64(&out->tiles_inserted);
 }
 
-Status DecodeStatsResponse(const std::vector<uint8_t>& payload,
+Status DecodeStatsResponse(std::span<const uint8_t> payload,
                            Status* server_status, StatsResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -548,7 +548,7 @@ std::vector<uint8_t> EncodeHelloResponse(const HelloResponse& resp) {
   return w.Take();
 }
 
-Status DecodeHelloResponse(const std::vector<uint8_t>& payload,
+Status DecodeHelloResponse(std::span<const uint8_t> payload,
                            Status* server_status, HelloResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -568,7 +568,7 @@ Status DecodeHelloResponse(const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
-Status DecodeRetileResponse(const std::vector<uint8_t>& payload,
+Status DecodeRetileResponse(std::span<const uint8_t> payload,
                             Status* server_status, RetileResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -594,13 +594,13 @@ Status DecodeRetileResponse(const std::vector<uint8_t>& payload,
   return r.U64(&out->cells_moved);
 }
 
-Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
+Status DecodeFilterQueryResponse(std::span<const uint8_t> payload,
                                  Status* server_status,
                                  FilterQueryResponse* out) {
   return DecodeQueryResultInto(payload, server_status, out);
 }
 
-Status DecodeQueryResultView(const std::vector<uint8_t>& payload,
+Status DecodeQueryResultView(std::span<const uint8_t> payload,
                              Status* server_status, QueryResultView* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);
@@ -647,7 +647,7 @@ std::vector<uint8_t> EncodeCompactResponse(const CompactResponse& resp) {
   return w.Take();
 }
 
-Status DecodeCompactResponse(const std::vector<uint8_t>& payload,
+Status DecodeCompactResponse(std::span<const uint8_t> payload,
                              Status* server_status, CompactResponse* out) {
   ByteReader r(payload);
   Status st = DecodeResponseStatus(&r, server_status);

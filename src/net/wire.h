@@ -111,7 +111,7 @@ Status DecodeHeader(const uint8_t* buf, FrameHeader* out);
 
 /// Checks the payload bytes against the header's CRC.
 Status VerifyPayload(const FrameHeader& header,
-                     const std::vector<uint8_t>& payload);
+                     std::span<const uint8_t> payload);
 
 // --------------------------------------------------------------------------
 // Request payloads.
@@ -343,34 +343,34 @@ std::vector<uint8_t> EncodeHelloResponse(const HelloResponse& resp);
 std::vector<uint8_t> EncodeCompactResponse(const CompactResponse& resp);
 
 Status DecodeResponseStatus(ByteReader* r, Status* server_status);
-Status DecodePingResponse(const std::vector<uint8_t>& payload,
+Status DecodePingResponse(std::span<const uint8_t> payload,
                           Status* server_status);
-Status DecodeOpenMDDResponse(const std::vector<uint8_t>& payload,
+Status DecodeOpenMDDResponse(std::span<const uint8_t> payload,
                              Status* server_status, OpenMDDResponse* out);
-Status DecodeRangeQueryResponse(const std::vector<uint8_t>& payload,
+Status DecodeRangeQueryResponse(std::span<const uint8_t> payload,
                                 Status* server_status,
                                 RangeQueryResponse* out);
-Status DecodeAggregateResponse(const std::vector<uint8_t>& payload,
+Status DecodeAggregateResponse(std::span<const uint8_t> payload,
                                Status* server_status, AggregateResponse* out);
-Status DecodeInsertTilesResponse(const std::vector<uint8_t>& payload,
+Status DecodeInsertTilesResponse(std::span<const uint8_t> payload,
                                  Status* server_status,
                                  InsertTilesResponse* out);
-Status DecodeStatsResponse(const std::vector<uint8_t>& payload,
+Status DecodeStatsResponse(std::span<const uint8_t> payload,
                            Status* server_status, StatsResponse* out);
-Status DecodeRetileResponse(const std::vector<uint8_t>& payload,
+Status DecodeRetileResponse(std::span<const uint8_t> payload,
                             Status* server_status, RetileResponse* out);
-Status DecodeHelloResponse(const std::vector<uint8_t>& payload,
+Status DecodeHelloResponse(std::span<const uint8_t> payload,
                            Status* server_status, HelloResponse* out);
-Status DecodeCompactResponse(const std::vector<uint8_t>& payload,
+Status DecodeCompactResponse(std::span<const uint8_t> payload,
                              Status* server_status, CompactResponse* out);
-Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
+Status DecodeFilterQueryResponse(std::span<const uint8_t> payload,
                                  Status* server_status,
                                  FilterQueryResponse* out);
 /// Decodes a range or filter query response without copying its cells.
 /// Beyond the layout it checks what makes the view usable as an array: a
 /// known cell type, a fixed domain, and exactly the domain's cell bytes.
 /// The two owning decoders above are this plus one copy of the cells.
-Status DecodeQueryResultView(const std::vector<uint8_t>& payload,
+Status DecodeQueryResultView(std::span<const uint8_t> payload,
                              Status* server_status, QueryResultView* out);
 
 }  // namespace net

@@ -106,9 +106,17 @@ class ArraySink final : public QuerySink {
   // predicate) alone — never on summaries, cache state or parallelism.
   Status Begin(const QueryPlan& plan) override {
     plan_ = &plan;
-    Result<Array> created = Array::Create(plan.region, object_.cell_type());
+    // A default whose bytes are all alike (zero, most often) is laid down
+    // by the allocation itself, so no piece needs filling again.
+    const std::vector<uint8_t>& dflt = object_.default_cell();
+    const bool uniform =
+        std::all_of(dflt.begin(), dflt.end(),
+                    [&](uint8_t b) { return b == dflt.front(); });
+    Result<Array> created = Array::Create(plan.region, object_.cell_type(),
+                                          uniform ? dflt.front() : 0);
     if (!created.ok()) return created.status();
     result_ = std::move(created).MoveValue();
+    if (uniform) return Status::OK();
     std::vector<MInterval> accepted;
     accepted.reserve(plan.tiles.size());
     for (size_t i = 0; i < plan.tiles.size(); ++i) {

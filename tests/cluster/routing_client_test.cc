@@ -244,6 +244,29 @@ TEST_F(ClusterTest, SplitObjectQueriesStitchAcrossShards) {
           .IsInvalidArgument());
 }
 
+TEST_F(ClusterTest, ShardOwningTwoSlabsStitchesAtEveryFanout) {
+  // Shard 0 owns both outer slabs, so one request sends it two sub-calls
+  // on one connection; the first reply must survive the second call.
+  RegionSplit split;
+  split.object = "ring";
+  split.axis = 0;
+  split.cuts = {16, 48};
+  split.shards = {0, 1, 0};
+  const ShardMap map = ShardMap::Create(Eps(), {split}).MoveValue();
+  for (const size_t fanout : {size_t{1}, size_t{2}, size_t{8}}) {
+    RoutingClientOptions options;
+    options.max_fanout = fanout;
+    auto client = Route(map, options);
+    ASSERT_NE(client, nullptr);
+    if (fanout == 1) LoadGrid(client.get(), "ring", 5);
+    ExpectMatchesOracle(client.get(), "ring", GridDomain());
+    ExpectMatchesOracle(client.get(), "ring",
+                        MInterval({{8, 55}, {3, 60}}));  // all three slabs
+    ExpectMatchesOracle(client.get(), "ring",
+                        MInterval({{0, 20}, {0, 63}}));  // shard 0, then 1
+  }
+}
+
 TEST_F(ClusterTest, SplitInsertRejectsStraddlingTileBeforeSendingAnything) {
   RegionSplit split;
   split.object = "bad";

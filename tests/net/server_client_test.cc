@@ -232,6 +232,44 @@ TEST_F(NetServerTest, OverloadIsExplicitAndCounted) {
             static_cast<uint64_t>(rejected));
 }
 
+TEST_F(NetServerTest, OverloadIsExplicitWithOneWorker) {
+  TileServerOptions options;
+  options.event_loop_workers = 1;
+  options.max_inflight_requests = 1;
+  options.admission_queue_limit = 0;
+  options.admission_wait_ms = 50;
+  options.debug_handler_delay_ms = 400;
+  StartServer(options);
+
+  // The only worker sleeps in the slow request; the burst behind it is
+  // read by the standby and still rejected at once, never left unread.
+  std::thread occupier([&] {
+    auto client = TileClient::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok());
+    EXPECT_TRUE(client.value()->Ping().ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  int rejected = 0;
+  for (int i = 0; i < 3; ++i) {
+    auto client = TileClient::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok());
+    Status st = client.value()->Ping();
+    if (st.IsUnavailable()) {
+      ++rejected;
+      EXPECT_NE(st.message().find("overloaded"), std::string::npos);
+      EXPECT_TRUE(client.value()->healthy());
+    }
+  }
+  occupier.join();
+  EXPECT_GT(rejected, 0);
+
+  const obs::MetricsSnapshot snapshot = store_->metrics()->Snapshot();
+  EXPECT_GE(snapshot.counter("net.rejected_overload"),
+            static_cast<uint64_t>(rejected));
+  EXPECT_LE(snapshot.gauge("net.threads"), 1 + 1);
+}
+
 TEST_F(NetServerTest, RequestDeadlineExpiryIsReported) {
   TileServerOptions options;
   options.request_timeout_ms = 100;
@@ -310,6 +348,79 @@ TEST_F(NetServerTest, MalformedFrameClosesConnectionNotServer) {
   EXPECT_TRUE(client->Ping().ok());
 
   EXPECT_GE(store_->metrics()->Snapshot().counter("net.frame_errors"), 1u);
+}
+
+TEST_F(NetServerTest, PeerHangupDuringExecutionDropsTheReply) {
+  TileServerOptions options;
+  options.debug_handler_delay_ms = 400;
+  StartServer(options);
+
+  // A raw ping frame, then a hangup while the request sleeps.
+  auto raw = Socket::ConnectTcp("127.0.0.1", server_->port(), 1000);
+  ASSERT_TRUE(raw.ok());
+  uint8_t header[kHeaderBytes];
+  EncodeFrameHeader(WireOp::kPing, /*response=*/false, /*request_id=*/1,
+                    std::span<const uint8_t>(), header);
+  ASSERT_TRUE(
+      raw.value().SendAll(header, kHeaderBytes, DeadlineAfterMs(1000)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  raw.value().Close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // The running request still owns its connection: the fd is neither
+  // closed nor handed to anyone else until the request is done with it.
+  EXPECT_EQ(store_->metrics()->Snapshot().gauge("net.connections_active"), 1);
+  // Other clients are served meanwhile.
+  {
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+    EXPECT_TRUE(client->Ping().ok());
+  }
+
+  // The reply has nowhere to go; the connection closes once it is sent.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (store_->metrics()->Snapshot().gauge("net.connections_active") != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(store_->metrics()->Snapshot().gauge("net.connections_active"), 0);
+  EXPECT_TRUE(server_->running());
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  EXPECT_TRUE(client->Ping().ok());
+}
+
+TEST_F(NetServerTest, SequentialRequestsAreNotHandedOff) {
+  StartServer();
+  {
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(client->Ping().ok()) << i;
+  }
+  // Every request ran on the thread that read it.
+  EXPECT_EQ(store_->metrics()->Snapshot().counter("net.handoffs"), 0u);
+  server_->Stop();
+
+  // Two slow requests meet one worker: the standby reads the second and
+  // parks it, and the worker takes it over when the first is done.
+  TileServerOptions options;
+  options.event_loop_workers = 1;
+  options.debug_handler_delay_ms = 200;
+  StartServer(options);
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 2; ++i) {
+    clients.emplace_back([&] {
+      auto client = TileClient::Connect("127.0.0.1", server_->port());
+      ASSERT_TRUE(client.ok());
+      if (client.value()->Ping().ok()) ++answered;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(answered.load(), 2);
+  EXPECT_GE(store_->metrics()->Snapshot().counter("net.handoffs"), 1u);
 }
 
 TEST_F(NetServerTest, FilterQueryMatchesInProcessByteForByte) {

@@ -504,22 +504,25 @@ TEST_F(FilterQueryTest, DifferentialAcrossRandomPredicatesAndRegions) {
   }
 }
 
-TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
-  // A zero default is what `Array::Create` writes anyway, so only a
-  // non-zero one shows the fill. Four distinct bytes also show a pattern
-  // laid out at the wrong width or offset. Every third grid tile is left
-  // out, so regions cross uncovered cells; a result cell holds the stored
-  // value only where a tile covers it and the value matches, the default
-  // everywhere else.
+// Filters object `name` of cell type `T` with default cell `dflt` over
+// random predicates and regions, at p=1 and p=4, against a brute-force
+// oracle. Every third grid tile is left out, so regions cross uncovered
+// cells; a result cell holds the stored value only where a tile covers it
+// and the value matches, the default everywhere else.
+template <class T>
+void ExpectDefaultFillMatchesBruteForce(MDDStore* store,
+                                        const std::string& name,
+                                        CellTypeId type_id,
+                                        const std::vector<uint8_t>& dflt) {
   const MInterval domain({{0, 40}, {0, 35}});
-  const CellType type = CellType::Of(CellTypeId::kUInt32);
-  const std::vector<uint8_t> dflt = {0x11, 0x22, 0x33, 0x44};
+  const CellType type = CellType::Of(type_id);
+  ASSERT_EQ(dflt.size(), sizeof(T));
   Array data = Array::Create(domain, type).value();
   Random rng(2718);
   ForEachPoint(domain, [&](const Point& p) {
-    data.Set<uint32_t>(p, static_cast<uint32_t>(rng.UniformInt(0, 511)));
+    data.Set<T>(p, static_cast<T>(rng.UniformInt(0, 511)));
   });
-  MDDObject* obj = store_->CreateMDD("sparse", domain, type).value();
+  MDDObject* obj = store->CreateMDD(name, domain, type).value();
   ASSERT_TRUE(obj->SetDefaultCell(dflt).ok());
   std::vector<MInterval> covered;
   const TilingSpec grid = GridTiling(domain, {9, 14});
@@ -547,8 +550,8 @@ TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
       for (const MInterval& tile : covered) {
         is_covered = is_covered || tile.Contains(p);
       }
-      const uint32_t v = data.At<uint32_t>(p);
-      if (is_covered && pred.Matches(v)) {
+      const T v = data.At<T>(p);
+      if (is_covered && pred.Matches(static_cast<double>(v))) {
         const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
         expected.insert(expected.end(), bytes, bytes + sizeof(v));
       } else {
@@ -560,7 +563,7 @@ TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
       RangeQueryOptions options;
       options.predicate = pred;
       options.parallelism = parallelism;
-      RangeQueryExecutor exec(store_.get(), options);
+      RangeQueryExecutor exec(store, options);
       Result<Array> got = exec.Execute(obj, region);
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_EQ(got->size_bytes(), expected.size());
@@ -569,6 +572,21 @@ TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
           << pred.ToString() << " region " << region.ToString();
     }
   }
+}
+
+TEST_F(FilterQueryTest, NonZeroDefaultMatchesBruteForceAtP1AndP4) {
+  // A zero default is what `Array::Create` writes anyway, so only a
+  // non-zero one shows the fill. Four distinct bytes also show a pattern
+  // laid out at the wrong width or offset; they take the per-piece fill.
+  ExpectDefaultFillMatchesBruteForce<uint32_t>(
+      store_.get(), "sparse", CellTypeId::kUInt32, {0x11, 0x22, 0x33, 0x44});
+}
+
+TEST_F(FilterQueryTest, UniformNonZeroDefaultMatchesBruteForceAtP1AndP4) {
+  // Every byte of the default is 0x07: the result is allocated already
+  // filled with it and no uncovered piece is filled again.
+  ExpectDefaultFillMatchesBruteForce<uint16_t>(
+      store_.get(), "sparse16", CellTypeId::kUInt16, {0x07, 0x07});
 }
 
 TEST_F(FilterQueryTest, NonNumericCellTypeIsRejected) {

@@ -83,9 +83,10 @@ void PrintHelp(std::FILE* out) {
       "                                       serve the store over TCP;\n"
       "                                       prints the bound port, stops\n"
       "                                       cleanly on SIGINT/SIGTERM;\n"
-      "                                       one epoll thread multiplexes\n"
-      "                                       all connections, --workers\n"
-      "                                       threads execute requests\n"
+      "                                       --workers threads share one\n"
+      "                                       epoll set over all connections\n"
+      "                                       and each runs the requests it\n"
+      "                                       reads\n"
       "                                       (DESIGN.md \xC2\xA7" "11);\n"
       "                                       --cluster-map + --shard-id\n"
       "                                       serve one shard of a cluster\n"
