@@ -49,7 +49,7 @@ int Main(int argc, char** argv) {
 
   for (TileOrder order : {TileOrder::kScanline, TileOrder::kHilbert}) {
     const std::string path = "/tmp/tilestore_bench_ordering.db";
-    (void)RemoveFile(path);
+    RemoveStore(path);
     auto store = MDDStore::Create(path).MoveValue();
     MDDObject* object =
         store->CreateMDD("raster", domain, raster.cell_type()).value();
@@ -82,7 +82,7 @@ int Main(int argc, char** argv) {
                 spec.size(), seeks / queries, pages / queries,
                 t_o / queries);
     store.reset();
-    (void)RemoveFile(path);
+    RemoveStore(path);
   }
   std::printf(
       "\nexpected: identical pages read (same tiles); on dyadic tile grids "

@@ -128,6 +128,13 @@ Array MakeAnimation(uint64_t seed) {
   return anim;
 }
 
+void RemoveStore(const std::string& path) {
+  for (const char* suffix :
+       {"", ".wal", ".lock", ".summ", ".retile", ".compact"}) {
+    (void)RemoveFile(path + suffix);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scheme runner.
 
@@ -142,7 +149,7 @@ std::vector<SchemeResult> RunSchemes(const Array& data,
   for (const Scheme& scheme : schemes) {
     const std::string path =
         dir + "/tilestore_bench_" + scheme.name + ".db";
-    (void)RemoveFile(path);
+    RemoveStore(path);
 
     SchemeResult result;
     result.scheme = scheme.name;
@@ -220,7 +227,7 @@ std::vector<SchemeResult> RunSchemes(const Array& data,
 
     results.push_back(std::move(result));
     store.reset();
-    if (!options.keep_files) (void)RemoveFile(path);
+    if (!options.keep_files) RemoveStore(path);
   }
   return results;
 }

@@ -131,6 +131,10 @@ void PrintComponentsFigure(const std::vector<SchemeResult>& results,
                            const std::vector<std::string>& queries,
                            const std::vector<std::string>& schemes);
 
+/// Removes a bench store: `path` and its `.wal`, `.lock`, `.summ`,
+/// `.retile` and `.compact` sidecars. Missing files are ignored.
+void RemoveStore(const std::string& path);
+
 /// Simple "--flag=value" lookup helpers for bench main()s.
 int FlagInt(int argc, char** argv, const std::string& name, int def);
 bool FlagBool(int argc, char** argv, const std::string& name);

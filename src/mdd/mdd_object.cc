@@ -153,13 +153,18 @@ Status MDDObject::InsertTile(const Tile& tile) {
                         : tile.domain();
   MarkStoreDirty();
   Status commit = txn.Commit();
-  if (!commit.ok()) {
+  if (commit.ok()) {
+    // The new tile has a fresh blob id and cached tiles are immutable, so
+    // every decoded tile stays warm; only the "no tiles here" answers over
+    // the new domain are now wrong.
+    if (store_ != nullptr) store_->NoteTileAppended(cache_id_, tile.domain());
+  } else {
     (void)index_->Remove(tile.domain());
     current_domain_ = saved_domain;
+    // A reader racing the staged insert may have cached the tile the unwind
+    // just took back, under a blob id the rollback frees for reuse.
+    InvalidateCachedTiles();
   }
-  // Invalidate on both outcomes: a reader racing the staged mutation may
-  // have cached a tile state the unwind just took back.
-  InvalidateCachedTiles();
   if (TileSummaryIndex* summaries = summary_index()) {
     if (commit.ok()) {
       // The decoded cells are at hand; summarize them now so a filtered
@@ -199,8 +204,10 @@ Status MDDObject::Load(const Array& data, const TilingSpec& spec) {
   auto unwind = [&] {
     for (const MInterval& domain : inserted) (void)index_->Remove(domain);
     current_domain_ = saved_domain;
-    // Inner InsertTiles joined this transaction and recorded their tiles'
-    // summaries when their (joined) commits returned; take those back.
+    // Inner InsertTiles joined this transaction and kept the cache warm and
+    // recorded their tiles' summaries when their (joined) commits returned;
+    // the rollback frees their blob ids, so take both back.
+    InvalidateCachedTiles();
     InvalidateTileSummaries();
   };
   // Cut tile by tile rather than materializing all tiles at once, so load
@@ -246,6 +253,7 @@ Status MDDObject::LoadFrom(
   auto unwind = [&] {
     for (const MInterval& domain : inserted) (void)index_->Remove(domain);
     current_domain_ = saved_domain;
+    InvalidateCachedTiles();
     InvalidateTileSummaries();
   };
   for (const MInterval& domain : spec) {

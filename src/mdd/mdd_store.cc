@@ -114,17 +114,25 @@ ThreadPool* MDDStore::thread_pool() {
 void MDDStore::InvalidateTileCache(uint64_t cache_id) {
   if (cache_id == 0) return;
   tile_cache_->InvalidateObject(cache_id);
-  // Inside an explicit transaction, remember which epochs saw uncommitted
-  // state: a reader racing the staged mutation may cache tiles the rollback
-  // takes back, so RestoreSnapshot re-epochs exactly these objects.
-  if (txns_ != nullptr && txns_->in_txn()) {
-    txn_touched_cache_ids_.insert(cache_id);
-  }
+  NoteTxnTouched(cache_id);
 }
 
 void MDDStore::MoveCachedTile(uint64_t cache_id, BlobId from, BlobId to) {
   if (cache_id == 0) return;
   tile_cache_->Move(cache_id, from, to);
+  NoteTxnTouched(cache_id);
+}
+
+void MDDStore::NoteTileAppended(uint64_t cache_id, const MInterval& domain) {
+  if (cache_id == 0) return;
+  tile_cache_->DropNegativeRegions(cache_id, domain);
+  NoteTxnTouched(cache_id);
+}
+
+void MDDStore::NoteTxnTouched(uint64_t cache_id) {
+  // Inside an explicit transaction, remember which epochs saw uncommitted
+  // state: a reader racing the staged mutation may cache tiles the rollback
+  // takes back, so RestoreSnapshot re-epochs exactly these objects.
   if (txns_ != nullptr && txns_->in_txn()) {
     txn_touched_cache_ids_.insert(cache_id);
   }
@@ -391,9 +399,9 @@ Status MDDStore::RestoreSnapshot() {
   // and those objects are re-epoched below so stale entries can never
   // match. Untouched objects are restored under their Begin-time epoch and
   // keep their warm decoded tiles. Objects created inside the transaction
-  // vanish with the rollback; their epochs were invalidated at mutation
-  // time (every mutation path ends in InvalidateTileCache) and are never
-  // reissued.
+  // vanish with the rollback; every mutation path records their epochs as
+  // touched, so the loop below drops their entries too, and epochs are
+  // never reissued.
   for (uint64_t cache_id : txn_touched_cache_ids_) {
     tile_cache_->InvalidateObject(cache_id);
     // Summaries recorded by mutations inside the rolled-back transaction

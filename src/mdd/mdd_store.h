@@ -187,6 +187,13 @@ class MDDStore {
   /// epoch is remembered as touched, exactly as for an invalidation.
   void MoveCachedTile(uint64_t cache_id, BlobId from, BlobId to);
 
+  /// Keeps a cache epoch warm across a committed append of a tile over
+  /// `domain`: the new tile has a fresh blob id and cached tiles are
+  /// immutable, so only the negative regions `domain` intersects go. Inside
+  /// an explicit transaction the epoch is remembered as touched, so an
+  /// abort still re-epochs the object.
+  void NoteTileAppended(uint64_t cache_id, const MInterval& domain);
+
   /// The store-level ring of recent query regions per object (always on;
   /// `RangeQueryExecutor` records every resolved region). The background
   /// re-tiler mines it for migration decisions.
@@ -248,6 +255,9 @@ class MDDStore {
   /// Rebuilds the in-memory catalog from the `Begin` snapshot (Abort and
   /// failed-Commit path).
   Status RestoreSnapshot();
+  /// Inside a transaction, records `cache_id` as touched, so a rollback
+  /// re-epochs it.
+  void NoteTxnTouched(uint64_t cache_id);
   /// Best-effort persistence of the summary index to `<path>.summ`,
   /// stamped with the current page-file epoch. Called after successful
   /// Save/Checkpoint and at destruction; failures are swallowed — the
@@ -292,8 +302,8 @@ class MDDStore {
   bool catalog_dirty_ = false;
   // Captured at Begin; used by Abort to restore the in-memory catalog.
   std::vector<ObjectSnapshot> txn_snapshot_;
-  // Cache epochs invalidated since Begin (i.e. objects the transaction
-  // mutated or dropped): only these are re-epoched on rollback.
+  // Cache epochs touched since Begin (objects the transaction mutated,
+  // appended to or dropped): only these are re-epoched on rollback.
   std::unordered_set<uint64_t> txn_touched_cache_ids_;
   std::map<std::string, BlobId> txn_index_blobs_snapshot_;
   std::vector<BlobId> txn_pending_frees_snapshot_;

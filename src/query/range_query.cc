@@ -459,14 +459,14 @@ Status RangeQueryExecutor::Run(MDDObject* object, const MInterval& region,
   std::vector<TileEntry> hits;
   {
     obs::TraceScope probe_span(trace, trace_id, "index_probe");
-    const std::string key = use_cache ? plan.region.ToString() : "";
-    if (!use_cache || !cache->LookupNegativeRegion(object->cache_id(), key)) {
+    if (!use_cache ||
+        !cache->LookupNegativeRegion(object->cache_id(), plan.region)) {
       hits = object->FindTiles(plan.region);
       local.index_nodes_visited = object->index()->last_nodes_visited();
       index_probes_->Add(1);
       index_nodes_visited_->Add(local.index_nodes_visited);
       if (use_cache && hits.empty()) {
-        cache->InsertNegativeRegion(object->cache_id(), key);
+        cache->InsertNegativeRegion(object->cache_id(), plan.region);
       }
     }
   }

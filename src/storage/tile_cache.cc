@@ -4,13 +4,14 @@
 
 namespace tilestore {
 
-namespace {
-
-std::string NegativeKey(uint64_t object_id, const std::string& region) {
-  return std::to_string(object_id) + "|" + region;
+size_t TileCache::RegionHash::operator()(const MInterval& region) const {
+  uint64_t h = region.dim();
+  for (size_t i = 0; i < region.dim(); ++i) {
+    h = (h ^ static_cast<uint64_t>(region.lo(i))) * 0x9E3779B97F4A7C15ull;
+    h = (h ^ static_cast<uint64_t>(region.hi(i))) * 0xBF58476D1CE4E5B9ull;
+  }
+  return static_cast<size_t>(h ^ (h >> 31));
 }
-
-}  // namespace
 
 TileCache::TileCache(size_t capacity_bytes, size_t shards)
     : capacity_bytes_(capacity_bytes),
@@ -96,10 +97,11 @@ std::shared_ptr<const Tile> TileCache::Insert(
 }
 
 bool TileCache::LookupNegativeRegion(uint64_t object_id,
-                                     const std::string& region) {
+                                     const MInterval& region) {
   if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(negative_mu_);
-  const bool hit = negative_.count(NegativeKey(object_id, region)) > 0;
+  auto it = negative_.find(object_id);
+  const bool hit = it != negative_.end() && it->second.count(region) > 0;
   if (hit) {
     if (metrics_.negative_hits != nullptr) metrics_.negative_hits->Add(1);
   } else {
@@ -109,27 +111,47 @@ bool TileCache::LookupNegativeRegion(uint64_t object_id,
 }
 
 void TileCache::InsertNegativeRegion(uint64_t object_id,
-                                     const std::string& region) {
+                                     const MInterval& region) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(negative_mu_);
-  if (negative_.size() >= kNegativeCapacity) negative_.clear();
-  if (negative_.insert(NegativeKey(object_id, region)).second &&
-      metrics_.negative_inserts != nullptr) {
-    metrics_.negative_inserts->Add(1);
+  if (negative_count_ >= kNegativeCapacity) {
+    negative_.clear();
+    negative_count_ = 0;
   }
+  if (negative_[object_id].insert(region).second) {
+    ++negative_count_;
+    if (metrics_.negative_inserts != nullptr) {
+      metrics_.negative_inserts->Add(1);
+    }
+  }
+}
+
+void TileCache::DropNegativeRegions(uint64_t object_id,
+                                    const MInterval& domain) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(negative_mu_);
+  auto it = negative_.find(object_id);
+  if (it == negative_.end()) return;
+  RegionSet& regions = it->second;
+  for (auto region = regions.begin(); region != regions.end();) {
+    if (region->Intersects(domain)) {
+      region = regions.erase(region);
+      --negative_count_;
+    } else {
+      ++region;
+    }
+  }
+  if (regions.empty()) negative_.erase(it);
 }
 
 void TileCache::InvalidateObject(uint64_t object_id) {
   if (!enabled()) return;
   {
-    const std::string prefix = std::to_string(object_id) + "|";
     std::lock_guard<std::mutex> lock(negative_mu_);
-    for (auto it = negative_.begin(); it != negative_.end();) {
-      if (it->compare(0, prefix.size(), prefix) == 0) {
-        it = negative_.erase(it);
-      } else {
-        ++it;
-      }
+    auto it = negative_.find(object_id);
+    if (it != negative_.end()) {
+      negative_count_ -= it->second.size();
+      negative_.erase(it);
     }
   }
   uint64_t dropped = 0;
@@ -185,6 +207,7 @@ void TileCache::Clear() {
   {
     std::lock_guard<std::mutex> lock(negative_mu_);
     negative_.clear();
+    negative_count_ = 0;
   }
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);

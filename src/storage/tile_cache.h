@@ -5,11 +5,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "core/minterval.h"
 #include "core/tile.h"
 #include "obs/metrics.h"
 #include "storage/blob_store.h"
@@ -29,16 +29,19 @@ namespace tilestore {
 /// concurrent queries share one decoded copy and an eviction or
 /// invalidation never frees a tile a reader still holds.
 ///
-/// Staleness protocol (see DESIGN.md §10, §12): every object mutation
-/// (`InsertTile`, `RemoveTile`, `WriteRegion`, `RetileRegion`, drop)
+/// Staleness protocol (see DESIGN.md §10, §12): a mutation that frees or
+/// rewrites tile blobs (`RemoveTile`, `WriteRegion`, `RetileRegion`, drop)
 /// invalidates the object's entries, a compaction's relocation re-keys
 /// them to the new blob ids (`Move`), transaction rollback invalidates
 /// exactly the objects the transaction touched (per-MDD epochs — other
 /// objects keep their warm entries), and WAL recovery starts from an
-/// empty cache by construction. BLOB ids may
-/// be reused after a free, but a free is only ever triggered by one of the
-/// invalidating mutations of the owning object, so a key can never
-/// resurrect with different bytes.
+/// empty cache by construction. A committed `InsertTile` drops nothing but
+/// the negative regions its domain intersects (`DropNegativeRegions`): the
+/// new tile gets a blob id no entry of the object holds, and cached tiles
+/// are immutable. That rests on one invariant, pinned by the blob-reuse
+/// matrix in `tile_cache_test.cc`: every path that frees (or defers the
+/// free of) a tile blob id also drops or moves that id's entries, so a
+/// reused id can never resurrect another tile's bytes.
 ///
 /// A capacity of 0 disables the cache entirely (the default — cold-run
 /// cost-model numbers must stay bit-identical to the uncached paths).
@@ -74,19 +77,23 @@ class TileCache {
   std::shared_ptr<const Tile> Insert(uint64_t object_id, BlobId blob,
                                      std::shared_ptr<const Tile> tile);
 
-  /// Negative-region cache: remembers that `region` (its canonical string
-  /// form) intersected no tiles of `object_id`, so a repeated probe of the
-  /// same empty space skips the index walk entirely. Exact-match only —
-  /// the full region string is stored, so a hit can never be a hash
-  /// collision. Shares the invalidation protocol of the tile entries:
+  /// Negative-region cache: remembers that `region` intersected no tiles
+  /// of `object_id`, so a repeated probe of the same empty space skips the
+  /// index walk entirely. Exact-match only — the full interval is stored,
+  /// so a hit can never be a hash collision, and a probe allocates
+  /// nothing. Shares the invalidation protocol of the tile entries:
   /// `InvalidateObject` and `Clear` drop negatives too, and the store's
   /// cache-epoch key makes stale entries unreachable besides.
-  bool LookupNegativeRegion(uint64_t object_id, const std::string& region);
+  bool LookupNegativeRegion(uint64_t object_id, const MInterval& region);
 
-  /// Records a "no tiles here" answer. Bounded (a full set is cleared
+  /// Records a "no tiles here" answer. Bounded (a full store is cleared
   /// wholesale — empty-space probes are cheap to relearn); no-op when the
   /// cache is disabled.
-  void InsertNegativeRegion(uint64_t object_id, const std::string& region);
+  void InsertNegativeRegion(uint64_t object_id, const MInterval& region);
+
+  /// Drops the negative regions of `object_id` that intersect `domain`
+  /// (a tile just inserted there); every other entry stays.
+  void DropNegativeRegions(uint64_t object_id, const MInterval& domain);
 
   /// Drops every entry of `object_id` (mutation/drop invalidation),
   /// including its negative regions.
@@ -151,11 +158,17 @@ class TileCache {
   const size_t shard_capacity_bytes_;
   std::vector<Shard> shards_;
 
-  // Negative-region set, keyed "<object_id>|<region string>". Small and
-  // exact; one mutex suffices (a lookup is one set probe).
+  struct RegionHash {
+    size_t operator()(const MInterval& region) const;
+  };
+  using RegionSet = std::unordered_set<MInterval, RegionHash>;
+
+  // Negative regions per cache epoch. Small and exact; one mutex suffices
+  // (a lookup is one map probe plus one set probe).
   static constexpr size_t kNegativeCapacity = 1024;
   std::mutex negative_mu_;
-  std::unordered_set<std::string> negative_;
+  std::unordered_map<uint64_t, RegionSet> negative_;
+  size_t negative_count_ = 0;
 
   struct {
     obs::Counter* hits = nullptr;

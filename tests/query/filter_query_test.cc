@@ -152,13 +152,8 @@ TEST_F(FilterQueryTest, ByteIdenticalWithSummariesOnOffAndCorrupt) {
 
   const std::string off_path = path_ + "_off";
   const std::string corrupt_path = path_ + "_corrupt";
-  auto cleanup = [&](const std::string& p) {
-    for (const char* s : {"", ".wal", ".summ", ".lock"}) {
-      (void)RemoveFile(p + s);
-    }
-  };
-  cleanup(off_path);
-  cleanup(corrupt_path);
+  RemoveStoreFiles(off_path);
+  RemoveStoreFiles(corrupt_path);
 
   auto off_store = MDDStore::Create(off_path, SmallPages(false)).MoveValue();
   auto corrupt_store =
@@ -230,8 +225,8 @@ TEST_F(FilterQueryTest, ByteIdenticalWithSummariesOnOffAndCorrupt) {
 
   off_store.reset();
   corrupt_store.reset();
-  cleanup(off_path);
-  cleanup(corrupt_path);
+  RemoveStoreFiles(off_path);
+  RemoveStoreFiles(corrupt_path);
 }
 
 TEST_F(FilterQueryTest, FilteredAggregateMatchesBruteForce) {
@@ -412,12 +407,7 @@ TEST_F(FilterQueryTest, WalReplayedStoreAnswersFilteredQueriesCorrectly) {
 
   namespace fs = std::filesystem;
   const std::string trial = path_ + "_replay";
-  auto cleanup = [&] {
-    for (const char* s : {"", ".wal", ".summ", ".lock"}) {
-      (void)RemoveFile(trial + s);
-    }
-  };
-  cleanup();
+  RemoveStoreFiles(trial);
   {
     auto store = MDDStore::Open(path_, SmallPages()).MoveValue();
     MDDObject* obj = store->GetMDD("grid").value();
@@ -465,7 +455,7 @@ TEST_F(FilterQueryTest, WalReplayedStoreAnswersFilteredQueriesCorrectly) {
   EXPECT_EQ(got->At<uint16_t>(Point({17, 3})), 3u);
 
   replayed->reset();
-  cleanup();
+  RemoveStoreFiles(trial);
 }
 
 TEST_F(FilterQueryTest, DifferentialAcrossRandomPredicatesAndRegions) {
