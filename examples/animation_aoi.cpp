@@ -3,7 +3,7 @@
 // and body across all frames. Tiling by areas of interest guarantees such
 // requests read not a byte more than the area itself.
 //
-//   ./animation_aoi
+//   ./animation_aoi [store-path]
 
 #include <cstdio>
 
@@ -31,9 +31,9 @@ T Unwrap(Result<T> result, const char* what) {
 
 }  // namespace
 
-int main() {
-  const std::string path = "/tmp/tilestore_animation.db";
-  (void)RemoveFile(path);
+int main(int argc, char** argv) {
+  const std::string path = argc > 1 ? argv[1] : "/tmp/tilestore_animation.db";
+  (void)MDDStore::Remove(path);
   auto store = Unwrap(MDDStore::Create(path), "create store");
 
   // Table 5's object: frames x height x width, 3-byte RGB cells.
@@ -96,6 +96,7 @@ int main() {
   std::printf("\nthe two tuned requests have 0%% waste — the paper's "
               "IntersectCode guarantee; untuned requests pay for it.\n");
 
-  (void)RemoveFile(path);
+  store.reset();
+  (void)MDDStore::Remove(path);
   return 0;
 }

@@ -38,9 +38,7 @@ T Unwrap(Result<T> result, const char* what) {
 int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : "/tmp/tilestore_client_server.db";
-  (void)RemoveFile(path);
-  (void)RemoveFile(path + ".lock");
-  (void)RemoveFile(path + ".wal");
+  (void)MDDStore::Remove(path);
 
   // 1. A store and a server on an ephemeral loopback port. In a real
   //    deployment the server runs in its own process: tilestore_cli serve.
@@ -117,5 +115,7 @@ int main(int argc, char** argv) {
   server.Stop();
   Check(store->Save(), "save");
   std::printf("server drained, store saved\n");
+  store.reset();
+  (void)MDDStore::Remove(path);
   return 0;
 }

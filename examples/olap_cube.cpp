@@ -7,7 +7,7 @@
 // regular tiling, once against directional tiling — and prints how much
 // less data the directional scheme touches.
 //
-//   ./olap_cube
+//   ./olap_cube [store-path]
 
 #include <cstdio>
 
@@ -44,9 +44,9 @@ const std::vector<Coord> kDistrictStarts = {1, 11, 21, 30};
 
 }  // namespace
 
-int main() {
-  const std::string path = "/tmp/tilestore_olap.db";
-  (void)RemoveFile(path);
+int main(int argc, char** argv) {
+  const std::string path = argc > 1 ? argv[1] : "/tmp/tilestore_olap.db";
+  (void)MDDStore::Remove(path);
   auto store = Unwrap(MDDStore::Create(path), "create store");
 
   const MInterval domain({{1, kDays}, {1, kProducts}, {1, kStores}});
@@ -106,6 +106,7 @@ int main() {
   std::printf("directional tiling reads exactly the category blocks: "
               "useful == read for every sub-aggregate.\n");
 
-  (void)RemoveFile(path);
+  store.reset();
+  (void)MDDStore::Remove(path);
   return mismatches == 0 ? 0 : 1;
 }

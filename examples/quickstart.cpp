@@ -35,7 +35,7 @@ T Unwrap(Result<T> result, const char* what) {
 
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "/tmp/tilestore_quickstart.db";
-  (void)RemoveFile(path);
+  (void)MDDStore::Remove(path);
 
   // 1. Create a store (one page file holding BLOBs + catalog).
   auto store = Unwrap(MDDStore::Create(path), "create store");
@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   std::printf("after reopen: same result = %s\n",
               again.Equals(result) ? "yes" : "NO (bug!)");
 
-  (void)RemoveFile(path);
+  store.reset();
+  (void)MDDStore::Remove(path);
   return 0;
 }

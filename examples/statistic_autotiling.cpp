@@ -4,7 +4,7 @@
 // log and replay the workload to show the improvement — the paper's
 // "automatic tiling based on access statistics".
 //
-//   ./statistic_autotiling
+//   ./statistic_autotiling [store-path]
 
 #include <cstdio>
 
@@ -56,9 +56,10 @@ double RunWorkload(MDDStore* store, MDDObject* object, AccessLog* log) {
 
 }  // namespace
 
-int main() {
-  const std::string path = "/tmp/tilestore_autotiling.db";
-  (void)RemoveFile(path);
+int main(int argc, char** argv) {
+  const std::string path =
+      argc > 1 ? argv[1] : "/tmp/tilestore_autotiling.db";
+  (void)MDDStore::Remove(path);
   auto store = Unwrap(MDDStore::Create(path), "create store");
 
   Array scene = Unwrap(
@@ -85,7 +86,7 @@ int main() {
 
   // Persist the log as an operations artifact (and reload it, as a DBA
   // tool would).
-  const std::string log_path = "/tmp/tilestore_autotiling.log";
+  const std::string log_path = path + ".log";
   Check(log.SaveToFile(log_path), "save log");
   AccessLog replayed = Unwrap(AccessLog::LoadFromFile(log_path), "load log");
 
@@ -109,6 +110,7 @@ int main() {
               after_ms, before_ms / after_ms);
 
   (void)RemoveFile(log_path);
-  (void)RemoveFile(path);
+  store.reset();
+  (void)MDDStore::Remove(path);
   return after_ms < before_ms ? 0 : 1;
 }

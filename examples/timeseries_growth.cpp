@@ -3,7 +3,7 @@
 // in time — grows by appended batches via WriteRegion, is persisted, and
 // keeps answering window and per-sensor queries as it grows.
 //
-//   ./timeseries_growth
+//   ./timeseries_growth [store-path]
 
 #include <cstdio>
 
@@ -34,9 +34,9 @@ constexpr Coord kBatch = 512;  // time steps per append
 
 }  // namespace
 
-int main() {
-  const std::string path = "/tmp/tilestore_timeseries.db";
-  (void)RemoveFile(path);
+int main(int argc, char** argv) {
+  const std::string path = argc > 1 ? argv[1] : "/tmp/tilestore_timeseries.db";
+  (void)MDDStore::Remove(path);
   auto store = Unwrap(MDDStore::Create(path), "create store");
 
   // The definition domain is unbounded along time — the type admits
@@ -106,6 +106,7 @@ int main() {
               series->current_domain()->ToString().c_str(),
               series->index_is_packed() ? "yes" : "no");
 
-  (void)RemoveFile(path);
+  store.reset();
+  (void)MDDStore::Remove(path);
   return 0;
 }

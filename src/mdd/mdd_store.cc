@@ -158,6 +158,16 @@ Result<std::unique_ptr<MDDStore>> MDDStore::Create(const std::string& path,
   return store;
 }
 
+Status MDDStore::Remove(const std::string& path) {
+  Status first;
+  for (const char* suffix :
+       {"", ".wal", ".lock", ".summ", ".retile", ".compact"}) {
+    Status st = RemoveFile(path + suffix);
+    if (first.ok()) first = st;
+  }
+  return first;
+}
+
 Result<std::unique_ptr<MDDStore>> MDDStore::Open(const std::string& path,
                                                  MDDStoreOptions options) {
   Result<std::unique_ptr<FileLock>> lock = FileLock::Acquire(path + ".lock");

@@ -105,6 +105,12 @@ class MDDStore {
   static Result<std::unique_ptr<MDDStore>> Open(
       const std::string& path, MDDStoreOptions options = MDDStoreOptions());
 
+  /// Deletes a closed store's files: `path` and its `.wal`, `.lock`,
+  /// `.summ`, `.retile` and `.compact` sidecars. Missing files are not an
+  /// error; on a failure the others are still tried and the first error
+  /// is returned. Close the store first: closing saves `.summ` again.
+  static Status Remove(const std::string& path);
+
   ~MDDStore();
   MDDStore(const MDDStore&) = delete;
   MDDStore& operator=(const MDDStore&) = delete;

@@ -282,9 +282,11 @@ Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
 Status BlobStore::GetBatch(std::span<const BlobId> ids,
                            std::vector<std::vector<uint8_t>>* payloads,
                            BlobReadStats* stats,
-                           std::span<const uint64_t> max_sizes) {
+                           std::span<const uint64_t> max_sizes,
+                           std::span<const uint8_t> exact_sizes) {
   PageFile* file = pool_->page_file();
   const size_t page_size = file->page_size();
+  const uint64_t page_count = file->page_count();
   const size_t n = ids.size();
   payloads->assign(n, {});
   if (n == 0) return Status::OK();
@@ -302,56 +304,78 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   // twice where the sequential loop would have hit the pool.
   std::unordered_set<BlobId> seen;
   std::vector<uint8_t> dup(n, 0);
-  std::vector<size_t> batch_index(n, 0);  // request index in phase A
-  size_t unique = 0;
+  // Pages phase A reads from each BLOB's header page on: its whole chain
+  // when the caller's bound is its exact size (and the chain fits in the
+  // file), else the header page alone. `slot` is where they land in the
+  // phase A buffer, in pages.
+  std::vector<uint64_t> lead(n, 0);
+  std::vector<uint64_t> slot(n, 0);
+  uint64_t lead_total = 0;
   for (size_t i = 0; i < n; ++i) {
     if (!seen.insert(ids[i]).second) {
       dup[i] = 1;
-    } else {
-      batch_index[i] = unique++;
+      continue;
     }
+    lead[i] = 1;
+    if (!exact_sizes.empty() && exact_sizes[i] != 0 &&
+        max_size_of(i) != kNoSizeLimit) {
+      const uint64_t chain = PagesFor(max_size_of(i));
+      if (ids[i] < page_count && chain <= page_count - ids[i]) {
+        lead[i] = chain;
+      }
+    }
+    slot[i] = lead_total;
+    lead_total += lead[i];
   }
 
-  // Phase A: every header page, one batch. Header pages of *different*
-  // BLOBs that sit on consecutive pages — the normal layout for
-  // SFC-placed single-page tiles — are merged into one physical run;
-  // their destination slots are already adjacent because unique ids fill
-  // `headers` in first-appearance order. Charges are deferred so they can
-  // be replayed interleaved with each BLOB's continuation charges.
-  // Scratch buffers here and in phase B are overwritten in full by the
-  // reads, so they are not zero-filled.
-  auto headers = std::make_unique_for_overwrite<uint8_t[]>(unique * page_size);
-  std::vector<PageRunRequest> header_runs;
-  std::vector<size_t> header_run_of(unique, 0);  // unique index -> run
-  header_runs.reserve(unique);
+  // Phase A: every header page or whole chain, one batch. Reads of
+  // *different* BLOBs that sit on consecutive pages — the normal layout
+  // for SFC-placed tiles — are merged into one physical run; their
+  // destination slots are already adjacent because unique ids fill the
+  // buffer in first-appearance order. Charges are deferred so they can be
+  // replayed interleaved with each BLOB's continuation charges. Scratch
+  // buffers here and in phase B are overwritten in full by the reads, so
+  // they are not zero-filled.
+  auto lead_buf =
+      std::make_unique_for_overwrite<uint8_t[]>(lead_total * page_size);
+  std::vector<PageRunRequest> lead_runs;
+  std::vector<size_t> lead_run_of(n, 0);  // id index -> phase A request
+  lead_runs.reserve(n);
+  size_t unique = 0;
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
-    uint8_t* dst = headers.get() + batch_index[i] * page_size;
-    if (!header_runs.empty()) {
-      PageRunRequest& prev = header_runs.back();
+    ++unique;
+    uint8_t* dst = lead_buf.get() + slot[i] * page_size;
+    if (!lead_runs.empty()) {
+      PageRunRequest& prev = lead_runs.back();
       if (prev.first + prev.count == ids[i] &&
           prev.out + prev.count * page_size == dst) {
-        header_run_of[batch_index[i]] = header_runs.size() - 1;
-        ++prev.count;
+        lead_run_of[i] = lead_runs.size() - 1;
+        prev.count += lead[i];
         continue;
       }
     }
-    header_run_of[batch_index[i]] = header_runs.size();
-    header_runs.push_back(PageRunRequest{ids[i], 1, dst});
+    lead_run_of[i] = lead_runs.size();
+    lead_runs.push_back(PageRunRequest{ids[i], lead[i], dst});
   }
-  const uint64_t merged_headers =
-      unique - static_cast<uint64_t>(header_runs.size());
-  std::vector<DeferredPageCharge> header_charges;
-  Status st = pool_->ReadRunBatch(header_runs, &runs, &header_charges);
+  const uint64_t merged_reads =
+      unique - static_cast<uint64_t>(lead_runs.size());
+  std::vector<DeferredPageCharge> lead_charges;
+  Status st = pool_->ReadRunBatch(lead_runs, &runs, &lead_charges);
   if (!st.ok()) return st;
 
-  // Parse headers and plan the speculative continuation runs.
+  // Parse headers and plan the speculative continuation runs of the BLOBs
+  // phase A read only the header of.
+  constexpr size_t kNoRun = SIZE_MAX;
   struct Plan {
     uint64_t size = 0;
     PageId next = kInvalidPageId;
-    bool speculate = false;
-    size_t cont_index = 0;  // request index in phase B
-    uint64_t rem = 0;
+    // Continuation pages that hold the chain if it is consecutive:
+    // [id + 1, id + 1 + cont_pages), already read into `cont`.
+    const uint8_t* cont = nullptr;
+    uint64_t cont_pages = 0;
+    // The phase B request that read `cont`; kNoRun when phase A did.
+    size_t cont_run = kNoRun;
   };
   std::vector<Plan> plans(n);
   std::vector<PageRunRequest> cont_runs;
@@ -360,7 +384,7 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   std::vector<std::unique_ptr<uint8_t[]>> cont_bufs;
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
-    const uint8_t* header = headers.get() + batch_index[i] * page_size;
+    const uint8_t* header = lead_buf.get() + slot[i] * page_size;
     if (GetU32(header) != kBlobMagic) {
       return Status::Corruption("page " + std::to_string(ids[i]) +
                                 " is not a BLOB header");
@@ -372,31 +396,38 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     if (!st.ok()) return st;
     const uint64_t head_chunk =
         std::min<uint64_t>(plan.size, header_capacity());
-    if (head_chunk < plan.size) {
-      plan.rem = (plan.size - head_chunk + continuation_capacity() - 1) /
-                 continuation_capacity();
-      if (plan.next == ids[i] + 1 &&
-          ids[i] + 1 + plan.rem <= file->page_count()) {
-        plan.speculate = true;
-        plan.cont_index = cont_runs.size();
-        cont_bufs.push_back(
-            std::make_unique_for_overwrite<uint8_t[]>(plan.rem * page_size));
-        cont_runs.push_back(
-            PageRunRequest{ids[i] + 1, plan.rem, cont_bufs.back().get()});
-      }
+    if (head_chunk == plan.size) continue;
+    if (lead[i] > 1) {
+      plan.cont = header + page_size;
+      plan.cont_pages = lead[i] - 1;
+      continue;
+    }
+    const uint64_t rem =
+        (plan.size - head_chunk + continuation_capacity() - 1) /
+        continuation_capacity();
+    if (plan.next == ids[i] + 1 && ids[i] + 1 + rem <= page_count) {
+      cont_bufs.push_back(
+          std::make_unique_for_overwrite<uint8_t[]>(rem * page_size));
+      plan.cont = cont_bufs.back().get();
+      plan.cont_pages = rem;
+      plan.cont_run = cont_runs.size();
+      cont_runs.push_back(
+          PageRunRequest{ids[i] + 1, rem, cont_bufs.back().get()});
     }
   }
 
-  // Phase B: every speculative continuation run, one batch.
+  // Phase B: every speculative continuation run, one batch (none when
+  // phase A read every chain whole).
   std::vector<DeferredPageCharge> cont_charges;
   st = pool_->ReadRunBatch(cont_runs, &runs, &cont_charges);
   if (!st.ok()) return st;
 
   // Assembly: per BLOB in `ids` order, replay its deferred charges
-  // (header span, then continuation spans) and walk any fragmented tail
-  // with immediately-charged reads — the exact charge sequence of a
-  // sequential GetCoalesced loop.
-  size_t header_cursor = 0;
+  // (phase A span, then continuation spans) and walk any fragmented tail
+  // with immediately-charged reads — the page and byte totals of a
+  // sequential GetCoalesced loop, with merged neighbours charged as one
+  // run.
+  size_t lead_cursor = 0;
   size_t cont_cursor = 0;
   std::vector<uint8_t> page(page_size);
   for (size_t i = 0; i < n; ++i) {
@@ -413,18 +444,17 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
       continue;
     }
     const Plan& plan = plans[i];
-    // A merged header run carries the charges of every BLOB it covers;
-    // they replay once, at the first covered BLOB (the cursor only moves
+    // A merged run carries the charges of every BLOB it covers; they
+    // replay once, at the first covered BLOB (the cursor only moves
     // forward, so later members of the group find it already past).
-    while (header_cursor < header_charges.size() &&
-           header_charges[header_cursor].request ==
-               header_run_of[batch_index[i]]) {
-      file->ChargeReadRun(header_charges[header_cursor].first,
-                          header_charges[header_cursor].count);
-      ++header_cursor;
+    while (lead_cursor < lead_charges.size() &&
+           lead_charges[lead_cursor].request == lead_run_of[i]) {
+      file->ChargeReadRun(lead_charges[lead_cursor].first,
+                          lead_charges[lead_cursor].count);
+      ++lead_cursor;
     }
 
-    const uint8_t* header = headers.get() + batch_index[i] * page_size;
+    const uint8_t* header = lead_buf.get() + slot[i] * page_size;
     std::vector<uint8_t>& out = (*payloads)[i];
     out.reserve(plan.size);
     const size_t head_chunk =
@@ -435,20 +465,21 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     PageId next = plan.next;
     bool blob_fell_back = false;
 
-    if (plan.speculate) {
-      while (cont_cursor < cont_charges.size() &&
-             cont_charges[cont_cursor].request == plan.cont_index) {
+    if (plan.cont != nullptr) {
+      while (plan.cont_run != kNoRun &&
+             cont_cursor < cont_charges.size() &&
+             cont_charges[cont_cursor].request == plan.cont_run) {
         file->ChargeReadRun(cont_charges[cont_cursor].first,
                             cont_charges[cont_cursor].count);
         ++cont_cursor;
       }
-      const uint8_t* buf = cont_bufs[plan.cont_index].get();
-      for (uint64_t j = 0; j < plan.rem && out.size() < plan.size; ++j) {
+      for (uint64_t j = 0; j < plan.cont_pages && out.size() < plan.size;
+           ++j) {
         if (next != ids[i] + 1 + j) {
           blob_fell_back = true;
           break;
         }
-        const uint8_t* p = buf + j * page_size;
+        const uint8_t* p = plan.cont + j * page_size;
         next = GetU64(p);
         const size_t chunk = std::min<uint64_t>(plan.size - out.size(),
                                                 continuation_capacity());
@@ -456,8 +487,8 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
                    p + kContinuationBytes + chunk);
         ++pages_touched;
       }
-      cont_bufs[plan.cont_index].reset();
-    } else if (plan.rem > 0 && next != kInvalidPageId) {
+      if (plan.cont_run != kNoRun) cont_bufs[plan.cont_run].reset();
+    } else if (out.size() < plan.size && next != kInvalidPageId) {
       blob_fell_back = true;
     }
     if (blob_fell_back) {
@@ -486,7 +517,7 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     stats->pages += pages_touched;
     stats->fell_back = stats->fell_back || fell_back;
     stats->fallback_chains += fallback_chain_count;
-    stats->cross_object_coalesced += merged_headers;
+    stats->cross_object_coalesced += merged_reads;
   }
   return Status::OK();
 }

@@ -29,10 +29,10 @@ struct BlobReadStats {
   /// Number of BLOBs that fell back (equals `fell_back ? 1 : 0` for the
   /// single-BLOB calls; `GetBatch` counts each fragmented chain).
   uint64_t fallback_chains = 0;
-  /// Header-page reads `GetBatch` merged into a neighbouring BLOB's run
-  /// because the two chains sit on consecutive pages — the payoff of
-  /// SFC-ordered placement: adjacent tiles of *different* waves (or
-  /// objects) become one physical read. Always 0 for single-BLOB calls.
+  /// Phase A reads (header pages, or whole chains) `GetBatch` merged into
+  /// a neighbouring BLOB's run because the two sit on consecutive pages —
+  /// the payoff of SFC-ordered placement: adjacent tiles become one
+  /// physical read. Always 0 for single-BLOB calls.
   uint64_t cross_object_coalesced = 0;
 };
 
@@ -102,21 +102,36 @@ class BlobStore {
                                             BlobReadStats* stats = nullptr,
                                             uint64_t max_size = kNoSizeLimit);
 
-  /// Batched `GetCoalesced` over many BLOBs: all header pages are
-  /// submitted as one `BufferPool::ReadRunBatch`, then all speculative
-  /// continuation runs as a second one, so every miss span of the whole
-  /// set is in flight concurrently instead of read in a blocking loop.
+  /// Batched `GetCoalesced` over many BLOBs, in at most two physical
+  /// phases, each one `BufferPool::ReadRunBatch` (so every miss span of
+  /// the phase is in flight at once):
+  ///  - Phase A reads, per id, its whole chain `[id, id + PagesFor(size))`
+  ///    when `exact_sizes[i]` is non-zero — the caller's bound
+  ///    `max_sizes[i]` is then the payload's exact size — and the chain
+  ///    fits in the file; otherwise its header page alone. Reads of
+  ///    neighbouring BLOBs that sit on consecutive pages merge into one
+  ///    physical run.
+  ///  - Phase B reads the speculative continuation run of every BLOB whose
+  ///    header alone was read and whose chain starts consecutively. A
+  ///    batch of exact-size ids issues no phase B.
+  /// Only exact bounds read ahead: a looser one (RLE's is twice the raw
+  /// size) would charge pages the chain does not have. Every header's
+  /// declared size is checked against the file and `max_sizes[i]`, every
+  /// chain pointer is verified, and fragmented chains fall back to the
+  /// pointer walk for their tail, exactly like `GetCoalesced`.
   /// Disk-model charges are *deferred* by the pool and replayed here per
-  /// BLOB in `ids` order, which keeps seek accounting (and `model_ms`)
-  /// identical to calling `GetCoalesced` once per id. Fragmented chains
-  /// fall back to the pointer walk for their tail, exactly like
-  /// `GetCoalesced`. `payloads` is resized to `ids.size()`; on error the
-  /// first failure in `ids` order is returned. `max_sizes`, when not
-  /// empty, holds one `max_size` bound per id. Thread-safe.
+  /// BLOB in `ids` order. For consecutive chains this charges the pages,
+  /// bytes and transfer time of calling `GetCoalesced` once per id, and
+  /// never more seeks (a merged run is one charge); a fragmented chain read
+  /// whole may also charge its speculatively read pages. `payloads` is
+  /// resized to `ids.size()`; on error the first failure in `ids` order is
+  /// returned. `max_sizes` and `exact_sizes`, when not empty, hold one
+  /// entry per id. Thread-safe.
   Status GetBatch(std::span<const BlobId> ids,
                   std::vector<std::vector<uint8_t>>* payloads,
                   BlobReadStats* stats = nullptr,
-                  std::span<const uint64_t> max_sizes = {});
+                  std::span<const uint64_t> max_sizes = {},
+                  std::span<const uint8_t> exact_sizes = {});
 
   /// Payload size of a BLOB without reading the payload.
   Result<uint64_t> Size(BlobId id);

@@ -278,38 +278,6 @@ void BufferPool::ResetCounters() {
   miss_run_pages_->Reset();
 }
 
-BufferPool::Stats BufferPool::stats() const {
-  Stats s;
-  s.hits = hits();
-  s.misses = misses();
-  s.evictions = evictions();
-  return s;
-}
-
-uint64_t BufferPool::hits() const {
-  uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->hits->Value();
-  }
-  return total;
-}
-
-uint64_t BufferPool::misses() const {
-  uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->misses->Value();
-  }
-  return total;
-}
-
-uint64_t BufferPool::evictions() const {
-  uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->evictions->Value();
-  }
-  return total;
-}
-
 size_t BufferPool::cached_pages() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {

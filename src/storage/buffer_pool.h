@@ -62,20 +62,11 @@ struct DeferredPageCharge {
 /// Observability: hit/miss/eviction counts live per stripe in the attached
 /// `obs::MetricsRegistry` (`bufferpool.shard<i>.hits` etc.), plus a
 /// `bufferpool.miss_run_pages` histogram of the coalesced miss-run sizes
-/// `ReadRun` turns into physical reads. The legacy `stats()` / `hits()` /
-/// `misses()` / `evictions()` accessors are shims summing the per-stripe
-/// registry counters; without an attached registry the pool owns a private
+/// `ReadRun` turns into physical reads. The registry is the only place
+/// they are kept; without an attached registry the pool owns a private
 /// one, so standalone pools behave identically.
 class BufferPool {
  public:
-  /// Counter snapshot; see `stats()`. Deprecated shim over the registry —
-  /// new code should read `bufferpool.*` from `MDDStore::metrics()`.
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-
   /// `capacity_pages` of zero disables caching (all calls pass through).
   BufferPool(PageFile* file, size_t capacity_pages,
              obs::MetricsRegistry* metrics = nullptr);
@@ -94,13 +85,18 @@ class BufferPool {
 
   /// Batched `ReadRun`: serves cached pages, then submits every miss span
   /// of every run as one `PageFile::ReadBatch`, so the spans overlap in
-  /// flight. Hit/miss/eviction counters and the miss-run histogram are
-  /// identical to the equivalent `ReadRun` loop. With `deferred_charges`
-  /// non-null the physical reads are NOT charged to the disk model —
-  /// the spans are appended there instead for the caller to replay; with
-  /// null each span is charged immediately in span order. Falls back to
-  /// sequential `ReadRun` calls when the active transaction stages pages
-  /// (the single-writer mutation path, which never batches anyway).
+  /// flight. Every page is probed before any miss is inserted, so the
+  /// hit/miss counters and the miss-run histogram equal those of the
+  /// equivalent `ReadRun` loop whenever no page of the batch is evicted
+  /// while the batch is read (the pool holds the batch); in a smaller
+  /// pool the batch may count a hit where the loop's own inserts would
+  /// have evicted the page first. An empty `runs` issues no I/O. With
+  /// `deferred_charges` non-null the physical reads are NOT charged to the
+  /// disk model — the spans are appended there instead for the caller to
+  /// replay; with null each span is charged immediately in span order.
+  /// Falls back to sequential `ReadRun` calls when the active transaction
+  /// stages pages (the single-writer mutation path, which never batches
+  /// anyway).
   Status ReadRunBatch(std::span<const PageRunRequest> runs,
                       uint64_t* physical_runs,
                       std::vector<DeferredPageCharge>* deferred_charges);
@@ -129,15 +125,9 @@ class BufferPool {
   /// kept). Other metrics in a shared registry are untouched.
   void ResetCounters();
 
-  /// Consistent snapshot of the cumulative counters (registry shim).
-  Stats stats() const;
-
   size_t capacity_pages() const { return capacity_; }
   size_t cached_pages() const;
   size_t shard_count() const { return shards_.size(); }
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
 
   PageFile* page_file() const { return file_; }
 

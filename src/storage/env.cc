@@ -145,6 +145,12 @@ Result<std::unique_ptr<File>> File::Open(const std::string& path,
   return std::unique_ptr<File>(new File(path, fd));
 }
 
+File::File(std::string path, int fd)
+    : path_(std::move(path)), fd_(fd), serial_([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
 File::~File() {
   if (fd_ >= 0) ::close(fd_);
 }

@@ -154,11 +154,18 @@ class File {
   /// ownership.
   int fd() const { return fd_; }
 
+  /// Process-unique number of this open file. Descriptor numbers are
+  /// reused once a file closes; this is not, so a backend that caches
+  /// per-descriptor kernel state (io_uring's registered-file table) can
+  /// tell a reopened descriptor from the one it registered.
+  uint64_t serial() const { return serial_; }
+
  private:
-  File(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  File(std::string path, int fd);
 
   std::string path_;
   int fd_;
+  uint64_t serial_;
 };
 
 /// \brief Advisory exclusive lock on a sidecar file (POSIX flock).

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -152,35 +153,44 @@ struct IoUringBackend::Ring {
   bool fixed_broken = false;       // kernel rejected a fixed op: stop trying
   uint32_t free_slots = 0;         // bitmask over kBufferSlots
   std::vector<uint8_t> pool;       // slot storage, pinned while registered
-  std::vector<int> registered_files;  // fd table as last registered
+  // (fd, File::serial) table as last registered, sorted by fd. The
+  // kernel table holds the files themselves, so a descriptor number that
+  // was closed and reused for another file must not match: the serial
+  // tells them apart.
+  std::vector<std::pair<int, uint64_t>> registered_files;
 
-  /// (Re)registers the batch's fd set when it changed since the last
+  /// (Re)registers the batch's file set when it changed since the last
   /// batch. A store reads from a handful of long-lived files (page file,
   /// WAL), so this settles after the first batch and subsequent calls are
   /// a sorted compare. Caller holds `mu_` with the ring idle, which makes
   /// the whole-table swap safe.
   void EnsureFilesRegistered(std::span<ReadOp> ops) {
     if (!want_fixed || fixed_broken) return;
-    std::vector<int> fds;
+    std::vector<std::pair<int, uint64_t>> files;
     for (const ReadOp& op : ops) {
       const int op_fd = op.file->fd();
-      if (std::find(fds.begin(), fds.end(), op_fd) == fds.end()) {
-        fds.push_back(op_fd);
+      if (std::find_if(files.begin(), files.end(), [&](const auto& f) {
+            return f.first == op_fd;
+          }) == files.end()) {
+        files.emplace_back(op_fd, op.file->serial());
       }
     }
-    std::sort(fds.begin(), fds.end());
-    if (files_registered && fds == registered_files) return;
+    std::sort(files.begin(), files.end());
+    if (files_registered && files == registered_files) return;
     // A table this large would churn; fixed files stop paying off anyway.
-    if (fds.size() > 64) return;
+    if (files.size() > 64) return;
     if (files_registered) {
       (void)SysIoUringRegister(fd, IORING_UNREGISTER_FILES, nullptr, 0);
       files_registered = false;
       registered_files.clear();
     }
+    std::vector<int> fds;
+    fds.reserve(files.size());
+    for (const auto& f : files) fds.push_back(f.first);
     if (SysIoUringRegister(fd, IORING_REGISTER_FILES, fds.data(),
                            static_cast<unsigned>(fds.size())) == 0) {
       files_registered = true;
-      registered_files = std::move(fds);
+      registered_files = std::move(files);
     } else {
       // Kernel or policy refused; don't retry every batch.
       want_fixed = buffers_registered;
@@ -373,9 +383,12 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       // Pre-registered fd index when this file is in the fixed table.
       int fd_index = -1;
       if (fixed_ok && ring.files_registered) {
-        const auto it = std::find(ring.registered_files.begin(),
-                                  ring.registered_files.end(),
-                                  op.file->fd());
+        const auto it = std::find_if(
+            ring.registered_files.begin(), ring.registered_files.end(),
+            [&](const auto& f) {
+              return f.first == op.file->fd() &&
+                     f.second == op.file->serial();
+            });
         if (it != ring.registered_files.end()) {
           fd_index =
               static_cast<int>(it - ring.registered_files.begin());

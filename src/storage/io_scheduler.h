@@ -66,7 +66,7 @@ struct TileIOStats {
   /// BLOB chains that were not consecutive on disk and fell back to
   /// pointer walking.
   uint64_t chain_fallbacks = 0;
-  /// Header reads merged into a neighbouring BLOB's physical run inside
+  /// BLOB reads merged into a neighbouring BLOB's physical run inside
   /// one `GetBatch` wave (see `BlobReadStats::cross_object_coalesced`).
   uint64_t cross_object_coalesced = 0;
   /// Tiles served from the decoded-tile cache (no BLOB read, no decode).
@@ -90,17 +90,19 @@ struct TileIOStats {
 ///
 /// A batch of tile BLOB requests is sorted into physical page order
 /// (ascending BLOB id — BLOBs are allocated front to back, so this is disk
-/// order) and, with `parallelism > 1`, submitted as *one*
-/// `BlobStore::GetBatch` so every miss span of the whole query is handed
-/// to the page file's `IoBackend` in a single batch (io_uring keeps them
-/// in flight concurrently; the portable backend fans them over a small
-/// pool). Decode + composition then overlap across tiles on a fixed
-/// worker pool. Disk-model charges are replayed inside `GetBatch` in
-/// sorted-id order, so `model_ms`/seek accounting is identical to a
-/// sequential coalesced loop — and independent of the backend. At
-/// `parallelism = 1` the scheduler degrades to the exact tile-at-a-time
-/// loop of the original implementation, which keeps the paper's
-/// t_o/t_cpu cost tables reproducible.
+/// order). With `parallelism > 1` the cache misses then stream through in
+/// *waves* — runs of consecutive sorted misses of about 256 KiB expected
+/// payload. One thread at a time reads the next wave with one
+/// `BlobStore::GetBatch` (uncompressed tiles' whole chains in one physical
+/// phase, adjacent chains merged into one read), in wave order, while the
+/// other threads — the caller is one of them — decode and consume the
+/// waves already read. Pool helpers start only when the batch has more
+/// than one wave. Disk-model charges are replayed inside `GetBatch` in
+/// sorted-id order and the waves are read in order, so `model_ms`, pages
+/// and bytes are those of a sequential coalesced loop — and independent
+/// of the backend. At `parallelism = 1` the scheduler degrades to the
+/// exact tile-at-a-time loop of the original implementation, which keeps
+/// the paper's t_o/t_cpu cost tables reproducible.
 /// Observability: with an attached registry (`set_metrics`), batches and
 /// tiles are counted under `scheduler.*`, the `scheduler.queue_depth`
 /// gauge tracks tiles admitted but not yet consumed, and histograms record
@@ -122,14 +124,16 @@ class TileIOScheduler {
   /// (`options.encoded_filter`/`consume_encoded`: raw BLOB bytes, no
   /// decode, never cached), or fetch + decode with an optional cache
   /// populate. Tiles are processed in ascending BLOB-id order; with
-  /// `parallelism > 1`, the callbacks run on worker threads and must be
-  /// safe for concurrent invocations with distinct `i` (invocations with
-  /// the same `i` never happen). The first error aborts the batch and is
-  /// returned. Cache hits skip the measured `scheduler.fetch_ms`
-  /// histogram. Tiles are handed out as `const Tile&` so one decoded copy
-  /// can be shared between the consumer and the cache; the reference is
-  /// only valid for the duration of the `consume` call — copy or reduce,
-  /// don't keep the pointer.
+  /// `parallelism > 1`, the callbacks run on the caller and on worker
+  /// threads and must be safe for concurrent invocations with distinct `i`
+  /// (invocations with the same `i` never happen). The first error aborts
+  /// the batch and is returned once no callback runs any more. Cache hits
+  /// skip the measured `scheduler.fetch_ms` histogram, which observes each
+  /// tile's read at parallelism 1 and each wave's read above it. Tiles
+  /// are handed out as `const Tile&` so one decoded copy can be shared
+  /// between the consumer and the cache; the reference is only valid for
+  /// the duration of the `consume` call — copy or reduce, don't keep the
+  /// pointer.
   Status FetchBatch(std::span<const TileEntry> entries, CellType cell_type,
                     const TileIOOptions& options,
                     const std::function<Status(size_t, const Tile&)>& consume,
@@ -151,7 +155,7 @@ class TileIOScheduler {
  private:
   /// Decode half of `FetchOne`: selective decompression + tile
   /// construction from an already-read BLOB payload. Used by the batched
-  /// parallel path, where the I/O happened in one `GetBatch` up front.
+  /// parallel path, where each wave's I/O happened in one `GetBatch`.
   Result<Tile> DecodePayload(const TileEntry& entry, CellType cell_type,
                              std::vector<uint8_t>&& data, TileIOStats* stats);
 

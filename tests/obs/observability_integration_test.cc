@@ -51,6 +51,17 @@ class ObservabilityTest : public ::testing::Test {
     return obj;
   }
 
+  // Sum of the buffer pool's per-stripe `bufferpool.shard<i>.<what>`.
+  uint64_t PoolCount(const obs::MetricsSnapshot& snap,
+                     const std::string& what) const {
+    uint64_t total = 0;
+    for (size_t i = 0; i < store_->buffer_pool()->shard_count(); ++i) {
+      total += snap.counter("bufferpool.shard" + std::to_string(i) + "." +
+                            what);
+    }
+    return total;
+  }
+
   // Load + serial query + parallel query + checkpoint: touches every
   // instrumented layer of the store.
   MDDObject* RunMixedWorkload() {
@@ -122,27 +133,17 @@ TEST_F(ObservabilityTest, AllLayersPopulateStoreSnapshot) {
   EXPECT_EQ(std::memcmp(&write_ms, &gauge_ms, sizeof(double)), 0);
 }
 
-// Satellite: the deprecated per-component accessors are thin views over
-// the registry — identical values, not parallel bookkeeping.
+// The per-component accessors are thin views over the registry —
+// identical values, not parallel bookkeeping. (The buffer pool has no
+// accessors: its counters live only in the registry, per stripe.)
 TEST_F(ObservabilityTest, LegacyShimsEqualRegistryValues) {
   RunMixedWorkload();
   const obs::MetricsSnapshot snap = store_->metrics()->Snapshot();
 
-  // BufferPool::stats() == sum of the per-stripe registry counters.
-  const BufferPool::Stats pool = store_->buffer_pool()->stats();
-  uint64_t hits = 0, misses = 0, evictions = 0;
-  for (size_t i = 0; i < store_->buffer_pool()->shard_count(); ++i) {
-    const std::string prefix = "bufferpool.shard" + std::to_string(i);
-    hits += snap.counter(prefix + ".hits");
-    misses += snap.counter(prefix + ".misses");
-    evictions += snap.counter(prefix + ".evictions");
-  }
-  EXPECT_EQ(pool.hits, hits);
-  EXPECT_EQ(pool.misses, misses);
-  EXPECT_EQ(pool.evictions, evictions);
-  EXPECT_EQ(store_->buffer_pool()->hits(), hits);
-  EXPECT_EQ(store_->buffer_pool()->misses(), misses);
-  EXPECT_EQ(store_->buffer_pool()->evictions(), evictions);
+  // Every stripe of the pool has its counters; the workload both hit and
+  // missed.
+  EXPECT_GT(PoolCount(snap, "hits"), 0u);
+  EXPECT_GT(PoolCount(snap, "misses"), 0u);
 
   // DiskModel accessors == disk.* registry counters.
   const DiskModel* model = store_->disk_model();
@@ -175,8 +176,8 @@ TEST_F(ObservabilityTest, ComponentResetsAreScoped) {
   store_->disk_model()->Reset();
 
   const obs::MetricsSnapshot after = store_->metrics()->Snapshot();
-  EXPECT_EQ(store_->buffer_pool()->hits(), 0u);
-  EXPECT_EQ(store_->buffer_pool()->misses(), 0u);
+  EXPECT_EQ(PoolCount(after, "hits"), 0u);
+  EXPECT_EQ(PoolCount(after, "misses"), 0u);
   EXPECT_EQ(store_->disk_model()->pages_read(), 0u);
   EXPECT_EQ(after.counter("disk.pages_read"), 0u);
   // Neighbours are untouched.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -335,6 +336,188 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
       EXPECT_EQ(io.cache_hits, populated ? hits.size() : 0u);
       populated = cached;
     }
+  }
+}
+
+/// The streamed parallel fetch over objects large enough that one cold
+/// query reads many waves (256 KiB of payload each): a 4 MiB
+/// uncompressed object, whose chains are read whole, and a 4 MiB RLE
+/// object (a few noisy rows stay uncompressed), whose chains are read
+/// header first.
+class ConcurrentQueryWaveTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = UniqueTestPath("concurrent_query_wave_test.db");
+    RemoveStoreFiles(path_);
+    MDDStoreOptions options;
+    options.worker_threads = 4;
+    // Every tile is read on every query, so byte and cost comparisons
+    // cover the filtered entry point too.
+    options.tile_summaries = false;
+    store_ = MDDStore::Create(path_, options).MoveValue();
+
+    const MInterval domain({{0, 1023}, {0, 1023}});
+    const CellType type = CellType::Of(CellTypeId::kUInt32);
+    plain_data_ = Array::Create(domain, type).value();
+    rle_data_ = Array::Create(domain, type).value();
+    uint32_t v = 1;
+    ForEachPoint(domain, [&](const Point& p) {
+      v = v * 1664525u + 1013904223u;
+      plain_data_.Set<uint32_t>(p, v);
+      rle_data_.Set<uint32_t>(
+          p, p[0] < 896 ? static_cast<uint32_t>(p[0] / 5) : v);
+    });
+    plain_ = store_->CreateMDD("plain", domain, type).value();
+    ASSERT_TRUE(plain_->Load(plain_data_, AlignedTiling::Regular(2, 65536))
+                    .ok());
+    rle_ = store_->CreateMDD("rle", domain, type).value();
+    rle_->SetCompression(Compression::kRle);
+    ASSERT_TRUE(rle_->Load(rle_data_, AlignedTiling::Regular(2, 65536)).ok());
+  }
+  void TearDown() override {
+    store_.reset();
+    RemoveStoreFiles(path_);
+  }
+
+  // What one cold run of the three entry points returns and charges.
+  struct Outcome {
+    std::vector<uint8_t> cells;
+    double sum = 0;
+    std::vector<uint8_t> filtered;
+    std::vector<uint64_t> pages, bytes, seeks;
+    uint64_t waves = 0;  // `scheduler.fetch_ms` observations
+  };
+
+  Outcome RunCold(MDDObject* object, const MInterval& region,
+                  int parallelism) {
+    Outcome out;
+    DiskModel* disk = store_->disk_model();
+    obs::Histogram* fetch_ms =
+        store_->metrics()->latency_histogram("scheduler.fetch_ms");
+    const uint64_t observed = fetch_ms->count();
+    auto note = [&](const QueryStats& stats) {
+      out.pages.push_back(stats.pages_read);
+      out.bytes.push_back(disk->bytes_read());
+      out.seeks.push_back(stats.seeks);
+    };
+    auto bytes_of = [](const Array& array) {
+      return std::vector<uint8_t>(array.data(),
+                                  array.data() + array.size_bytes());
+    };
+    RangeQueryOptions options;
+    options.cold = true;
+    options.parallelism = parallelism;
+    RangeQueryExecutor executor(store_.get(), options);
+    QueryStats stats;
+    Result<Array> array = executor.Execute(object, region, &stats);
+    EXPECT_TRUE(array.ok()) << array.status();
+    if (array.ok()) out.cells = bytes_of(*array);
+    note(stats);
+    Result<double> sum =
+        executor.ExecuteAggregate(object, region, AggregateOp::kSum, &stats);
+    EXPECT_TRUE(sum.ok()) << sum.status();
+    if (sum.ok()) out.sum = *sum;
+    note(stats);
+    options.predicate = ValuePredicate{ValuePredicate::Kind::kBetween, 100,
+                                       2147483648.0};
+    RangeQueryExecutor filter(store_.get(), options);
+    Result<Array> filtered = filter.Execute(object, region, &stats);
+    EXPECT_TRUE(filtered.ok()) << filtered.status();
+    if (filtered.ok()) out.filtered = bytes_of(*filtered);
+    note(stats);
+    out.waves = fetch_ms->count() - observed;
+    return out;
+  }
+
+  std::string path_;
+  std::unique_ptr<MDDStore> store_;
+  Array plain_data_;
+  Array rle_data_;
+  MDDObject* plain_ = nullptr;
+  MDDObject* rle_ = nullptr;
+};
+
+TEST_F(ConcurrentQueryWaveTest, MultiWaveQueriesMatchSerialBytesAndCosts) {
+  // Partial tiles along every edge.
+  const MInterval region({{3, 1020}, {5, 1000}});
+  for (MDDObject* object : {plain_, rle_}) {
+    SCOPED_TRACE(object->name());
+    const Array& data = object == plain_ ? plain_data_ : rle_data_;
+    const Outcome serial = RunCold(object, region, 1);
+    const Array slice = data.Slice(region).value();
+    ASSERT_EQ(serial.cells.size(), slice.size_bytes());
+    EXPECT_EQ(std::memcmp(serial.cells.data(), slice.data(),
+                          slice.size_bytes()),
+              0);
+    for (int parallelism : {2, 4}) {
+      SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+      const Outcome parallel = RunCold(object, region, parallelism);
+      EXPECT_EQ(parallel.cells, serial.cells);
+      EXPECT_EQ(parallel.sum, serial.sum);  // exact: partials fold in order
+      EXPECT_EQ(parallel.filtered, serial.filtered);
+      EXPECT_EQ(parallel.pages, serial.pages);
+      EXPECT_EQ(parallel.bytes, serial.bytes);
+      for (size_t i = 0; i < serial.seeks.size(); ++i) {
+        EXPECT_LE(parallel.seeks[i], serial.seeks[i]) << "entry point " << i;
+      }
+      // Three queries of about 4 MiB each: many waves apiece.
+      EXPECT_GE(parallel.waves, 3 * 8u);
+    }
+  }
+}
+
+TEST_F(ConcurrentQueryWaveTest, CorruptTileInLastWaveStopsEveryWorker) {
+  const MInterval region({{0, 1023}, {0, 1023}});
+  BufferPool* pool = store_->buffer_pool();
+  for (MDDObject* object : {plain_, rle_}) {
+    SCOPED_TRACE(object->name());
+    std::vector<TileEntry> tiles = object->FindTiles(region);
+    ASSERT_GT(tiles.size(), 32u);
+    const TileEntry last = *std::max_element(
+        tiles.begin(), tiles.end(),
+        [](const TileEntry& a, const TileEntry& b) { return a.blob < b.blob; });
+    std::vector<uint8_t> header(store_->page_file()->page_size());
+    ASSERT_TRUE(pool->ReadPage(last.blob, header.data()).ok());
+    const std::vector<uint8_t> intact = header;
+    header[0] ^= 0xff;  // the BLOB magic
+    ASSERT_TRUE(pool->WritePage(last.blob, header.data()).ok());
+    const std::string page = "page " + std::to_string(last.blob);
+    for (int parallelism : {2, 4}) {
+      SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+      RangeQueryOptions options;
+      options.cold = true;
+      options.parallelism = parallelism;
+      RangeQueryExecutor executor(store_.get(), options);
+      const Status st = executor.Execute(object, region).status();
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_NE(st.ToString().find(page), std::string::npos) << st.ToString();
+
+      // Straight through the scheduler: slow consumers keep the workers
+      // busy with earlier waves when the last one fails to read.
+      pool->Clear();
+      std::atomic<int> in_flight{0};
+      std::atomic<int> calls{0};
+      TileIOOptions io;
+      io.parallelism = parallelism;
+      io.pool = store_->thread_pool();
+      const Status fetched = store_->io_scheduler()->FetchBatch(
+          tiles, object->cell_type(), io,
+          [&](size_t, const Tile&) {
+            in_flight.fetch_add(1);
+            calls.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            in_flight.fetch_sub(1);
+            return Status::OK();
+          });
+      EXPECT_TRUE(fetched.IsCorruption()) << fetched.ToString();
+      EXPECT_NE(fetched.ToString().find(page), std::string::npos);
+      EXPECT_EQ(in_flight.load(), 0);
+      const int settled = calls.load();
+      EXPECT_LT(settled, static_cast<int>(tiles.size()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_EQ(calls.load(), settled);
+    }
+    ASSERT_TRUE(pool->WritePage(last.blob, intact.data()).ok());
   }
 }
 

@@ -5,6 +5,7 @@
 #include "test_paths.h"
 
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "common/random.h"
@@ -244,6 +245,82 @@ TEST_F(BlobStoreTest, StatReportsFragmentedChains) {
   EXPECT_EQ(store_->Get(id).MoveValue(), data);
   EXPECT_TRUE(store_->Stat(kInvalidBlobId).status().IsCorruption() ||
               store_->Stat(kInvalidBlobId).status().IsInvalidArgument());
+}
+
+// With exact size bounds, `GetBatch` reads each chain whole in its first
+// phase and merges neighbouring chains into one read; bytes and disk-model
+// charges equal the header-first batch's. A fragmented chain still falls
+// back to the pointer walk, and the header's size is still checked.
+TEST_F(BlobStoreTest, ExactSizeBatchReadsWholeChainsInOnePhase) {
+  const std::vector<std::vector<uint8_t>> data = {
+      RandomBytes(1500, 1), RandomBytes(900, 2), RandomBytes(100, 3)};
+  std::vector<BlobId> ids;
+  std::vector<uint64_t> sizes;
+  for (const std::vector<uint8_t>& d : data) {
+    ids.push_back(store_->Put(d).value());
+    sizes.push_back(d.size());
+  }
+  const std::vector<uint8_t> exact(ids.size(), 1);
+
+  struct Read {
+    std::vector<std::vector<uint8_t>> payloads;
+    BlobReadStats stats;
+    uint64_t pages, bytes, seeks;
+    double ms;
+  };
+  auto read = [&](std::span<const uint8_t> flags) {
+    Read r;
+    pool_->Clear();
+    model_.Reset();
+    EXPECT_TRUE(
+        store_->GetBatch(ids, &r.payloads, &r.stats, sizes, flags).ok());
+    r.pages = model_.pages_read();
+    r.bytes = model_.bytes_read();
+    r.seeks = model_.read_seeks();
+    r.ms = model_.read_ms();
+    return r;
+  };
+  const Read headers_first = read({});
+  const Read whole = read(exact);
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(whole.payloads[i], data[i]);
+    EXPECT_EQ(headers_first.payloads[i], data[i]);
+  }
+  EXPECT_EQ(whole.stats.physical_runs, 1u);  // three chains, one read
+  EXPECT_EQ(whole.stats.cross_object_coalesced, 2u);
+  EXPECT_GT(headers_first.stats.physical_runs, 1u);
+  EXPECT_EQ(whole.pages, headers_first.pages);
+  EXPECT_EQ(whole.bytes, headers_first.bytes);
+  EXPECT_EQ(whole.seeks, headers_first.seeks);
+  EXPECT_EQ(whole.ms, headers_first.ms);
+
+  // Punch holes and let first-fit scatter a 3-page chain over them.
+  std::vector<BlobId> singles;
+  for (int i = 0; i < 6; ++i) {
+    singles.push_back(store_->Put(RandomBytes(400, 10 + i)).value());
+  }
+  for (int i : {1, 3, 5}) ASSERT_TRUE(store_->Delete(singles[i]).ok());
+  const std::vector<uint8_t> scattered = RandomBytes(1200, 42);
+  const BlobId jumpy = store_->Put(scattered).value();
+  ASSERT_FALSE(store_->Stat(jumpy).value().starts_adjacent);
+  std::vector<std::vector<uint8_t>> payloads;
+  BlobReadStats stats;
+  const std::vector<BlobId> one = {jumpy};
+  const std::vector<uint64_t> one_size = {scattered.size()};
+  const std::vector<uint8_t> one_exact = {1};
+  ASSERT_TRUE(
+      store_->GetBatch(one, &payloads, &stats, one_size, one_exact).ok());
+  EXPECT_EQ(payloads[0], scattered);
+  EXPECT_EQ(stats.fallback_chains, 1u);
+
+  // A bound below the declared size is Corruption naming the page.
+  const std::vector<uint64_t> too_small = {scattered.size() - 1};
+  const Status st = store_->GetBatch(one, &payloads, nullptr, too_small,
+                                     one_exact);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("page " + std::to_string(jumpy)),
+            std::string::npos)
+      << st.ToString();
 }
 
 // ---------------------------------------------------------------------------

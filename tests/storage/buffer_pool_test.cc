@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/txn.h"
 #include "storage/wal.h"
 
@@ -28,6 +29,18 @@ class BufferPoolTest : public ::testing::Test {
     RemoveStoreFiles(path_);
   }
 
+  // Sum of the pools' per-stripe `bufferpool.shard<i>.<what>` counters.
+  uint64_t PoolCount(const std::string& what) const {
+    uint64_t total = 0;
+    for (const auto& [name, value] : metrics_.Snapshot().counters) {
+      if (name.starts_with("bufferpool.shard") &&
+          name.ends_with("." + what)) {
+        total += value;
+      }
+    }
+    return total;
+  }
+
   PageId WritePageVia(BufferPool* pool, uint8_t fill) {
     PageId id = file_->AllocatePage().value();
     std::vector<uint8_t> page(512, fill);
@@ -37,22 +50,23 @@ class BufferPoolTest : public ::testing::Test {
 
   std::string path_;
   DiskModel model_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<PageFile> file_;
 };
 
 TEST_F(BufferPoolTest, CachedReadSkipsPhysicalIO) {
-  BufferPool pool(file_.get(), 16);
+  BufferPool pool(file_.get(), 16, &metrics_);
   PageId id = WritePageVia(&pool, 7);
   model_.Reset();
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());
   EXPECT_EQ(out[0], 7);
   EXPECT_EQ(model_.pages_read(), 0u);  // served from cache
-  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(PoolCount("hits"), 1u);
 }
 
 TEST_F(BufferPoolTest, ClearForcesPhysicalRead) {
-  BufferPool pool(file_.get(), 16);
+  BufferPool pool(file_.get(), 16, &metrics_);
   PageId id = WritePageVia(&pool, 9);
   pool.Clear();
   model_.Reset();
@@ -60,7 +74,7 @@ TEST_F(BufferPoolTest, ClearForcesPhysicalRead) {
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());
   EXPECT_EQ(out[0], 9);
   EXPECT_EQ(model_.pages_read(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(PoolCount("misses"), 1u);
 }
 
 TEST_F(BufferPoolTest, LruEvictionKeepsCapacity) {
@@ -132,51 +146,46 @@ TEST_F(BufferPoolTest, ZeroCapacityDisablesCaching) {
 }
 
 TEST_F(BufferPoolTest, StatsSnapshotTracksHitsMissesEvictions) {
-  BufferPool pool(file_.get(), 2);
+  BufferPool pool(file_.get(), 2, &metrics_);
   PageId a = WritePageVia(&pool, 1);
   PageId b = WritePageVia(&pool, 2);
   PageId c = WritePageVia(&pool, 3);  // evicts a
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(pool.ReadPage(b, out.data()).ok());  // hit
   ASSERT_TRUE(pool.ReadPage(a, out.data()).ok());  // miss (+1 eviction)
-  BufferPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(PoolCount("hits"), 1u);
+  EXPECT_EQ(PoolCount("misses"), 1u);
   // Inserting c evicted a; re-reading a evicted the next LRU victim.
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.hits, pool.hits());
-  EXPECT_EQ(stats.misses, pool.misses());
-  EXPECT_EQ(stats.evictions, pool.evictions());
+  EXPECT_EQ(PoolCount("evictions"), 2u);
   (void)c;
 }
 
 TEST_F(BufferPoolTest, ResetCountersKeepsCachedPages) {
-  BufferPool pool(file_.get(), 16);
+  BufferPool pool(file_.get(), 16, &metrics_);
   PageId id = WritePageVia(&pool, 4);
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());  // hit
-  ASSERT_GT(pool.hits(), 0u);
+  ASSERT_GT(PoolCount("hits"), 0u);
   pool.ResetCounters();
-  BufferPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(PoolCount("hits"), 0u);
+  EXPECT_EQ(PoolCount("misses"), 0u);
+  EXPECT_EQ(PoolCount("evictions"), 0u);
   // The cache itself is untouched: the next read is still a hit.
   model_.Reset();
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());
   EXPECT_EQ(model_.pages_read(), 0u);
-  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(PoolCount("hits"), 1u);
 }
 
 TEST_F(BufferPoolTest, ClearKeepsCumulativeCounters) {
-  BufferPool pool(file_.get(), 16);
+  BufferPool pool(file_.get(), 16, &metrics_);
   PageId id = WritePageVia(&pool, 4);
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());  // hit
   pool.Clear();
   ASSERT_TRUE(pool.ReadPage(id, out.data()).ok());  // miss
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(PoolCount("hits"), 1u);
+  EXPECT_EQ(PoolCount("misses"), 1u);
 }
 
 TEST_F(BufferPoolTest, ReadRunCoalescesMissSpanIntoOnePhysicalRead) {
@@ -202,7 +211,7 @@ TEST_F(BufferPoolTest, ReadRunCoalescesMissSpanIntoOnePhysicalRead) {
 }
 
 TEST_F(BufferPoolTest, ReadRunServesCachedPagesAndSplitsRuns) {
-  BufferPool pool(file_.get(), 16);
+  BufferPool pool(file_.get(), 16, &metrics_);
   PageId first = WritePageVia(&pool, 20);
   PageId mid = WritePageVia(&pool, 21);
   WritePageVia(&pool, 22);
@@ -221,8 +230,8 @@ TEST_F(BufferPoolTest, ReadRunServesCachedPagesAndSplitsRuns) {
   EXPECT_EQ(out[1024], 22);
   EXPECT_EQ(runs, 2u);
   EXPECT_EQ(model_.pages_read(), 2u);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(PoolCount("hits"), 1u);
+  EXPECT_EQ(PoolCount("misses"), 2u);
 }
 
 TEST_F(BufferPoolTest, SmallPoolsUseOneShardLargeOnesStripe) {
@@ -252,7 +261,7 @@ TEST_F(BufferPoolTest, ReusedFrameNeverReturnsTheVictimsBytes) {
     ASSERT_TRUE(file_->WritePage(ids.back(), PagePattern(ids.back(), 0).data())
                     .ok());
   }
-  BufferPool pool(file_.get(), 2);
+  BufferPool pool(file_.get(), 2, &metrics_);
   std::vector<uint8_t> out(512);
   // a, b fill the pool; c takes a's frame, then a takes c's.
   for (int step : {0, 1, 2, 2, 1, 0, 0}) {
@@ -260,9 +269,9 @@ TEST_F(BufferPoolTest, ReusedFrameNeverReturnsTheVictimsBytes) {
     EXPECT_EQ(out, PagePattern(ids[step], 0)) << "step " << step;
     EXPECT_LE(pool.cached_pages(), 2u);
   }
-  EXPECT_EQ(pool.misses(), 4u);
-  EXPECT_EQ(pool.hits(), 3u);
-  EXPECT_EQ(pool.evictions(), 2u);
+  EXPECT_EQ(PoolCount("misses"), 4u);
+  EXPECT_EQ(PoolCount("hits"), 3u);
+  EXPECT_EQ(PoolCount("evictions"), 2u);
   // A coalesced run over reused frames also returns each page's own bytes.
   std::vector<uint8_t> run(3 * 512);
   ASSERT_TRUE(pool.ReadRun(ids[0], 3, run.data()).ok());
@@ -309,7 +318,7 @@ TEST_F(BufferPoolTest, EvictionCountsAndLruOrderMatchReferenceLru) {
     ids.push_back(file_->AllocatePage().value());
     ASSERT_TRUE(file_->WritePage(ids[i], PagePattern(ids[i], 0).data()).ok());
   }
-  BufferPool pool(file_.get(), kCapacity);
+  BufferPool pool(file_.get(), kCapacity, &metrics_);
   std::list<PageId> lru;  // front = most recently used
   uint64_t hits = 0, misses = 0, evictions = 0;
   auto touch = [&](PageId id) {
@@ -350,16 +359,16 @@ TEST_F(BufferPoolTest, EvictionCountsAndLruOrderMatchReferenceLru) {
       pool.Clear();
       lru.clear();
     }
-    ASSERT_EQ(pool.hits(), hits) << "step " << step;
-    ASSERT_EQ(pool.misses(), misses) << "step " << step;
-    ASSERT_EQ(pool.evictions(), evictions) << "step " << step;
+    ASSERT_EQ(PoolCount("hits"), hits) << "step " << step;
+    ASSERT_EQ(PoolCount("misses"), misses) << "step " << step;
+    ASSERT_EQ(PoolCount("evictions"), evictions) << "step " << step;
     ASSERT_EQ(pool.cached_pages(), lru.size()) << "step " << step;
   }
 }
 
 TEST_F(BufferPoolTest, StripedPoolNeverExceedsCapacity) {
   constexpr size_t kCapacity = 256;  // the smallest striped pool
-  BufferPool pool(file_.get(), kCapacity);
+  BufferPool pool(file_.get(), kCapacity, &metrics_);
   ASSERT_GT(pool.shard_count(), 1u);
   std::vector<PageId> ids;
   for (int i = 0; i < 600; ++i) {
@@ -378,7 +387,7 @@ TEST_F(BufferPoolTest, StripedPoolNeverExceedsCapacity) {
     }
     ASSERT_LE(pool.cached_pages(), kCapacity) << "step " << step;
   }
-  EXPECT_GT(pool.evictions(), 0u);
+  EXPECT_GT(PoolCount("evictions"), 0u);
 }
 
 // Pages staged by the active transaction shadow the pool even after the

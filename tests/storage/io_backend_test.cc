@@ -95,6 +95,38 @@ TEST_F(IoBackendTest, IoUringBatchMatchesSequentialReads) {
   CheckBatchMatchesSequential(backend.get(), file.get());
 }
 
+// A file closed and replaced by another that reuses its descriptor
+// number is read from the new file: the ring's registered-file table must
+// not keep serving the old one (the kernel table holds the old file open).
+TEST_F(IoBackendTest, IoUringReadsReopenedDescriptorFromTheNewFile) {
+  if (!IoUringBackend::Available()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  }
+  auto backend = IoUringBackend::Create().MoveValue();
+  auto read_first_byte = [&](const File* file) {
+    uint8_t byte = 0;
+    ReadOp op;
+    op.file = file;
+    op.size = 1;
+    op.out = &byte;
+    EXPECT_TRUE(backend->SubmitBatch(std::span<ReadOp>(&op, 1)).ok());
+    return byte;
+  };
+  auto old_file = MakeFile(4096);
+  const int fd = old_file->fd();
+  EXPECT_EQ(read_first_byte(old_file.get()), 7);
+  old_file.reset();
+  RemoveStoreFiles(path_);
+
+  auto new_file = File::Open(path_, /*create=*/true).MoveValue();
+  const uint8_t fresh = 42;
+  ASSERT_TRUE(new_file->WriteAt(0, &fresh, 1).ok());
+  if (new_file->fd() != fd) {
+    GTEST_SKIP() << "the descriptor number was not reused";
+  }
+  EXPECT_EQ(read_first_byte(new_file.get()), fresh);
+}
+
 // A batch larger than the ring goes through in waves: each wave waits for
 // the reads it submitted, never for ones still queued behind the ring.
 TEST_F(IoBackendTest, IoUringBatchLargerThanRingCompletes) {

@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <string>
+
+#include "mdd/mdd_store.h"
 
 namespace tilestore {
 
@@ -31,12 +32,10 @@ inline std::string UniqueTestPath(const std::string& stem) {
 }
 
 /// Removes a test store's files: `db` itself and its `.wal`, `.lock`,
-/// `.summ`, `.retile` and `.compact` sidecars. Missing files are ignored.
+/// `.summ`, `.retile` and `.compact` sidecars (`MDDStore::Remove`).
+/// Missing files are ignored.
 inline void RemoveStoreFiles(const std::string& db) {
-  for (const char* suffix :
-       {"", ".wal", ".lock", ".summ", ".retile", ".compact"}) {
-    std::remove((db + suffix).c_str());
-  }
+  (void)MDDStore::Remove(db);
 }
 
 }  // namespace tilestore
