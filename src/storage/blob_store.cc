@@ -293,6 +293,8 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   auto max_size_of = [&](size_t i) {
     return max_sizes.empty() ? kNoSizeLimit : max_sizes[i];
   };
+  const uint64_t head_cap = header_capacity();
+  const uint64_t cont_cap = continuation_capacity();
 
   uint64_t runs = 0;
   uint64_t pages_touched = 0;
@@ -304,11 +306,80 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   // twice where the sequential loop would have hit the pool.
   std::unordered_set<BlobId> seen;
   std::vector<uint8_t> dup(n, 0);
+  // Per-BLOB state of the read. Pages arrive from the pool in any order
+  // (cached ones first), and each is copied straight to its place in the
+  // payload, which therefore must be sized before its header is read:
+  // `bound` is the payload size the copies are made for — the caller's
+  // bound when it is exact, else the header's checked declared size.
+  constexpr size_t kNoRun = SIZE_MAX;
+  constexpr uint64_t kNoBadPage = UINT64_MAX;
+  struct Plan {
+    Status header;  // verdict of the header checks
+    uint64_t size = 0;
+    PageId next = kInvalidPageId;
+    uint64_t bound = 0;
+    // Chain pages read speculatively from the header page on.
+    uint64_t read = 1;
+    // First read page whose next pointer leaves the consecutive chain
+    // `[id, id + read)`, and that pointer.
+    uint64_t bad = kNoBadPage;
+    PageId bad_next = kInvalidPageId;
+    // The phase B request that read the continuation run, if any.
+    size_t cont_run = kNoRun;
+  };
+  std::vector<Plan> plans(n);
+
+  // Copies chain page `j` of BLOB `i` to its place in the payload and
+  // records its pointer. Appending (the usual, in-order case) copies
+  // once; a page that arrives ahead of its predecessors extends the
+  // payload over the gap they fill later.
+  auto take = [&](size_t i, uint64_t j, const uint8_t* page) {
+    Plan& plan = plans[i];
+    std::vector<uint8_t>& out = (*payloads)[i];
+    PageId next;
+    uint64_t offset;
+    const uint8_t* chunk;
+    if (j == 0) {
+      if (GetU32(page) != kBlobMagic) {
+        plan.header = Status::Corruption("page " + std::to_string(ids[i]) +
+                                         " is not a BLOB header");
+        return;
+      }
+      plan.size = GetU64(page + 8);
+      plan.next = GetU64(page + 16);
+      plan.header = CheckDeclaredSize(ids[i], plan.size, max_size_of(i));
+      if (!plan.header.ok()) return;
+      if (plan.read == 1) {
+        plan.bound = plan.size;
+        out.reserve(plan.bound);
+      }
+      next = plan.next;
+      offset = 0;
+      chunk = page + kHeaderBytes;
+    } else {
+      next = GetU64(page);
+      offset = head_cap + (j - 1) * cont_cap;
+      chunk = page + kContinuationBytes;
+    }
+    if (next != ids[i] + j + 1 && j < plan.bad) {
+      plan.bad = j;
+      plan.bad_next = next;
+    }
+    if (offset >= plan.bound) return;
+    const size_t len = std::min<uint64_t>(plan.bound - offset,
+                                          j == 0 ? head_cap : cont_cap);
+    if (offset == out.size()) {
+      out.insert(out.end(), chunk, chunk + len);
+      return;
+    }
+    if (offset + len > out.size()) out.resize(offset + len);
+    std::memcpy(out.data() + offset, chunk, len);
+  };
+
   // Pages phase A reads from each BLOB's header page on: its whole chain
   // when the caller's bound is its exact size (and the chain fits in the
-  // file), else the header page alone. `slot` is where they land in the
-  // phase A buffer, in pages.
-  std::vector<uint64_t> lead(n, 0);
+  // file), else the header page alone. `slot` numbers them across the
+  // batch, in first-appearance order of the unique ids.
   std::vector<uint64_t> slot(n, 0);
   uint64_t lead_total = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -316,120 +387,98 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
       dup[i] = 1;
       continue;
     }
-    lead[i] = 1;
+    Plan& plan = plans[i];
     if (!exact_sizes.empty() && exact_sizes[i] != 0 &&
         max_size_of(i) != kNoSizeLimit) {
       const uint64_t chain = PagesFor(max_size_of(i));
-      if (ids[i] < page_count && chain <= page_count - ids[i]) {
-        lead[i] = chain;
+      if (chain > 1 && ids[i] < page_count && chain <= page_count - ids[i]) {
+        plan.read = chain;
+        plan.bound = max_size_of(i);
+        (*payloads)[i].reserve(plan.bound);
       }
     }
     slot[i] = lead_total;
-    lead_total += lead[i];
+    lead_total += plan.read;
   }
 
   // Phase A: every header page or whole chain, one batch. Reads of
   // *different* BLOBs that sit on consecutive pages — the normal layout
-  // for SFC-placed tiles — are merged into one physical run; their
-  // destination slots are already adjacent because unique ids fill the
-  // buffer in first-appearance order. Charges are deferred so they can be
-  // replayed interleaved with each BLOB's continuation charges. Scratch
-  // buffers here and in phase B are overwritten in full by the reads, so
-  // they are not zero-filled.
-  auto lead_buf =
-      std::make_unique_for_overwrite<uint8_t[]>(lead_total * page_size);
+  // for SFC-placed tiles — are merged into one physical run. Charges are
+  // deferred so they can be replayed interleaved with each BLOB's
+  // continuation charges.
   std::vector<PageRunRequest> lead_runs;
+  std::vector<uint64_t> lead_run_slot;    // phase A request -> first slot
   std::vector<size_t> lead_run_of(n, 0);  // id index -> phase A request
+  std::vector<size_t> owner(lead_total);  // slot -> id index
   lead_runs.reserve(n);
   size_t unique = 0;
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
     ++unique;
-    uint8_t* dst = lead_buf.get() + slot[i] * page_size;
+    std::fill_n(owner.begin() + static_cast<ptrdiff_t>(slot[i]),
+                plans[i].read, i);
     if (!lead_runs.empty()) {
       PageRunRequest& prev = lead_runs.back();
-      if (prev.first + prev.count == ids[i] &&
-          prev.out + prev.count * page_size == dst) {
+      if (prev.first + prev.count == ids[i]) {
         lead_run_of[i] = lead_runs.size() - 1;
-        prev.count += lead[i];
+        prev.count += plans[i].read;
         continue;
       }
     }
     lead_run_of[i] = lead_runs.size();
-    lead_runs.push_back(PageRunRequest{ids[i], lead[i], dst});
+    lead_runs.push_back(PageRunRequest{ids[i], plans[i].read});
+    lead_run_slot.push_back(slot[i]);
   }
   const uint64_t merged_reads =
       unique - static_cast<uint64_t>(lead_runs.size());
   std::vector<DeferredPageCharge> lead_charges;
-  Status st = pool_->ReadRunBatch(lead_runs, &runs, &lead_charges);
+  Status st = pool_->ReadRunBatch(
+      lead_runs,
+      [&](size_t request, uint64_t index, const uint8_t* page) {
+        const uint64_t g = lead_run_slot[request] + index;
+        const size_t i = owner[g];
+        take(i, g - slot[i], page);
+      },
+      &runs, &lead_charges);
   if (!st.ok()) return st;
 
-  // Parse headers and plan the speculative continuation runs of the BLOBs
+  // Check headers and plan the speculative continuation runs of the BLOBs
   // phase A read only the header of.
-  constexpr size_t kNoRun = SIZE_MAX;
-  struct Plan {
-    uint64_t size = 0;
-    PageId next = kInvalidPageId;
-    // Continuation pages that hold the chain if it is consecutive:
-    // [id + 1, id + 1 + cont_pages), already read into `cont`.
-    const uint8_t* cont = nullptr;
-    uint64_t cont_pages = 0;
-    // The phase B request that read `cont`; kNoRun when phase A did.
-    size_t cont_run = kNoRun;
-  };
-  std::vector<Plan> plans(n);
   std::vector<PageRunRequest> cont_runs;
-  // One scratch buffer per continuation run, freed as soon as its BLOB
-  // is assembled, so the batch never holds every payload twice.
-  std::vector<std::unique_ptr<uint8_t[]>> cont_bufs;
+  std::vector<size_t> cont_owner;  // phase B request -> id index
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) continue;
-    const uint8_t* header = lead_buf.get() + slot[i] * page_size;
-    if (GetU32(header) != kBlobMagic) {
-      return Status::Corruption("page " + std::to_string(ids[i]) +
-                                " is not a BLOB header");
-    }
     Plan& plan = plans[i];
-    plan.size = GetU64(header + 8);
-    plan.next = GetU64(header + 16);
-    st = CheckDeclaredSize(ids[i], plan.size, max_size_of(i));
-    if (!st.ok()) return st;
-    const uint64_t head_chunk =
-        std::min<uint64_t>(plan.size, header_capacity());
-    if (head_chunk == plan.size) continue;
-    if (lead[i] > 1) {
-      plan.cont = header + page_size;
-      plan.cont_pages = lead[i] - 1;
-      continue;
-    }
-    const uint64_t rem =
-        (plan.size - head_chunk + continuation_capacity() - 1) /
-        continuation_capacity();
+    if (!plan.header.ok()) return plan.header;
+    if (plan.read > 1 || plan.size <= head_cap) continue;
+    const uint64_t rem = (plan.size - head_cap + cont_cap - 1) / cont_cap;
     if (plan.next == ids[i] + 1 && ids[i] + 1 + rem <= page_count) {
-      cont_bufs.push_back(
-          std::make_unique_for_overwrite<uint8_t[]>(rem * page_size));
-      plan.cont = cont_bufs.back().get();
-      plan.cont_pages = rem;
+      plan.read = 1 + rem;
       plan.cont_run = cont_runs.size();
-      cont_runs.push_back(
-          PageRunRequest{ids[i] + 1, rem, cont_bufs.back().get()});
+      cont_runs.push_back(PageRunRequest{ids[i] + 1, rem});
+      cont_owner.push_back(i);
     }
   }
 
   // Phase B: every speculative continuation run, one batch (none when
   // phase A read every chain whole).
   std::vector<DeferredPageCharge> cont_charges;
-  st = pool_->ReadRunBatch(cont_runs, &runs, &cont_charges);
+  st = pool_->ReadRunBatch(
+      cont_runs,
+      [&](size_t request, uint64_t index, const uint8_t* page) {
+        take(cont_owner[request], index + 1, page);
+      },
+      &runs, &cont_charges);
   if (!st.ok()) return st;
 
   // Assembly: per BLOB in `ids` order, replay its deferred charges
-  // (phase A span, then continuation spans) and walk any fragmented tail
-  // with immediately-charged reads — the page and byte totals of a
-  // sequential GetCoalesced loop, with merged neighbours charged as one
-  // run.
+  // (phase A span, then continuation spans), verify the chain pointers of
+  // the pages read, and walk any fragmented tail with immediately-charged
+  // reads — the page and byte totals of a sequential GetCoalesced loop,
+  // with merged neighbours charged as one run.
   size_t lead_cursor = 0;
   size_t cont_cursor = 0;
-  std::vector<uint8_t> page(page_size);
+  std::vector<uint8_t> page;  // the pointer walk's, sized on first use
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) {
       BlobReadStats dup_stats;
@@ -453,45 +502,27 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
                           lead_charges[lead_cursor].count);
       ++lead_cursor;
     }
-
-    const uint8_t* header = lead_buf.get() + slot[i] * page_size;
-    std::vector<uint8_t>& out = (*payloads)[i];
-    out.reserve(plan.size);
-    const size_t head_chunk =
-        std::min<uint64_t>(plan.size, header_capacity());
-    out.insert(out.end(), header + kHeaderBytes,
-               header + kHeaderBytes + head_chunk);
-    ++pages_touched;
-    PageId next = plan.next;
-    bool blob_fell_back = false;
-
-    if (plan.cont != nullptr) {
-      while (plan.cont_run != kNoRun &&
-             cont_cursor < cont_charges.size() &&
-             cont_charges[cont_cursor].request == plan.cont_run) {
-        file->ChargeReadRun(cont_charges[cont_cursor].first,
-                            cont_charges[cont_cursor].count);
-        ++cont_cursor;
-      }
-      for (uint64_t j = 0; j < plan.cont_pages && out.size() < plan.size;
-           ++j) {
-        if (next != ids[i] + 1 + j) {
-          blob_fell_back = true;
-          break;
-        }
-        const uint8_t* p = plan.cont + j * page_size;
-        next = GetU64(p);
-        const size_t chunk = std::min<uint64_t>(plan.size - out.size(),
-                                                continuation_capacity());
-        out.insert(out.end(), p + kContinuationBytes,
-                   p + kContinuationBytes + chunk);
-        ++pages_touched;
-      }
-      if (plan.cont_run != kNoRun) cont_bufs[plan.cont_run].reset();
-    } else if (out.size() < plan.size && next != kInvalidPageId) {
-      blob_fell_back = true;
+    while (plan.cont_run != kNoRun && cont_cursor < cont_charges.size() &&
+           cont_charges[cont_cursor].request == plan.cont_run) {
+      file->ChargeReadRun(cont_charges[cont_cursor].first,
+                          cont_charges[cont_cursor].count);
+      ++cont_cursor;
     }
-    if (blob_fell_back) {
+
+    // The payload's pages, and how many of them the read holds in
+    // verified order: up to the first pointer that leaves the chain.
+    const uint64_t needed = PagesFor(plan.size);
+    const uint64_t verified =
+        std::min({needed, plan.read,
+                  plan.bad == kNoBadPage ? plan.read : plan.bad + 1});
+    std::vector<uint8_t>& out = (*payloads)[i];
+    out.resize(std::min<uint64_t>(plan.size,
+                                  head_cap + (verified - 1) * cont_cap));
+    pages_touched += verified;
+    PageId next = plan.bad != kNoBadPage && verified == plan.bad + 1
+                      ? plan.bad_next
+                      : plan.next;
+    if (verified < needed) {
       fell_back = true;
       ++fallback_chain_count;
     }
@@ -501,11 +532,12 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
         return Status::Corruption("BLOB chain of " + std::to_string(ids[i]) +
                                   " ends before its declared size");
       }
+      page.resize(page_size);
       st = pool_->ReadRun(next, 1, page.data(), &runs);
       if (!st.ok()) return st;
       next = GetU64(page.data());
-      const size_t chunk = std::min<uint64_t>(plan.size - out.size(),
-                                              continuation_capacity());
+      const size_t chunk =
+          std::min<uint64_t>(plan.size - out.size(), cont_cap);
       out.insert(out.end(), page.data() + kContinuationBytes,
                  page.data() + kContinuationBytes + chunk);
       ++pages_touched;

@@ -115,7 +115,16 @@ class BlobStore {
   ///    header alone was read and whose chain starts consecutively. A
   ///    batch of exact-size ids issues no phase B.
   /// Only exact bounds read ahead: a looser one (RLE's is twice the raw
-  /// size) would charge pages the chain does not have. Every header's
+  /// size) would charge pages the chain does not have.
+  ///
+  /// Payloads are assembled from the pages the pool delivers, with one
+  /// copy per page: a cached page straight from its pool frame, a missed
+  /// one from the frame the kernel just read it into. There is no scratch
+  /// page buffer (only a fragmented chain's pointer walk reads through
+  /// one). Pages arrive in any order, so a payload is sized before its
+  /// header is read — from the caller's exact bound, or, for a header-only
+  /// read, from the header's declared size once checked; no buffer is
+  /// ever sized from an unchecked header. Every header's magic and
   /// declared size is checked against the file and `max_sizes[i]`, every
   /// chain pointer is verified, and fragmented chains fall back to the
   /// pointer walk for their tail, exactly like `GetCoalesced`.

@@ -4,8 +4,10 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 namespace tilestore {
@@ -176,6 +178,48 @@ Status File::ReadAt(uint64_t offset, size_t n, uint8_t* out) const {
     done += static_cast<size_t>(got);
   }
   return Status::OK();
+}
+
+Status File::ReadAtV(uint64_t offset, std::span<const iovec> iov) const {
+  size_t n = 0;
+  for (const iovec& v : iov) n += v.iov_len;
+  if (FaultInjector* injector = ActiveFaultInjector()) {
+    if (injector->OnReadAt(path_, offset, n)) {
+      return Status::IOError("injected read failure on " + path_);
+    }
+  }
+  // (i, skip): the first destination not yet full and the bytes it holds.
+  // A transfer that ends inside a destination finishes it with `pread`,
+  // then `preadv` resumes at the next one.
+  size_t i = 0;
+  size_t skip = 0;
+  uint64_t done = 0;
+  for (;;) {
+    while (i < iov.size() && skip >= iov[i].iov_len) {
+      skip -= iov[i].iov_len;
+      ++i;
+    }
+    if (i == iov.size()) return Status::OK();
+    const off_t at = static_cast<off_t>(offset + done);
+    const ssize_t got =
+        skip > 0
+            ? ::pread(fd_, static_cast<uint8_t*>(iov[i].iov_base) + skip,
+                      iov[i].iov_len - skip, at)
+            : ::preadv(fd_, iov.data() + i,
+                       static_cast<int>(
+                           std::min<size_t>(iov.size() - i, IOV_MAX)),
+                       at);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(ErrnoMessage("preadv " + path_));
+    }
+    if (got == 0) {
+      return Status::IOError("short read at offset " + std::to_string(offset) +
+                             " of " + path_);
+    }
+    done += static_cast<uint64_t>(got);
+    skip += static_cast<size_t>(got);
+  }
 }
 
 Status File::WriteAt(uint64_t offset, const uint8_t* data, size_t n) {

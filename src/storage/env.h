@@ -1,9 +1,12 @@
 #ifndef TILESTORE_STORAGE_ENV_H_
 #define TILESTORE_STORAGE_ENV_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -134,6 +137,12 @@ class File {
 
   /// Reads exactly `n` bytes at `offset`. Short reads are IOErrors.
   Status ReadAt(uint64_t offset, size_t n, uint8_t* out) const;
+
+  /// Scattered `ReadAt`: reads the bytes at `offset` on, in order, into
+  /// the destinations of `iov` (`preadv`). Consults the fault injector
+  /// once for the whole transfer, retries interrupted and partial
+  /// transfers, and fails a short read exactly like `ReadAt`.
+  Status ReadAtV(uint64_t offset, std::span<const iovec> iov) const;
 
   /// Writes exactly `n` bytes at `offset`, extending the file as needed.
   Status WriteAt(uint64_t offset, const uint8_t* data, size_t n);

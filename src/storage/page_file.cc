@@ -521,16 +521,29 @@ void PageFile::ChargeReadRun(PageId first, uint64_t count) {
 Status PageFile::ReadBatch(std::span<const PageRunRead> runs,
                            bool charge_model) {
   if (runs.empty()) return Status::OK();
+  size_t pages = 0;
   for (const PageRunRead& run : runs) {
     Status st = ValidatePageRun(run.first, run.count);
     if (!st.ok()) return st;
+    if (run.pages.size() != run.count) {
+      return Status::InvalidArgument("page run of " +
+                                     std::to_string(run.count) +
+                                     " pages has " +
+                                     std::to_string(run.pages.size()) +
+                                     " destinations");
+    }
+    pages += run.pages.size();
   }
+  std::vector<iovec> iov;
+  iov.reserve(pages);
   std::vector<ReadOp> ops(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
+    const size_t begin = iov.size();
+    for (uint8_t* page : runs[i].pages) iov.push_back(iovec{page, page_size_});
     ops[i].file = file_.get();
     ops[i].offset = runs[i].first * page_size_;
     ops[i].size = runs[i].count * page_size_;
-    ops[i].out = runs[i].out;
+    ops[i].iov = std::span<const iovec>(iov).subspan(begin, runs[i].count);
   }
   IoBackend* backend =
       io_backend_ != nullptr ? io_backend_ : DefaultIoBackend();

@@ -31,12 +31,13 @@ inline constexpr PageId kInvalidPageId = 0;
 /// (32 KiB .. 256 KiB) are intended to be integral multiples of it.
 inline constexpr uint32_t kDefaultPageSize = 4096;
 
-/// One coalesced page run in a `PageFile::ReadBatch` submission. `out`
-/// must hold `count * page_size()` bytes.
+/// One coalesced page run in a `PageFile::ReadBatch` submission: page
+/// `first + i` is read into `pages[i]` (`page_size()` bytes). The
+/// destinations need not be adjacent — the run is one scattered read.
 struct PageRunRead {
   PageId first = kInvalidPageId;
   uint64_t count = 0;
-  uint8_t* out = nullptr;
+  std::span<uint8_t* const> pages;
 };
 
 /// Snapshot of the page file's allocation metadata. Transactions capture
@@ -140,8 +141,8 @@ class PageFile {
   /// disk model once for the whole run. Thread-safe.
   Status ReadRun(PageId first, uint64_t count, uint8_t* out);
 
-  /// Submits every run as one batch to the attached `IoBackend`, so the
-  /// runs can be in flight concurrently. With `charge_model` true each
+  /// Submits every run as one batch to the attached `IoBackend`, one
+  /// scattered op per run, so the runs can be in flight concurrently. With `charge_model` true each
   /// run is charged (model + metrics) in submission order after the I/O
   /// completes, exactly as the equivalent `ReadRun` loop would; with
   /// false the caller replays charges itself via `ChargeReadRun` — the

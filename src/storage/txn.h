@@ -88,13 +88,13 @@ class TransactionContext {
 /// poisons itself: further Begins are refused and the store must be
 /// reopened, which replays the WAL and completes the commit.
 ///
-/// Observability: commit/abort/checkpoint counts live in the attached
-/// `obs::MetricsRegistry` under `txn.*` (the `commits()`/`checkpoints()`
-/// accessors are shims reading those counters), plus a `txn.commit_ops`
-/// histogram of staged operations per commit (the group-commit batch
-/// size) and a `txn.checkpoint_ms` histogram of measured checkpoint
-/// durations. Without an attached registry the manager owns a private
-/// one, so standalone managers behave identically.
+/// Observability: commit/abort/checkpoint counts live only in the
+/// attached `obs::MetricsRegistry`, as `txn.commits`, `txn.aborts` and
+/// `txn.checkpoints`, plus a `txn.commit_ops` histogram of staged
+/// operations per commit (the group-commit batch size) and a
+/// `txn.checkpoint_ms` histogram of measured checkpoint durations.
+/// Without an attached registry the manager owns a private one, so
+/// standalone managers behave identically.
 class TxnManager {
  public:
   /// `checkpoint_threshold_bytes`: WAL size after which Commit triggers an
@@ -123,9 +123,6 @@ class TxnManager {
   Status CheckpointNow();
 
   WriteAheadLog* wal() const { return wal_; }
-  uint64_t commits() const { return commits_->Value(); }
-  uint64_t checkpoints() const { return checkpoints_->Value(); }
-  uint64_t aborts() const { return aborts_->Value(); }
 
  private:
   Status ApplyOps(const std::vector<TransactionContext::Op>& ops);

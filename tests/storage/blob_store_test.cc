@@ -323,6 +323,42 @@ TEST_F(BlobStoreTest, ExactSizeBatchReadsWholeChainsInOnePhase) {
       << st.ToString();
 }
 
+// The pool hands a batch its cached pages during the probe and its missed
+// pages after the read, so a chain whose later pages are cached and whose
+// header is not arrives out of order. The payloads are still the BLOBs'
+// bytes, whether the batch reads headers first or whole chains.
+TEST_F(BlobStoreTest, BatchAssemblesChainsFromPagesInAnyOrder) {
+  const std::vector<std::vector<uint8_t>> data = {
+      RandomBytes(1500, 4), RandomBytes(2000, 5), RandomBytes(700, 6)};
+  std::vector<BlobId> ids;
+  std::vector<uint64_t> sizes;
+  for (const std::vector<uint8_t>& d : data) {
+    ids.push_back(store_->Put(d).value());
+    sizes.push_back(d.size());
+  }
+  const std::vector<uint8_t> exact(ids.size(), 1);
+  for (const std::vector<uint8_t>& flags : {std::vector<uint8_t>{}, exact}) {
+    pool_->Clear();
+    // Cache each chain's last page and the second one's third, never a
+    // header.
+    std::vector<uint8_t> page(512);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint64_t last = ids[i] + store_->PagesFor(sizes[i]) - 1;
+      ASSERT_GT(last, ids[i]);
+      ASSERT_TRUE(pool_->ReadPage(last, page.data()).ok());
+    }
+    ASSERT_TRUE(pool_->ReadPage(ids[1] + 2, page.data()).ok());
+    std::vector<std::vector<uint8_t>> payloads;
+    BlobReadStats stats;
+    ASSERT_TRUE(store_->GetBatch(ids, &payloads, &stats, sizes, flags).ok());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(payloads[i], data[i])
+          << "BLOB " << i << (flags.empty() ? ", headers first" : ", whole");
+    }
+    EXPECT_EQ(stats.fallback_chains, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // A header's declared size is untrusted: every read path checks it before
 // sizing a buffer from it.

@@ -8,6 +8,7 @@
 
 #include "test_paths.h"
 
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
@@ -20,6 +21,7 @@ constexpr uint32_t kPage = 512;
 // A page-file + pool + WAL + manager quartet wired the way MDDStore wires
 // them, for exercising the transaction layer in isolation.
 struct Rig {
+  std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<PageFile> file;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<WriteAheadLog> wal;
@@ -53,9 +55,10 @@ class TxnTest : public ::testing::Test {
     rig.file = file.MoveValue();
     rig.pool = std::make_unique<BufferPool>(rig.file.get(), 64);
     rig.wal = WriteAheadLog::Open(path_ + ".wal", nullptr).MoveValue();
-    rig.txns = std::make_unique<TxnManager>(rig.file.get(), rig.pool.get(),
-                                            rig.wal.get(),
-                                            /*checkpoint_threshold_bytes=*/0);
+    rig.metrics = std::make_unique<obs::MetricsRegistry>();
+    rig.txns = std::make_unique<TxnManager>(
+        rig.file.get(), rig.pool.get(), rig.wal.get(),
+        /*checkpoint_threshold_bytes=*/0, rig.metrics.get());
     rig.file->set_txn_manager(rig.txns.get());
     rig.pool->set_txn_manager(rig.txns.get());
     return rig;
@@ -300,7 +303,7 @@ TEST_F(TxnTest, CheckpointTruncatesLogAndSkipsReplay) {
     EXPECT_GT(rig.wal->size_bytes(), 0u);
     ASSERT_TRUE(rig.txns->CheckpointNow().ok());
     EXPECT_EQ(rig.wal->size_bytes(), 0u);
-    EXPECT_EQ(rig.txns->checkpoints(), 1u);
+    EXPECT_EQ(rig.metrics->Snapshot().counter("txn.checkpoints"), 1u);
     EXPECT_GT(rig.file->checkpoint_lsn(), 0u);
   }
   // Reopen: nothing to replay.
