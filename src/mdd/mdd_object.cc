@@ -26,32 +26,28 @@ std::unique_ptr<TileIndex> MakeIndex(IndexKind kind) {
 
 }  // namespace
 
-MDDObject::MDDObject(std::string name, MInterval definition_domain,
-                     CellType cell_type, BlobStore* blobs,
-                     IndexKind index_kind, MDDStore* store)
+MDDObject::MDDObject(MDDStore* store, std::string name,
+                     MInterval definition_domain, CellType cell_type,
+                     IndexKind index_kind)
     : store_(store),
       name_(std::move(name)),
       definition_domain_(std::move(definition_domain)),
       cell_type_(cell_type),
       default_cell_(cell_type.size(), 0),
-      blobs_(blobs),
+      blobs_(store->blob_store()),
       index_kind_(index_kind),
       index_(MakeIndex(index_kind)) {}
 
-TxnManager* MDDObject::txn_manager() const {
-  return store_ != nullptr ? store_->txn_manager() : nullptr;
-}
+TxnManager* MDDObject::txn_manager() const { return store_->txn_manager(); }
 
-void MDDObject::MarkStoreDirty() const {
-  if (store_ != nullptr) store_->MarkCatalogDirty();
-}
+void MDDObject::MarkStoreDirty() const { store_->MarkCatalogDirty(); }
 
 void MDDObject::InvalidateCachedTiles() const {
-  if (store_ != nullptr) store_->InvalidateTileCache(cache_id_);
+  store_->InvalidateTileCache(cache_id_);
 }
 
 TileSummaryIndex* MDDObject::summary_index() const {
-  if (store_ == nullptr || cache_id_ == 0) return nullptr;
+  if (cache_id_ == 0) return nullptr;
   TileSummaryIndex* summaries = store_->tile_summaries();
   return summaries != nullptr && summaries->enabled() ? summaries : nullptr;
 }
@@ -64,7 +60,7 @@ void MDDObject::InvalidateTileSummaries() const {
 
 TilingSpec MDDObject::PlacementOrdered(const TilingSpec& spec) const {
   TilingSpec ordered = spec;
-  if (store_ != nullptr && store_->options().sfc_placement) {
+  if (store_->options().sfc_placement) {
     layout::SortBySfc(&ordered, store_->options().sfc_curve,
                       definition_domain_);
   }
@@ -157,7 +153,7 @@ Status MDDObject::InsertTile(const Tile& tile) {
     // The new tile has a fresh blob id and cached tiles are immutable, so
     // every decoded tile stays warm; only the "no tiles here" answers over
     // the new domain are now wrong.
-    if (store_ != nullptr) store_->NoteTileAppended(cache_id_, tile.domain());
+    store_->NoteTileAppended(cache_id_, tile.domain());
   } else {
     (void)index_->Remove(tile.domain());
     current_domain_ = saved_domain;
@@ -306,18 +302,10 @@ Status MDDObject::RemoveTile(const MInterval& domain) {
   const std::optional<MInterval> saved_domain = current_domain_;
   Status st = index_->Remove(domain);
   if (!st.ok()) return st;
-  if (store_ != nullptr) {
-    // The persisted catalog may still reference this BLOB; its pages are
-    // released with the next catalog write, atomically with the tile
-    // table that stops pointing at them.
-    store_->DeferBlobFree(removed.blob);
-  } else {
-    st = blobs_->Delete(removed.blob);
-    if (!st.ok()) {
-      (void)index_->Insert(removed);
-      return st;
-    }
-  }
+  // The persisted catalog may still reference this BLOB; its pages are
+  // released with the next catalog write, atomically with the tile table
+  // that stops pointing at them.
+  store_->DeferBlobFree(removed.blob);
 
   // Shrink the current domain to the hull of the remaining tiles.
   std::vector<TileEntry> remaining;
@@ -334,7 +322,7 @@ Status MDDObject::RemoveTile(const MInterval& domain) {
   MarkStoreDirty();
   Status commit = txn.Commit();
   if (!commit.ok()) {
-    if (store_ != nullptr) store_->UndeferBlobFree(removed.blob);
+    store_->UndeferBlobFree(removed.blob);
     (void)index_->Insert(removed);
     current_domain_ = saved_domain;
   }
@@ -372,6 +360,19 @@ Status MDDObject::WriteRegion(const Array& data) {
                               definition_domain_.ToString());
   }
 
+  // Read-modify-write of the covered tiles: one batched fetch reads them
+  // all, each updated copy landing at its `hits` index, before anything
+  // is mutated. They are rewritten below in `hits` (index) order, so blob
+  // placement does not depend on the fetch order.
+  const std::vector<TileEntry> hits = index_->Search(region);
+  std::vector<Tile> updated(hits.size());
+  Status fetched = FetchTiles(
+      hits, /*parallelism=*/1, [&](size_t i, const Tile& tile) {
+        updated[i] = tile;
+        return updated[i].CopyFrom(data, *hits[i].domain.Intersection(region));
+      });
+  if (!fetched.ok()) return fetched;
+
   const std::optional<MInterval> saved_domain = current_domain_;
   std::vector<TileEntry> replaced;   // original entries of rewritten tiles
   std::vector<MInterval> inserted;   // domains of brand-new growth tiles
@@ -391,42 +392,19 @@ Status MDDObject::WriteRegion(const Array& data) {
   TileSummaryIndex* summaries = summary_index();
   std::vector<std::pair<BlobId, std::optional<TileSummary>>> rewritten;
 
-  // Update the covered parts tile by tile (read-modify-write).
-  const std::vector<TileEntry> hits = index_->Search(region);
   std::vector<MInterval> covered;
   covered.reserve(hits.size());
-  for (const TileEntry& entry : hits) {
+  for (size_t i = 0; i < hits.size(); ++i) {
+    const TileEntry& entry = hits[i];
     covered.push_back(entry.domain);
-    Result<Tile> tile = FetchTile(entry);
-    if (!tile.ok()) {
-      unwind();
-      return tile.status();
-    }
-    const std::optional<MInterval> overlap =
-        entry.domain.Intersection(region);
-    Status st = tile->CopyFrom(data, *overlap);
-    if (!st.ok()) {
-      unwind();
-      return st;
-    }
-
     // Rewrite the BLOB (the codec choice is re-evaluated selectively).
     // The old BLOB is freed with the next catalog write, not here: the
     // persisted tile table still points at it, and a crash after this
     // commit must leave that table readable.
-    if (store_ != nullptr) {
-      store_->DeferBlobFree(entry.blob);
-      deferred.push_back(entry.blob);
-    } else {
-      st = blobs_->Delete(entry.blob);
-      if (!st.ok()) {
-        unwind();
-        return st;
-      }
-    }
+    store_->DeferBlobFree(entry.blob);
+    deferred.push_back(entry.blob);
     std::vector<uint8_t> stored;
-    const std::vector<uint8_t> raw(tile->data(),
-                                   tile->data() + tile->size_bytes());
+    const std::vector<uint8_t> raw = std::move(updated[i]).TakeBuffer();
     const Compression used = CompressIfSmaller(compression_, raw, &stored);
     Result<BlobId> blob = blobs_->Put(stored);
     if (!blob.ok()) {
@@ -443,7 +421,7 @@ Status MDDObject::WriteRegion(const Array& data) {
     // From here the index swap is in flight; record the original so the
     // unwind can restore it whether or not the swap completed.
     replaced.push_back(entry);
-    st = index_->Remove(entry.domain);
+    Status st = index_->Remove(entry.domain);
     if (!st.ok()) {
       unwind();
       return st;
@@ -556,8 +534,8 @@ Status MDDObject::RetileRegion(const MInterval& region,
   if (old_entries.empty() && new_tiles.empty()) return txn.Commit();
 
   // Materialize the new generation default-filled, then scatter each old
-  // tile's cells into the overlapping new arrays — each old tile is
-  // fetched and decoded exactly once.
+  // tile's cells into the overlapping new arrays — one batched fetch, each
+  // old tile read (or taken from the tile cache) exactly once.
   bool default_is_zero = true;
   for (uint8_t b : default_cell_) default_is_zero = default_is_zero && b == 0;
   // Re-encode order is placement order: under SFC placement the new
@@ -574,17 +552,18 @@ Status MDDObject::RetileRegion(const MInterval& region,
     }
     staged.push_back(std::move(array).MoveValue());
   }
-  for (const TileEntry& entry : old_entries) {
-    Result<Tile> tile = FetchTile(entry);
-    if (!tile.ok()) return tile.status();
-    for (Array& target : staged) {
-      const std::optional<MInterval> part =
-          target.domain().Intersection(entry.domain);
-      if (!part.has_value()) continue;
-      st = target.CopyFrom(*tile, *part);
-      if (!st.ok()) return st;
-    }
-  }
+  st = FetchTiles(old_entries, /*parallelism=*/1,
+                  [&](size_t, const Tile& tile) -> Status {
+                    for (Array& target : staged) {
+                      const std::optional<MInterval> part =
+                          target.domain().Intersection(tile.domain());
+                      if (!part.has_value()) continue;
+                      Status copied = target.CopyFrom(tile, *part);
+                      if (!copied.ok()) return copied;
+                    }
+                    return Status::OK();
+                  });
+  if (!st.ok()) return st;
 
   const std::optional<MInterval> saved_domain = current_domain_;
   std::vector<TileEntry> removed;
@@ -634,10 +613,8 @@ Status MDDObject::RetileRegion(const MInterval& region,
       return st;
     }
     removed.push_back(entry);
-    if (store_ != nullptr) {
-      store_->DeferBlobFree(entry.blob);
-      deferred.push_back(entry.blob);
-    }
+    store_->DeferBlobFree(entry.blob);
+    deferred.push_back(entry.blob);
   }
   for (const TileEntry& entry : fresh) {
     st = index_->Insert(entry);
@@ -674,13 +651,6 @@ Status MDDObject::RetileRegion(const MInterval& region,
       if (fresh_summaries[t].has_value()) {
         summaries->Put(cache_id_, fresh[t].blob, *fresh_summaries[t]);
       }
-    }
-  }
-  if (commit.ok() && store_ == nullptr) {
-    // Standalone (unlogged, test-only) objects have no catalog to defer
-    // for; release the old BLOBs now that the swap is complete.
-    for (const TileEntry& entry : old_entries) {
-      (void)blobs_->Delete(entry.blob);
     }
   }
   return commit;
@@ -762,10 +732,8 @@ Result<uint64_t> MDDObject::RelocateTiles(
     inserted.push_back(entry.domain);
     // Old blobs are freed with the next catalog write, like RetileRegion:
     // the persisted tile table still points at them.
-    if (store_ != nullptr) {
-      store_->DeferBlobFree(entry.blob);
-      deferred.push_back(entry.blob);
-    }
+    store_->DeferBlobFree(entry.blob);
+    deferred.push_back(entry.blob);
   }
   MarkStoreDirty();
   Status commit = txn.Commit();
@@ -777,29 +745,40 @@ Result<uint64_t> MDDObject::RelocateTiles(
     // follow their blob: the compacted object stays warm.
     TileSummaryIndex* summaries = summary_index();
     for (size_t t = 0; t < old_entries.size(); ++t) {
-      if (store_ != nullptr) {
-        store_->MoveCachedTile(cache_id_, old_entries[t].blob, (*packed)[t]);
-      }
+      store_->MoveCachedTile(cache_id_, old_entries[t].blob, (*packed)[t]);
       if (summaries != nullptr) {
         summaries->Move(cache_id_, old_entries[t].blob, (*packed)[t]);
       }
-    }
-  }
-  if (commit.ok() && store_ == nullptr) {
-    // Standalone (unlogged, test-only) objects have no catalog deferral;
-    // release the old blobs now that the swap is durable.
-    for (const TileEntry& entry : old_entries) {
-      (void)blobs_->Delete(entry.blob);
     }
   }
   if (!commit.ok()) return commit;
   return bytes_moved;
 }
 
+Status MDDObject::FetchTiles(
+    std::span<const TileEntry> entries, int parallelism,
+    const std::function<Status(size_t, const Tile&)>& consume) const {
+  TileIOOptions options;
+  options.parallelism = parallelism;
+  options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
+  options.trace = store_->trace();
+  options.trace_id = options.trace->NextTraceId();
+  options.cache = store_->tile_cache();
+  options.cache_object_id = cache_id_;
+  options.cache_populate = false;
+  return store_->io_scheduler()->FetchBatch(entries, cell_type_, options,
+                                            consume);
+}
+
 Result<Tile> MDDObject::FetchTile(const TileEntry& entry) const {
-  // One tile through the shared decode pipeline, serial paper-exact mode.
-  TileIOScheduler scheduler(blobs_);
-  return scheduler.FetchOne(entry, cell_type_, /*coalesce=*/false, nullptr);
+  Tile out;
+  Status st = FetchTiles({&entry, 1}, /*parallelism=*/1,
+                         [&](size_t, const Tile& tile) {
+                           out = tile;
+                           return Status::OK();
+                         });
+  if (!st.ok()) return st;
+  return out;
 }
 
 std::vector<TileEntry> MDDObject::AllTiles() const {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,10 +50,11 @@ enum class IndexKind {
 /// `Commit()` join that explicit transaction instead.
 class MDDObject {
  public:
-  /// Constructed by MDDStore; not for direct use. `store` may be null for
-  /// standalone (test) objects — mutations then write through unlogged.
-  MDDObject(std::string name, MInterval definition_domain, CellType cell_type,
-            BlobStore* blobs, IndexKind index_kind, MDDStore* store = nullptr);
+  /// Constructed by `store`, which owns the object; not for direct use.
+  /// Tiles live in the store's BLOB store and every read goes through its
+  /// `TileIOScheduler`.
+  MDDObject(MDDStore* store, std::string name, MInterval definition_domain,
+            CellType cell_type, IndexKind index_kind);
 
   MDDObject(const MDDObject&) = delete;
   MDDObject& operator=(const MDDObject&) = delete;
@@ -152,7 +154,19 @@ class MDDObject {
     return index_->Search(region);
   }
 
-  /// Fetches the cell data of one indexed tile from the BLOB store.
+  /// Fetches `entries` with one `TileIOScheduler::FetchBatch` on the
+  /// store's scheduler — the read path of `FetchTile`, `TileScan` and the
+  /// old tiles `WriteRegion` and `RetileRegion` rewrite — and hands each
+  /// tile to `consume(i, tile)` in ascending BLOB-id order. Tiles in the
+  /// store's tile cache are served from it; misses are not inserted, so a
+  /// scan or a rewrite does not wipe the executor's working set. Above
+  /// `parallelism` 1 the batch runs on the store's worker pool (see
+  /// `FetchBatch` for the callback contract).
+  Status FetchTiles(
+      std::span<const TileEntry> entries, int parallelism,
+      const std::function<Status(size_t, const Tile&)>& consume) const;
+
+  /// Fetches the cell data of one indexed tile: a one-entry `FetchTiles`.
   Result<Tile> FetchTile(const TileEntry& entry) const;
 
   /// All tile entries, for persistence and validation.
@@ -182,10 +196,10 @@ class MDDObject {
   /// True while the tile index is still the read-only packed image.
   bool index_is_packed() const { return index_packed_; }
 
-  /// Decoded-tile-cache epoch assigned by the owning store. 0 (standalone
-  /// objects) means "not cacheable". The store hands out a fresh id
-  /// whenever an object (re)materializes — create, catalog load, rollback
-  /// restore — so stale entries of a previous incarnation can never match.
+  /// Decoded-tile-cache epoch assigned by the owning store. 0 means "not
+  /// cacheable". The store hands out a fresh id whenever an object
+  /// (re)materializes — create, catalog load, rollback restore — so stale
+  /// entries of a previous incarnation can never match.
   uint64_t cache_id() const { return cache_id_; }
   void set_cache_id(uint64_t id) { cache_id_ = id; }
 
@@ -201,26 +215,26 @@ class MDDObject {
   // mutation.
   Status EnsureMutableIndex();
 
-  // The owning store's transaction manager; null when standalone or the
-  // store is unlogged.
+  // The owning store's transaction manager; null when the store is
+  // unlogged.
   TxnManager* txn_manager() const;
 
   // Tells the owning store its persisted catalog is now stale.
   void MarkStoreDirty() const;
 
   // Drops this object's decoded-tile-cache entries after a successful
-  // mutation (no-op standalone or with the cache disabled).
+  // mutation (no-op with the cache disabled).
   void InvalidateCachedTiles() const;
 
   // The store's per-tile summary index when this object participates in
-  // predicate pushdown; null standalone, uncacheable, or with summaries
-  // disabled. Mutations record summaries only *after* a successful commit;
-  // every unwind path calls InvalidateTileSummaries instead, dropping any
+  // predicate pushdown; null when uncacheable or with summaries disabled.
+  // Mutations record summaries only *after* a successful commit; every
+  // unwind path calls InvalidateTileSummaries instead, dropping any
   // summary optimistically recorded by a joined inner mutation.
   TileSummaryIndex* summary_index() const;
   void InvalidateTileSummaries() const;
 
-  MDDStore* store_ = nullptr;
+  MDDStore* store_;
   std::string name_;
   MInterval definition_domain_;
   std::optional<MInterval> current_domain_;

@@ -199,9 +199,8 @@ Result<MDDObject*> MDDStore::CreateMDD(const std::string& name,
   if (definition_domain.dim() == 0) {
     return Status::InvalidArgument("definition domain must have dim >= 1");
   }
-  auto object = std::make_unique<MDDObject>(name, definition_domain, cell_type,
-                                            blobs_.get(), options_.index_kind,
-                                            this);
+  auto object = std::make_unique<MDDObject>(this, name, definition_domain,
+                                            cell_type, options_.index_kind);
   object->set_cache_id(next_cache_id_++);
   MDDObject* raw = object.get();
   objects_[name] = std::move(object);
@@ -424,8 +423,8 @@ Status MDDStore::RestoreSnapshot() {
   catalog_dirty_ = txn_catalog_dirty_snapshot_;
   for (ObjectSnapshot& snap : txn_snapshot_) {
     auto object = std::make_unique<MDDObject>(
-        snap.name, snap.definition_domain, snap.cell_type, blobs_.get(),
-        snap.index_kind, this);
+        this, snap.name, snap.definition_domain, snap.cell_type,
+        snap.index_kind);
     const bool touched = snap.cache_id == 0 ||
                          txn_touched_cache_ids_.count(snap.cache_id) > 0;
     object->set_cache_id(touched ? next_cache_id_++ : snap.cache_id);
@@ -548,9 +547,8 @@ Status MDDStore::LoadCatalog() {
 
     const IndexKind kind =
         index_kind_raw == 0 ? IndexKind::kRTree : IndexKind::kDirectory;
-    auto object = std::make_unique<MDDObject>(name, definition_domain,
-                                              cell_type, blobs_.get(), kind,
-                                              this);
+    auto object = std::make_unique<MDDObject>(this, name, definition_domain,
+                                              cell_type, kind);
     object->set_cache_id(next_cache_id_++);
     st = object->SetDefaultCell(std::move(default_cell));
     if (!st.ok()) return st;

@@ -16,7 +16,6 @@ void QueryStats::Add(const QueryStats& other) {
   parallelism = parallelism > other.parallelism ? parallelism
                                                 : other.parallelism;
   io_runs += other.io_runs;
-  prefetch_hits += other.prefetch_hits;
   tilecache_hits += other.tilecache_hits;
   summary_probes += other.summary_probes;
   summary_skips += other.summary_skips;
@@ -41,7 +40,6 @@ void QueryStats::DivideBy(uint64_t n) {
   result_bytes /= n;
   useful_bytes /= n;
   io_runs /= n;
-  prefetch_hits /= n;
   tilecache_hits /= n;
   summary_probes /= n;
   summary_skips /= n;

@@ -53,9 +53,6 @@ struct QueryStats {
   /// Coalesced physical read runs issued by the `TileIOScheduler`; 0 on
   /// the serial path, which reads page by page.
   uint64_t io_runs = 0;
-  /// TileScan only: `Next()` calls whose tile had already been fetched by
-  /// the prefetch window when the cursor arrived.
-  uint64_t prefetch_hits = 0;
   /// Tiles served from the decoded-tile cache (counted inside
   /// `tiles_accessed`/`tile_bytes_read`; hits skip the page fetch and the
   /// decode but not the traffic accounting).

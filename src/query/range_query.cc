@@ -524,8 +524,9 @@ Status RangeQueryExecutor::Run(MDDObject* object, const MInterval& region,
                         options_.cost.index_node_ms;
 
   // Steps 4+5 (t_o, t_cpu): one batched fetch feeding the sink. At
-  // parallelism 1 the scheduler reads tile by tile, page by page, so cold
-  // model costs equal those of a `FetchTile` loop over the sorted hits.
+  // parallelism 1 the scheduler reads tile by tile, page by page
+  // (`BlobStore::Get` per sorted hit), so cold model costs are those of
+  // the paper's tile-at-a-time retrieval.
   TileIOOptions io_options;
   io_options.parallelism = parallelism;
   io_options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;

@@ -1,11 +1,10 @@
 #include "query/tile_scan.h"
 
 #include <algorithm>
-#include <chrono>
+#include <span>
 #include <utility>
 
 #include "query/range_query.h"
-#include "storage/io_scheduler.h"
 
 namespace tilestore {
 
@@ -22,23 +21,11 @@ Status TileScan::Begin(const MInterval& region) {
               return a.blob < b.blob;
             });
   next_ = 0;
-  issued_ = 0;
-  prefetch_hits_ = 0;
-  // Abandoned futures are safe: each worker owns its promise and simply
-  // completes a result nobody reads.
   window_.clear();
+  window_begin_ = 0;
+  prefetch_hits_ = 0;
   begun_ = true;
-  FillWindow();
   return Status::OK();
-}
-
-void TileScan::FillWindow() {
-  if (options_.prefetch == 0) return;
-  while (window_.size() < options_.prefetch && issued_ < hits_.size()) {
-    window_.push_back(store_->io_scheduler()->FetchAsync(
-        hits_[issued_], object_->cell_type(), store_->thread_pool()));
-    ++issued_;
-  }
 }
 
 Result<bool> TileScan::Next() {
@@ -47,28 +34,31 @@ Result<bool> TileScan::Next() {
   }
   if (next_ >= hits_.size()) return false;
 
-  if (options_.prefetch == 0) {
-    // Serial paper-exact path: on-demand fetch by the calling thread.
-    const TileEntry& entry = hits_[next_++];
-    Result<Tile> tile = object_->FetchTile(entry);
-    if (!tile.ok()) return tile.status();
-    tile_ = std::move(tile).MoveValue();
-    // Index hits always intersect the region.
-    part_ = *tile_.domain().Intersection(region_);
-    return true;
-  }
-
-  std::future<Result<Tile>> front = std::move(window_.front());
-  window_.pop_front();
-  if (front.wait_for(std::chrono::seconds(0)) ==
-      std::future_status::ready) {
+  if (next_ < window_begin_ + window_.size()) {
     ++prefetch_hits_;
+  } else {
+    // The window is used up: drop the current tile (peak memory is one
+    // window), then fetch the next max(1, prefetch) hits in one batch,
+    // each tile copied into its slot.
+    const size_t n = std::min(std::max<size_t>(options_.prefetch, 1),
+                              hits_.size() - next_);
+    tile_ = Tile();
+    window_.assign(n, Tile());
+    window_begin_ = next_;
+    Status st = object_->FetchTiles(
+        std::span<const TileEntry>(hits_).subspan(next_, n),
+        static_cast<int>(n), [this](size_t i, const Tile& tile) {
+          window_[i] = tile;
+          return Status::OK();
+        });
+    if (!st.ok()) {
+      window_.clear();
+      return st;
+    }
   }
-  Result<Tile> tile = front.get();
-  if (!tile.ok()) return tile.status();
+  tile_ = std::move(window_[next_ - window_begin_]);
   ++next_;
-  FillWindow();
-  tile_ = std::move(tile).MoveValue();
+  // Index hits always intersect the region.
   part_ = *tile_.domain().Intersection(region_);
   return true;
 }

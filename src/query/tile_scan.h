@@ -2,8 +2,6 @@
 #define TILESTORE_QUERY_TILE_SCAN_H_
 
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <vector>
 
 #include "common/result.h"
@@ -15,12 +13,14 @@ namespace tilestore {
 
 /// Execution options for a tile scan.
 struct TileScanOptions {
-  /// Tiles fetched ahead of the cursor on the store's worker pool. 0
-  /// (default) is the serial paper-exact path: each tile is read on demand
-  /// by the calling thread, with storage behavior and model cost identical
-  /// to the pre-scheduler implementation. With K > 0, up to K decoded
-  /// tiles are kept in flight behind the cursor, so consumer processing
-  /// overlaps retrieval.
+  /// Tiles fetched per window. The scan reads the sorted hits in windows
+  /// of max(1, K) tiles, one `TileIOScheduler::FetchBatch` per window.
+  /// 0 and 1 (default 0) are the serial paper-exact path: each tile is
+  /// read on demand by the calling thread, page by page, with the storage
+  /// calls and model cost of the executor at parallelism 1. With K > 1 a
+  /// window is fetched at parallelism K on the store's worker pool — one
+  /// coalesced `GetBatch` per wave, as in the executor — and the next K - 1
+  /// `Next()` calls are served from it.
   size_t prefetch = 0;
 };
 
@@ -30,9 +30,10 @@ struct TileScanOptions {
 /// aggregation, export, format conversion, rendering), materializing the
 /// whole query region wastes memory. `TileScan` performs the same pipeline
 /// as `RangeQueryExecutor` — resolve the region, probe the index, fetch
-/// BLOBs in physical order — but hands each tile (and its intersection
-/// with the region) to the caller as soon as it is read, keeping peak
-/// memory at one tile (1 + `prefetch` tiles when prefetching):
+/// BLOBs in physical order, through the same `FetchBatch` and tile cache
+/// (which the scan reads but does not populate) — but hands each tile (and
+/// its intersection with the region) to the caller one at a time, keeping
+/// peak memory at one window of decoded tiles (max(1, `prefetch`)):
 ///
 ///   TileScan scan(store, object);
 ///   TILESTORE_RETURN_IF_ERROR(scan.Begin(region));
@@ -47,17 +48,19 @@ struct TileScanOptions {
 /// (`Subtract` in core/region.h) and use the object's default cell value.
 class TileScan {
  public:
-  TileScan(MDDStore* store, MDDObject* object,
+  /// `store` owns `object`; the object reads through it.
+  TileScan(MDDStore* /*store*/, MDDObject* object,
            TileScanOptions options = TileScanOptions())
-      : store_(store), object_(object), options_(options) {}
+      : object_(object), options_(options) {}
 
   /// Resolves `region` ('*' bounds allowed) and probes the index. May be
-  /// called again to restart with a new region (any in-flight prefetches
-  /// of the previous scan are abandoned).
+  /// called again to restart with a new region (the window of the previous
+  /// scan is dropped).
   Status Begin(const MInterval& region);
 
   /// Fetches the next intersecting tile. Returns false when the scan is
-  /// exhausted.
+  /// exhausted. A failed window fetch returns its error and is retried by
+  /// the next call.
   Result<bool> Next();
 
   /// The current tile's cells (valid after Next() returned true).
@@ -68,15 +71,11 @@ class TileScan {
   const MInterval& region() const { return region_; }
   /// Tiles remaining to fetch (including the current position).
   size_t remaining() const { return hits_.size() - next_; }
-  /// Next() calls whose tile the prefetch window had already decoded when
-  /// the cursor arrived (0 on the serial path).
+  /// Next() calls served from an already-fetched window (0 at `prefetch`
+  /// <= 1, where every window holds one tile).
   uint64_t prefetch_hits() const { return prefetch_hits_; }
 
  private:
-  /// Tops the window up to `options_.prefetch` in-flight fetches.
-  void FillWindow();
-
-  MDDStore* store_;
   MDDObject* object_;
   TileScanOptions options_;
   MInterval region_;
@@ -85,10 +84,10 @@ class TileScan {
   Tile tile_;
   MInterval part_;
   bool begun_ = false;
-  /// Prefetch window: futures for hits_[next_ .. next_ + window_.size()).
-  std::deque<std::future<Result<Tile>>> window_;
-  /// Index of the first hit not yet handed to the window.
-  size_t issued_ = 0;
+  /// The fetched window: tiles of hits_[window_begin_ ..
+  /// window_begin_ + window_.size()); slots before next_ are moved out.
+  std::vector<Tile> window_;
+  size_t window_begin_ = 0;
   uint64_t prefetch_hits_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <unordered_set>
 
 namespace tilestore {
@@ -186,28 +185,8 @@ Status BlobStore::CheckDeclaredSize(BlobId id, uint64_t size,
 }
 
 Result<std::vector<uint8_t>> BlobStore::Get(BlobId id, uint64_t max_size) {
-  return GetImpl(id, /*coalesce=*/false, max_size, nullptr);
-}
-
-Result<std::vector<uint8_t>> BlobStore::GetCoalesced(BlobId id,
-                                                     BlobReadStats* stats,
-                                                     uint64_t max_size) {
-  return GetImpl(id, /*coalesce=*/true, max_size, stats);
-}
-
-Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
-                                                uint64_t max_size,
-                                                BlobReadStats* stats) {
-  PageFile* file = pool_->page_file();
-  const size_t page_size = file->page_size();
-  std::vector<uint8_t> page(page_size);
-
-  uint64_t runs = 0;
-  uint64_t pages_touched = 1;
-  bool fell_back = false;
-
-  Status st = coalesce ? pool_->ReadRun(id, 1, page.data(), &runs)
-                       : pool_->ReadPage(id, page.data());
+  std::vector<uint8_t> page(pool_->page_file()->page_size());
+  Status st = pool_->ReadPage(id, page.data());
   if (!st.ok()) return st;
   if (GetU32(page.data()) != kBlobMagic) {
     return Status::Corruption("page " + std::to_string(id) +
@@ -224,57 +203,18 @@ Result<std::vector<uint8_t>> BlobStore::GetImpl(BlobId id, bool coalesce,
       std::min<uint64_t>(size, header_capacity());
   out.insert(out.end(), page.data() + kHeaderBytes,
              page.data() + kHeaderBytes + head_chunk);
-
-  if (coalesce && out.size() < size) {
-    // Speculate that the continuation chain is the consecutive page run
-    // [id+1, id+1+rem): fetch it in one coalesced read, then verify the
-    // pointers while copying payload out. A chain jump just ends the
-    // verified prefix; the classic walk below finishes the tail.
-    const uint64_t rem = (size - out.size() + continuation_capacity() - 1) /
-                         continuation_capacity();
-    if (next == id + 1 && id + 1 + rem <= file->page_count()) {
-      // Scratch that ReadRun overwrites in full: not zero-filled.
-      auto buf = std::make_unique_for_overwrite<uint8_t[]>(rem * page_size);
-      st = pool_->ReadRun(id + 1, rem, buf.get(), &runs);
-      if (!st.ok()) return st;
-      for (uint64_t j = 0; j < rem && out.size() < size; ++j) {
-        if (next != id + 1 + j) {
-          fell_back = true;
-          break;
-        }
-        const uint8_t* p = buf.get() + j * page_size;
-        next = GetU64(p);
-        const size_t chunk =
-            std::min<uint64_t>(size - out.size(), continuation_capacity());
-        out.insert(out.end(), p + kContinuationBytes,
-                   p + kContinuationBytes + chunk);
-        ++pages_touched;
-      }
-    } else if (next != kInvalidPageId) {
-      fell_back = true;
-    }
-  }
-
   while (out.size() < size) {
     if (next == kInvalidPageId) {
       return Status::Corruption("BLOB chain of " + std::to_string(id) +
                                 " ends before its declared size");
     }
-    st = coalesce ? pool_->ReadRun(next, 1, page.data(), &runs)
-                  : pool_->ReadPage(next, page.data());
+    st = pool_->ReadPage(next, page.data());
     if (!st.ok()) return st;
     next = GetU64(page.data());
     const size_t chunk =
         std::min<uint64_t>(size - out.size(), continuation_capacity());
     out.insert(out.end(), page.data() + kContinuationBytes,
                page.data() + kContinuationBytes + chunk);
-    ++pages_touched;
-  }
-  if (stats != nullptr) {
-    stats->physical_runs += runs;
-    stats->pages += pages_touched;
-    stats->fell_back = stats->fell_back || fell_back;
-    if (fell_back) ++stats->fallback_chains;
   }
   return out;
 }
@@ -297,13 +237,11 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   const uint64_t cont_cap = continuation_capacity();
 
   uint64_t runs = 0;
-  uint64_t pages_touched = 0;
-  bool fell_back = false;
   uint64_t fallback_chain_count = 0;
 
-  // Repeated ids are served through the sequential path at their logical
-  // position (all cache hits by then), so the batch never reads one page
-  // twice where the sequential loop would have hit the pool.
+  // Repeated ids are served by `Get` at their logical position (all pool
+  // hits by then), so the batch never reads one page twice where the
+  // sequential loop would have hit the pool.
   std::unordered_set<BlobId> seen;
   std::vector<uint8_t> dup(n, 0);
   // Per-BLOB state of the read. Pages arrive from the pool in any order
@@ -474,21 +412,15 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
   // Assembly: per BLOB in `ids` order, replay its deferred charges
   // (phase A span, then continuation spans), verify the chain pointers of
   // the pages read, and walk any fragmented tail with immediately-charged
-  // reads — the page and byte totals of a sequential GetCoalesced loop,
-  // with merged neighbours charged as one run.
+  // reads — the page and byte totals of reading each chain in turn, with
+  // merged neighbours charged as one run.
   size_t lead_cursor = 0;
   size_t cont_cursor = 0;
   std::vector<uint8_t> page;  // the pointer walk's, sized on first use
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) {
-      BlobReadStats dup_stats;
-      Result<std::vector<uint8_t>> copy =
-          GetImpl(ids[i], /*coalesce=*/true, max_size_of(i), &dup_stats);
+      Result<std::vector<uint8_t>> copy = Get(ids[i], max_size_of(i));
       if (!copy.ok()) return copy.status();
-      runs += dup_stats.physical_runs;
-      pages_touched += dup_stats.pages;
-      fell_back = fell_back || dup_stats.fell_back;
-      fallback_chain_count += dup_stats.fallback_chains;
       (*payloads)[i] = std::move(copy).MoveValue();
       continue;
     }
@@ -518,14 +450,10 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     std::vector<uint8_t>& out = (*payloads)[i];
     out.resize(std::min<uint64_t>(plan.size,
                                   head_cap + (verified - 1) * cont_cap));
-    pages_touched += verified;
     PageId next = plan.bad != kNoBadPage && verified == plan.bad + 1
                       ? plan.bad_next
                       : plan.next;
-    if (verified < needed) {
-      fell_back = true;
-      ++fallback_chain_count;
-    }
+    if (verified < needed) ++fallback_chain_count;
 
     while (out.size() < plan.size) {
       if (next == kInvalidPageId) {
@@ -540,14 +468,11 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
           std::min<uint64_t>(plan.size - out.size(), cont_cap);
       out.insert(out.end(), page.data() + kContinuationBytes,
                  page.data() + kContinuationBytes + chunk);
-      ++pages_touched;
     }
   }
 
   if (stats != nullptr) {
     stats->physical_runs += runs;
-    stats->pages += pages_touched;
-    stats->fell_back = stats->fell_back || fell_back;
     stats->fallback_chains += fallback_chain_count;
     stats->cross_object_coalesced += merged_reads;
   }

@@ -17,22 +17,17 @@ namespace tilestore {
 using BlobId = uint64_t;
 inline constexpr BlobId kInvalidBlobId = 0;
 
-/// Read-path accounting for one BLOB retrieval (see `GetCoalesced`).
+/// Read-path accounting for one `GetBatch`.
 struct BlobReadStats {
   /// Coalesced physical reads issued (cache hits issue none).
   uint64_t physical_runs = 0;
-  /// Chain pages touched (cached or physical).
-  uint64_t pages = 0;
-  /// True when the page chain was not consecutive and the read fell back
-  /// to pointer walking for the tail.
-  bool fell_back = false;
-  /// Number of BLOBs that fell back (equals `fell_back ? 1 : 0` for the
-  /// single-BLOB calls; `GetBatch` counts each fragmented chain).
+  /// BLOBs whose page chain was not consecutive, so the read fell back to
+  /// pointer walking for the tail.
   uint64_t fallback_chains = 0;
-  /// Phase A reads (header pages, or whole chains) `GetBatch` merged into
-  /// a neighbouring BLOB's run because the two sit on consecutive pages —
+  /// Phase A reads (header pages, or whole chains) merged into a
+  /// neighbouring BLOB's run because the two sit on consecutive pages —
   /// the payoff of SFC-ordered placement: adjacent tiles become one
-  /// physical read. Always 0 for single-BLOB calls.
+  /// physical read.
   uint64_t cross_object_coalesced = 0;
 };
 
@@ -48,7 +43,7 @@ struct BlobReadStats {
 /// disk model is calibrated for.
 ///
 /// All I/O goes through the `BufferPool` handed to the constructor. `Get`
-/// and `GetCoalesced` are thread-safe (they only read); `Put` and `Delete`
+/// and `GetBatch` are thread-safe (they only read); `Put` and `Delete`
 /// belong to the single-writer load/update path.
 class BlobStore {
  public:
@@ -90,21 +85,9 @@ class BlobStore {
   Result<std::vector<uint8_t>> Get(BlobId id,
                                    uint64_t max_size = kNoSizeLimit);
 
-  /// Reads a BLOB back in full, speculating that its chain occupies
-  /// consecutive pages (true for freshly `Put` BLOBs): all continuation
-  /// pages are fetched with one coalesced `BufferPool::ReadRun`, then the
-  /// chain pointers are verified. On a chain jump the tail is re-walked
-  /// pointer by pointer — correctness never depends on the speculation,
-  /// only the run count does. Total disk-model cost equals `Get` for
-  /// consecutive chains; fragmented chains may charge extra for the
-  /// speculatively read pages.
-  Result<std::vector<uint8_t>> GetCoalesced(BlobId id,
-                                            BlobReadStats* stats = nullptr,
-                                            uint64_t max_size = kNoSizeLimit);
-
-  /// Batched `GetCoalesced` over many BLOBs, in at most two physical
-  /// phases, each one `BufferPool::ReadRunBatch` (so every miss span of
-  /// the phase is in flight at once):
+  /// Reads many BLOBs back in full, in at most two physical phases, each
+  /// one `BufferPool::ReadRunBatch` (so every miss span of the phase is in
+  /// flight at once):
   ///  - Phase A reads, per id, its whole chain `[id, id + PagesFor(size))`
   ///    when `exact_sizes[i]` is non-zero — the caller's bound
   ///    `max_sizes[i]` is then the payload's exact size — and the chain
@@ -112,8 +95,10 @@ class BlobStore {
   ///    neighbouring BLOBs that sit on consecutive pages merge into one
   ///    physical run.
   ///  - Phase B reads the speculative continuation run of every BLOB whose
-  ///    header alone was read and whose chain starts consecutively. A
-  ///    batch of exact-size ids issues no phase B.
+  ///    header alone was read and whose chain starts consecutively: its
+  ///    remaining pages, as the header's checked size counts them, as one
+  ///    run from the page after the header. A batch of exact-size ids
+  ///    has no phase B.
   /// Only exact bounds read ahead: a looser one (RLE's is twice the raw
   /// size) would charge pages the chain does not have.
   ///
@@ -126,13 +111,16 @@ class BlobStore {
   /// read, from the header's declared size once checked; no buffer is
   /// ever sized from an unchecked header. Every header's magic and
   /// declared size is checked against the file and `max_sizes[i]`, every
-  /// chain pointer is verified, and fragmented chains fall back to the
-  /// pointer walk for their tail, exactly like `GetCoalesced`.
+  /// chain pointer is verified, and a fragmented chain falls back to the
+  /// pointer walk for its tail: correctness never depends on the
+  /// speculation, only the run count does. A repeated id is read by `Get`
+  /// at its place (every page a pool hit by then).
   /// Disk-model charges are *deferred* by the pool and replayed here per
-  /// BLOB in `ids` order. For consecutive chains this charges the pages,
-  /// bytes and transfer time of calling `GetCoalesced` once per id, and
-  /// never more seeks (a merged run is one charge); a fragmented chain read
-  /// whole may also charge its speculatively read pages. `payloads` is
+  /// BLOB in `ids` order. For consecutive chains this charges the pages
+  /// and bytes of reading each chain once, in `ids` order, with at most
+  /// one seek per chain and none between chains that sit back to back (a
+  /// merged run is one charge). A fragmented chain's speculatively read
+  /// pages are charged as well, though the walk discards them. `payloads` is
   /// resized to `ids.size()`; on error the first failure in `ids` order is
   /// returned. `max_sizes` and `exact_sizes`, when not empty, hold one
   /// entry per id. Thread-safe.
@@ -175,9 +163,6 @@ class BlobStore {
   layout::PlacementMode placement() const { return placement_; }
 
  private:
-  Result<std::vector<uint8_t>> GetImpl(BlobId id, bool coalesce,
-                                       uint64_t max_size,
-                                       BlobReadStats* stats);
   Status CheckDeclaredSize(BlobId id, uint64_t size, uint64_t max_size) const;
   Result<BlobId> PutImpl(const uint8_t* data, size_t size, bool contiguous);
   Status WriteChain(const uint8_t* data, size_t size,

@@ -70,24 +70,13 @@ void TileIOStats::Add(const TileIOStats& other) {
 }
 
 Result<Tile> TileIOScheduler::FetchOne(const TileEntry& entry,
-                                       CellType cell_type, bool coalesce,
+                                       CellType cell_type,
                                        TileIOStats* stats) {
   const Clock::time_point io_start = Clock::now();
-  const uint64_t max_size = MaxPayloadBytes(entry, cell_type);
   Result<std::vector<uint8_t>> data =
-      coalesce ? [&] {
-        BlobReadStats blob_stats;
-        Result<std::vector<uint8_t>> r =
-            blobs_->GetCoalesced(entry.blob, &blob_stats, max_size);
-        if (stats != nullptr) {
-          stats->coalesced_runs += blob_stats.physical_runs;
-          if (blob_stats.fell_back) ++stats->chain_fallbacks;
-        }
-        return r;
-      }()
-               : blobs_->Get(entry.blob, max_size);
+      blobs_->Get(entry.blob, MaxPayloadBytes(entry, cell_type));
   if (!data.ok()) return data.status();
-  if (stats != nullptr) stats->io_summed_ms += ElapsedMs(io_start);
+  stats->io_summed_ms += ElapsedMs(io_start);
   return DecodePayload(entry, cell_type, std::move(data).MoveValue(), stats);
 }
 
@@ -104,11 +93,9 @@ Result<Tile> TileIOScheduler::DecodePayload(const TileEntry& entry,
       Tile::FromBuffer(entry.domain, cell_type, std::move(cells).MoveValue());
   if (!tile.ok()) return tile.status();
 
-  if (stats != nullptr) {
-    ++stats->tiles;
-    stats->tile_bytes += tile->size_bytes();
-    stats->decode_summed_ms += ElapsedMs(decode_start);
-  }
+  ++stats->tiles;
+  stats->tile_bytes += tile->size_bytes();
+  stats->decode_summed_ms += ElapsedMs(decode_start);
   return tile;
 }
 
@@ -203,7 +190,7 @@ Status TileIOScheduler::FetchBatch(
       if (payload != nullptr) {
         return DecodePayload(entry, cell_type, std::move(*payload), local);
       }
-      return FetchOne(entry, cell_type, /*coalesce=*/false, local);
+      return FetchOne(entry, cell_type, local);
     }();
     if (payload == nullptr && metrics_.fetch_ms != nullptr) {
       metrics_.fetch_ms->Observe(ElapsedMs(fetch_start));
@@ -399,27 +386,6 @@ Status TileIOScheduler::FetchBatch(
   merged.wall_ms = ElapsedMs(wall_start);
   if (stats != nullptr) stats->Add(merged);
   return Status::OK();
-}
-
-std::future<Result<Tile>> TileIOScheduler::FetchAsync(const TileEntry& entry,
-                                                      CellType cell_type,
-                                                      ThreadPool* pool) {
-  auto promise = std::make_shared<std::promise<Result<Tile>>>();
-  std::future<Result<Tile>> future = promise->get_future();
-  // Copy the entry: the caller's batch may go away before the worker runs.
-  TileEntry owned = entry;
-  auto work = [this, owned = std::move(owned), cell_type,
-               promise = std::move(promise),
-               coalesce = pool != nullptr]() mutable {
-    TileIOStats stats;
-    promise->set_value(FetchOne(owned, cell_type, coalesce, &stats));
-  };
-  if (pool != nullptr) {
-    pool->Submit(std::move(work));
-  } else {
-    work();
-  }
-  return future;
 }
 
 }  // namespace tilestore

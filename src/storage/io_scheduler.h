@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <span>
 #include <vector>
 
@@ -42,8 +41,10 @@ struct TileIOOptions {
   /// The owning object's cache epoch (`MDDObject::cache_id`); 0 means the
   /// object is not cacheable.
   uint64_t cache_object_id = 0;
-  /// Whether misses populate the cache (lookups happen regardless). Off
-  /// for scans that should not wipe a working set.
+  /// Whether misses populate the cache (lookups happen regardless). Only
+  /// the query executor populates; tile scans and the old tiles a rewrite
+  /// replaces (`MDDObject::FetchTiles`) read through the cache without
+  /// wiping its working set.
   bool cache_populate = true;
   /// When set and `encoded_filter(i)` is true, entry `i` skips decode
   /// entirely: the raw (compressed) BLOB bytes go to `consume_encoded`
@@ -85,8 +86,9 @@ struct TileIOStats {
   void Add(const TileIOStats& other);
 };
 
-/// \brief Batched tile retrieval: the storage-side engine behind range
-/// queries and tile scans.
+/// \brief Batched tile retrieval: the one read path behind every tile the
+/// store hands out — range queries, tile scans, `MDDObject::FetchTile` and
+/// the old tiles `WriteRegion` and `RetileRegion` rewrite.
 ///
 /// A batch of tile BLOB requests is sorted into physical page order
 /// (ascending BLOB id — BLOBs are allocated front to back, so this is disk
@@ -99,10 +101,11 @@ struct TileIOStats {
 /// waves already read. Pool helpers start only when the batch has more
 /// than one wave. Disk-model charges are replayed inside `GetBatch` in
 /// sorted-id order and the waves are read in order, so `model_ms`, pages
-/// and bytes are those of a sequential coalesced loop — and independent
-/// of the backend. At `parallelism = 1` the scheduler degrades to the
-/// exact tile-at-a-time loop of the original implementation, which keeps
-/// the paper's t_o/t_cpu cost tables reproducible.
+/// and bytes are those of reading the chains one after another in that
+/// order — and independent of the backend. At `parallelism = 1` the
+/// scheduler degrades to the exact tile-at-a-time loop of the original
+/// implementation, which keeps the paper's t_o/t_cpu cost tables
+/// reproducible.
 /// Observability: with an attached registry (`set_metrics`), batches and
 /// tiles are counted under `scheduler.*`, the `scheduler.queue_depth`
 /// gauge tracks tiles admitted but not yet consumed, and histograms record
@@ -139,20 +142,13 @@ class TileIOScheduler {
                     const std::function<Status(size_t, const Tile&)>& consume,
                     TileIOStats* stats = nullptr);
 
-  /// Asynchronous single-tile fetch, the building block of the
-  /// `TileScan` prefetch window. With a pool the work runs on a worker and
-  /// the returned future completes when the tile is decoded; without one
-  /// the fetch happens inline and the future is already ready.
-  std::future<Result<Tile>> FetchAsync(const TileEntry& entry,
-                                       CellType cell_type, ThreadPool* pool);
-
-  /// The serial decode pipeline (BLOB read, selective decompression, tile
-  /// construction) — shared by both paths and by `MDDObject::FetchTile`.
-  /// `coalesce` selects the speculative run-coalesced BLOB read.
-  Result<Tile> FetchOne(const TileEntry& entry, CellType cell_type,
-                        bool coalesce, TileIOStats* stats);
-
  private:
+  /// The serial read of one entry: its BLOB read page by page with
+  /// `BlobStore::Get`, then `DecodePayload`. The tile-at-a-time loop of
+  /// `FetchBatch` at parallelism 1.
+  Result<Tile> FetchOne(const TileEntry& entry, CellType cell_type,
+                        TileIOStats* stats);
+
   /// Decode half of `FetchOne`: selective decompression + tile
   /// construction from an already-read BLOB payload. Used by the batched
   /// parallel path, where each wave's I/O happened in one `GetBatch`.

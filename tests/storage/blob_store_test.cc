@@ -194,19 +194,23 @@ TEST_F(BlobStoreTest, PutContiguousOnChurnedFreelistStaysConsecutive) {
   EXPECT_EQ(extent.size, data.size());
   EXPECT_EQ(extent.pages, store_->PagesFor(data.size()));
   EXPECT_TRUE(extent.starts_adjacent);
-  // Byte-identical read-back from disk with no coalescing fallback.
-  // GetCoalesced always issues two ReadRuns (the header page, then the
-  // speculative continuation run), so physical_runs is 2 even for a
-  // perfectly consecutive chain — the contiguity proof is the single
-  // disk-model seek: the continuation run starts where the header ended.
+  // Byte-identical read-back from disk with no fallback. A one-id
+  // exact-size GetBatch reads the whole chain speculatively as one run;
+  // the contiguity proof is that every chain pointer it verifies stays on
+  // that run (no fallback walk) and the disk model charges a single seek.
   pool_->Clear();
   model_.Reset();
+  const uint64_t size = data.size();
+  const uint8_t exact = 1;
+  std::vector<std::vector<uint8_t>> back;
   BlobReadStats stats;
-  Result<std::vector<uint8_t>> back = store_->GetCoalesced(id, &stats);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, data);
-  EXPECT_FALSE(stats.fell_back);
-  EXPECT_EQ(stats.physical_runs, 2u);
+  ASSERT_TRUE(store_
+                  ->GetBatch({&id, 1}, &back, &stats, {&size, 1},
+                             {&exact, 1})
+                  .ok());
+  EXPECT_EQ(back.at(0), data);
+  EXPECT_EQ(stats.fallback_chains, 0u);
+  EXPECT_EQ(stats.physical_runs, 1u);
   EXPECT_EQ(model_.read_seeks(), 1u);
 }
 
@@ -401,7 +405,6 @@ TEST_F(BlobStoreCorruptSizeTest, HugeSizeIsCorruptionOnEveryReadPath) {
   SetDeclaredSize(id, uint64_t{1} << 62);
 
   ExpectCorruptionAt(store_->Get(id).status(), id);
-  ExpectCorruptionAt(store_->GetCoalesced(id).status(), id);
   ExpectCorruptionAt(GetBatchOf({before, id, after}), id);
   // A repeated id takes GetBatch's sequential path at its second place.
   ExpectCorruptionAt(GetBatchOf({id, before, id}), id);
@@ -419,9 +422,7 @@ TEST_F(BlobStoreCorruptSizeTest, SizeBoundIsWhatTheWholeFileHolds) {
 
   // One byte past the bound: rejected before any buffer is sized.
   SetDeclaredSize(id, room + 1);
-  for (const Status& st :
-       {store_->Get(id).status(), store_->GetCoalesced(id).status(),
-        GetBatchOf({id})}) {
+  for (const Status& st : {store_->Get(id).status(), GetBatchOf({id})}) {
     ExpectCorruptionAt(st, id);
     EXPECT_NE(st.ToString().find("whole file"), std::string::npos)
         << st.ToString();
@@ -430,9 +431,7 @@ TEST_F(BlobStoreCorruptSizeTest, SizeBoundIsWhatTheWholeFileHolds) {
   // Exactly at the bound the size is plausible; the chain walk then finds
   // that the BLOB's own chain ends early — still Corruption.
   SetDeclaredSize(id, room);
-  for (const Status& st :
-       {store_->Get(id).status(), store_->GetCoalesced(id).status(),
-        GetBatchOf({id})}) {
+  for (const Status& st : {store_->Get(id).status(), GetBatchOf({id})}) {
     EXPECT_TRUE(st.IsCorruption()) << st.ToString();
     EXPECT_EQ(st.ToString().find("whole file"), std::string::npos)
         << st.ToString();
@@ -445,9 +444,7 @@ TEST_F(BlobStoreCorruptSizeTest, CallerBoundRejectsLargerPayloads) {
   const BlobId other = store_->Put(RandomBytes(200, 7)).value();
 
   EXPECT_EQ(store_->Get(id, 1500).value(), data);
-  EXPECT_EQ(store_->GetCoalesced(id, nullptr, 1500).value(), data);
   ExpectCorruptionAt(store_->Get(id, 1499).status(), id);
-  ExpectCorruptionAt(store_->GetCoalesced(id, nullptr, 1499).status(), id);
 
   EXPECT_TRUE(GetBatchOf({other, id}, {200, 1500}).ok());
   ExpectCorruptionAt(GetBatchOf({other, id}, {200, 1499}), id);

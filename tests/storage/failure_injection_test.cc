@@ -8,12 +8,17 @@
 #include "test_paths.h"
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/linearizer.h"
 #include "mdd/mdd_store.h"
 #include "query/range_query.h"
+#include "query/tile_scan.h"
 #include "storage/blob_store.h"
 #include "storage/env.h"
 #include "storage/fsck.h"
@@ -257,6 +262,102 @@ TEST_F(FailureInjectionTest, CorruptBlobHeaderDetectedOnRead) {
     EXPECT_FALSE(data.ok());
     EXPECT_TRUE(data.status().IsCorruption());
   }
+}
+
+// Every tile reader goes through the one batched fetch, so a smashed tile
+// header fails each of them with Corruption naming its page, and a rewrite
+// that trips over it leaves the object exactly as it was.
+TEST_F(FailureInjectionTest, CorruptTileFailsScansAndRewritesCleanly) {
+  const MInterval domain({{0, 63}});
+  const CellType type = CellType::Of(CellTypeId::kInt32);
+  Array data = Array::Create(domain, type).value();
+  ForEachPoint(domain, [&](const Point& p) {
+    data.Set<int32_t>(p, static_cast<int32_t>(p[0]) * 7 + 1);
+  });
+  MDDStoreOptions options;
+  options.page_size = 512;
+  BlobId victim;
+  uint64_t page_size;
+  {
+    auto store = MDDStore::Create(path_, options).MoveValue();
+    MDDObject* obj = store->CreateMDD("obj", domain, type).value();
+    ASSERT_TRUE(
+        obj->Load(data, AlignedTiling::Regular(1, 8 * sizeof(int32_t))).ok());
+    victim = obj->FindTiles(MInterval({{8, 15}})).at(0).blob;
+    page_size = store->page_file()->page_size();
+    ASSERT_TRUE(store->Save().ok());
+  }
+  std::vector<uint8_t> magic(4);
+  {
+    auto file = File::Open(path_, /*create=*/false).MoveValue();
+    ASSERT_TRUE(file->ReadAt(victim * page_size, 4, magic.data()).ok());
+  }
+  Clobber(victim * page_size, {0xFF, 0xFF, 0xFF, 0xFF});  // smash the magic
+
+  auto expect_corrupt = [&](const Status& st, const std::string& what) {
+    EXPECT_TRUE(st.IsCorruption()) << what << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find("page " + std::to_string(victim)),
+              std::string::npos)
+        << what << ": " << st.ToString();
+  };
+  auto tile_table = [](const MDDObject* obj) {
+    std::vector<std::pair<std::string, BlobId>> table;
+    for (const TileEntry& entry : obj->AllTiles()) {
+      table.emplace_back(entry.domain.ToString(), entry.blob);
+    }
+    std::sort(table.begin(), table.end());
+    return table;
+  };
+  {
+    auto store = MDDStore::Open(path_, options).MoveValue();
+    MDDObject* obj = store->GetMDD("obj").value();
+    const auto before = tile_table(obj);
+    for (size_t prefetch : {0, 3}) {
+      TileScanOptions scan_options;
+      scan_options.prefetch = prefetch;
+      TileScan scan(store.get(), obj, scan_options);
+      ASSERT_TRUE(scan.Begin(domain).ok());
+      Status failed;
+      while (failed.ok()) {
+        Result<bool> more = scan.Next();
+        if (!more.ok()) {
+          failed = more.status();
+        } else if (!*more) {
+          break;
+        }
+      }
+      expect_corrupt(failed, "scan at prefetch " + std::to_string(prefetch));
+    }
+
+    Array update = Array::Create(MInterval({{4, 19}}), type).value();
+    expect_corrupt(obj->WriteRegion(update), "WriteRegion");
+    EXPECT_EQ(tile_table(obj), before);
+    expect_corrupt(
+        obj->RetileRegion(MInterval({{0, 31}}),
+                          {MInterval({{0, 15}}), MInterval({{16, 31}})}),
+        "RetileRegion");
+    EXPECT_EQ(tile_table(obj), before);
+    EXPECT_EQ(obj->current_domain(), domain);
+    // The tiles around the victim read back untouched.
+    for (const MInterval& region :
+         {MInterval({{0, 7}}), MInterval({{16, 63}})}) {
+      Result<Array> back = ReadRegion(store.get(), obj, region);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      Array expected = data.Slice(region).value();
+      EXPECT_EQ(std::memcmp(back->data(), expected.data(),
+                            expected.size_bytes()),
+                0)
+          << region.ToString();
+    }
+  }
+
+  // With the header restored, the reopened object is the loaded array.
+  Clobber(victim * page_size, magic);
+  auto store = MDDStore::Open(path_, options).MoveValue();
+  MDDObject* obj = store->GetMDD("obj").value();
+  Result<Array> back = ReadRegion(store.get(), obj, domain);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(std::memcmp(back->data(), data.data(), data.size_bytes()), 0);
 }
 
 TEST_F(FailureInjectionTest, CorruptCatalogBytesNeverCrash) {

@@ -29,6 +29,7 @@
 #include "core/predicate.h"
 #include "mdd/mdd_store.h"
 #include "query/range_query.h"
+#include "query/tile_scan.h"
 #include "storage/tile_cache.h"
 #include "tiling/aligned.h"
 
@@ -600,6 +601,67 @@ TEST_F(TileCacheStoreTest, ColdRunsBypassTheCache) {
   ASSERT_TRUE(executor.Execute(obj, MInterval({{0, 63}}), &stats).ok());
   EXPECT_EQ(stats.tilecache_hits, 0u);
   EXPECT_GT(stats.pages_read, 0u);
+}
+
+// Scans, `WriteRegion` and `RetileRegion` read their tiles through the
+// one batched fetch: warm tiles come from the cache with no data page read,
+// every tile is counted in scheduler.tiles, and a scan of a cold object
+// leaves the cache empty (only the executor populates it).
+TEST_F(TileCacheStoreTest, MutationsAndScansReadThroughTheCache) {
+  const obs::Counter* pages_read =
+      store_->metrics()->counter("disk.pages_read");
+  const obs::Counter* tiles = store_->metrics()->counter("scheduler.tiles");
+  auto scan_all = [&](MDDObject* obj, size_t prefetch) {
+    TileScanOptions options;
+    options.prefetch = prefetch;
+    TileScan scan(store_.get(), obj, options);
+    ASSERT_TRUE(scan.Begin(MInterval({{0, 63}})).ok());
+    size_t visited = 0;
+    while (scan.Next().value()) ++visited;
+    EXPECT_EQ(visited, 8u);
+  };
+
+  MDDObject* cold = store_
+                        ->CreateMDD("cold", MInterval({{0, 63}}),
+                                    CellType::Of(CellTypeId::kInt32))
+                        .value();
+  ASSERT_TRUE(cold->Load(Pattern(MInterval({{0, 63}}), 7),
+                         AlignedTiling::Regular(1, 8 * sizeof(int32_t)))
+                  .ok());
+  for (size_t prefetch : {0, 3}) {
+    scan_all(cold, prefetch);
+    EXPECT_EQ(store_->tile_cache()->entry_count(), 0u)
+        << "prefetch " << prefetch;
+  }
+
+  // Runs `call` on the warm object with a cold buffer pool: it must read
+  // no data page and fetch exactly `old_tiles` tiles.
+  MDDObject* obj = LoadAndWarm();
+  auto expect_warm = [&](const std::string& what, uint64_t old_tiles,
+                         const std::function<void()>& call) {
+    store_->buffer_pool()->Clear();
+    const uint64_t pages_before = pages_read->Value();
+    const uint64_t tiles_before = tiles->Value();
+    call();
+    EXPECT_EQ(pages_read->Value(), pages_before) << what;
+    EXPECT_EQ(tiles->Value() - tiles_before, old_tiles) << what;
+  };
+  for (size_t prefetch : {0, 3}) {
+    expect_warm("scan at prefetch " + std::to_string(prefetch), 8,
+                [&] { scan_all(obj, prefetch); });
+  }
+  expect_warm("WriteRegion", 3, [&] {
+    EXPECT_TRUE(obj->WriteRegion(Pattern(MInterval({{4, 19}}), 13)).ok());
+  });
+  // The rewrite dropped the object's cached tiles: warm them again.
+  RangeQueryExecutor executor(store_.get());
+  ASSERT_TRUE(executor.Execute(obj, MInterval({{0, 63}})).ok());
+  expect_warm("RetileRegion", 4, [&] {
+    EXPECT_TRUE(obj->RetileRegion(MInterval({{0, 31}}),
+                                  {MInterval({{0, 15}}), MInterval({{16, 31}})})
+                    .ok());
+  });
+  ExpectCachedEqualsUncached(obj);
 }
 
 // 8 readers hammer the same hot tiles through the cache at mixed
