@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "core/tile.h"
 #include "mdd/mdd_object.h"
-#include "mdd/mdd_store.h"
 
 namespace tilestore {
 
@@ -35,7 +34,7 @@ struct TileScanOptions {
 /// its intersection with the region) to the caller one at a time, keeping
 /// peak memory at one window of decoded tiles (max(1, `prefetch`)):
 ///
-///   TileScan scan(store, object);
+///   TileScan scan(object);
 ///   TILESTORE_RETURN_IF_ERROR(scan.Begin(region));
 ///   while (true) {
 ///     TILESTORE_ASSIGN_OR_RETURN(bool more, scan.Next());
@@ -48,9 +47,9 @@ struct TileScanOptions {
 /// (`Subtract` in core/region.h) and use the object's default cell value.
 class TileScan {
  public:
-  /// `store` owns `object`; the object reads through it.
-  TileScan(MDDStore* /*store*/, MDDObject* object,
-           TileScanOptions options = TileScanOptions())
+  /// Scans `object`, which reads through its own store.
+  explicit TileScan(MDDObject* object,
+                    TileScanOptions options = TileScanOptions())
       : object_(object), options_(options) {}
 
   /// Resolves `region` ('*' bounds allowed) and probes the index. May be

@@ -223,9 +223,9 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
                            std::vector<std::vector<uint8_t>>* payloads,
                            BlobReadStats* stats,
                            std::span<const uint64_t> max_sizes,
-                           std::span<const uint8_t> exact_sizes) {
+                           std::span<const uint8_t> exact_sizes,
+                           std::vector<PageRunRequest>* charges) {
   PageFile* file = pool_->page_file();
-  const size_t page_size = file->page_size();
   const uint64_t page_count = file->page_count();
   const size_t n = ids.size();
   payloads->assign(n, {});
@@ -238,6 +238,16 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
 
   uint64_t runs = 0;
   uint64_t fallback_chain_count = 0;
+
+  // Every disk-model charge of the batch, made now or handed back in the
+  // same order.
+  auto charge = [&](PageId first, uint64_t count) {
+    if (charges != nullptr) {
+      charges->push_back(PageRunRequest{first, count});
+    } else {
+      file->ChargeReadRun(first, count);
+    }
+  };
 
   // Repeated ids are served by `Get` at their logical position (all pool
   // hits by then), so the batch never reads one page twice where the
@@ -411,12 +421,11 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
 
   // Assembly: per BLOB in `ids` order, replay its deferred charges
   // (phase A span, then continuation spans), verify the chain pointers of
-  // the pages read, and walk any fragmented tail with immediately-charged
-  // reads — the page and byte totals of reading each chain in turn, with
+  // the pages read, and walk any fragmented tail page by page, charged in
+  // turn — the page and byte totals of reading each chain in turn, with
   // merged neighbours charged as one run.
   size_t lead_cursor = 0;
   size_t cont_cursor = 0;
-  std::vector<uint8_t> page;  // the pointer walk's, sized on first use
   for (size_t i = 0; i < n; ++i) {
     if (dup[i] != 0) {
       Result<std::vector<uint8_t>> copy = Get(ids[i], max_size_of(i));
@@ -430,14 +439,12 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     // forward, so later members of the group find it already past).
     while (lead_cursor < lead_charges.size() &&
            lead_charges[lead_cursor].request == lead_run_of[i]) {
-      file->ChargeReadRun(lead_charges[lead_cursor].first,
-                          lead_charges[lead_cursor].count);
+      charge(lead_charges[lead_cursor].first, lead_charges[lead_cursor].count);
       ++lead_cursor;
     }
     while (plan.cont_run != kNoRun && cont_cursor < cont_charges.size() &&
            cont_charges[cont_cursor].request == plan.cont_run) {
-      file->ChargeReadRun(cont_charges[cont_cursor].first,
-                          cont_charges[cont_cursor].count);
+      charge(cont_charges[cont_cursor].first, cont_charges[cont_cursor].count);
       ++cont_cursor;
     }
 
@@ -460,14 +467,21 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
         return Status::Corruption("BLOB chain of " + std::to_string(ids[i]) +
                                   " ends before its declared size");
       }
-      page.resize(page_size);
-      st = pool_->ReadRun(next, 1, page.data(), &runs);
+      // One page, charged in turn like the phases' spans.
+      const PageRunRequest walk{next, 1};
+      std::vector<DeferredPageCharge> owed;
+      st = pool_->ReadRunBatch(
+          {&walk, 1},
+          [&](size_t, uint64_t, const uint8_t* page) {
+            next = GetU64(page);
+            const size_t chunk =
+                std::min<uint64_t>(plan.size - out.size(), cont_cap);
+            out.insert(out.end(), page + kContinuationBytes,
+                       page + kContinuationBytes + chunk);
+          },
+          &runs, &owed);
       if (!st.ok()) return st;
-      next = GetU64(page.data());
-      const size_t chunk =
-          std::min<uint64_t>(plan.size - out.size(), cont_cap);
-      out.insert(out.end(), page.data() + kContinuationBytes,
-                 page.data() + kContinuationBytes + chunk);
+      for (const DeferredPageCharge& owe : owed) charge(owe.first, owe.count);
     }
   }
 
@@ -477,6 +491,13 @@ Status BlobStore::GetBatch(std::span<const BlobId> ids,
     stats->cross_object_coalesced += merged_reads;
   }
   return Status::OK();
+}
+
+void BlobStore::ReplayCharges(std::span<const PageRunRequest> charges) {
+  PageFile* file = pool_->page_file();
+  for (const PageRunRequest& run : charges) {
+    file->ChargeReadRun(run.first, run.count);
+  }
 }
 
 Result<uint64_t> BlobStore::Size(BlobId id) {

@@ -105,11 +105,10 @@ class BlobStore {
   /// Payloads are assembled from the pages the pool delivers, with one
   /// copy per page: a cached page straight from its pool frame, a missed
   /// one from the frame the kernel just read it into. There is no scratch
-  /// page buffer (only a fragmented chain's pointer walk reads through
-  /// one). Pages arrive in any order, so a payload is sized before its
-  /// header is read — from the caller's exact bound, or, for a header-only
-  /// read, from the header's declared size once checked; no buffer is
-  /// ever sized from an unchecked header. Every header's magic and
+  /// page buffer. Pages arrive in any order, so a payload is sized before
+  /// its header is read — from the caller's exact bound, or, for a
+  /// header-only read, from the header's declared size once checked; no
+  /// buffer is ever sized from an unchecked header. Every header's magic and
   /// declared size is checked against the file and `max_sizes[i]`, every
   /// chain pointer is verified, and a fragmented chain falls back to the
   /// pointer walk for its tail: correctness never depends on the
@@ -120,15 +119,24 @@ class BlobStore {
   /// and bytes of reading each chain once, in `ids` order, with at most
   /// one seek per chain and none between chains that sit back to back (a
   /// merged run is one charge). A fragmented chain's speculatively read
-  /// pages are charged as well, though the walk discards them. `payloads` is
-  /// resized to `ids.size()`; on error the first failure in `ids` order is
-  /// returned. `max_sizes` and `exact_sizes`, when not empty, hold one
-  /// entry per id. Thread-safe.
+  /// pages are charged as well, though the walk discards them. With
+  /// `charges` non-null none of these is charged: every charge of the
+  /// phases and the pointer walk, as far as the batch got, is appended
+  /// there in the order it would have been made, for the caller to make
+  /// later with `ReplayCharges`. (A repeated id's `Get` charges at once;
+  /// its pages are pool hits unless the pool is too small to hold the
+  /// batch.) `payloads` is resized to `ids.size()`; on error the first
+  /// failure in `ids` order is returned. `max_sizes` and `exact_sizes`,
+  /// when not empty, hold one entry per id. Thread-safe.
   Status GetBatch(std::span<const BlobId> ids,
                   std::vector<std::vector<uint8_t>>* payloads,
                   BlobReadStats* stats = nullptr,
                   std::span<const uint64_t> max_sizes = {},
-                  std::span<const uint8_t> exact_sizes = {});
+                  std::span<const uint8_t> exact_sizes = {},
+                  std::vector<PageRunRequest>* charges = nullptr);
+
+  /// Makes the disk-model charges a `GetBatch` handed back, in order.
+  void ReplayCharges(std::span<const PageRunRequest> charges);
 
   /// Payload size of a BLOB without reading the payload.
   Result<uint64_t> Size(BlobId id);

@@ -5,11 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <utility>
 #include <vector>
-
-#include "common/thread_pool.h"
 
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)
 #define TILESTORE_HAS_IO_URING 1
@@ -46,33 +43,8 @@ bool InjectReadFault(const ReadOp& op) {
 // ---------------------------------------------------------------------------
 // ThreadedPreadBackend
 
-ThreadedPreadBackend::ThreadedPreadBackend(size_t threads)
-    : threads_(threads) {}
-
-ThreadedPreadBackend::~ThreadedPreadBackend() = default;
-
 Status ThreadedPreadBackend::SubmitBatch(std::span<ReadOp> ops) {
-  const size_t fanout =
-      (threads_ > 1 && ops.size() > 1) ? std::min(threads_, ops.size()) : 1;
-  auto read_stripe = [ops, fanout](size_t t) {
-    for (size_t i = t; i < ops.size(); i += fanout) {
-      ops[i].status = ops[i].file->ReadAtV(ops[i].offset, ops[i].iov);
-    }
-  };
-  if (fanout > 1) {
-    std::call_once(pool_once_,
-                   [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
-    // Stripe 0 runs on the caller, which would otherwise sit idle until
-    // the pool finishes.
-    TaskGroup group(pool_.get());
-    for (size_t t = 1; t < fanout; ++t) {
-      group.Run([&read_stripe, t] { read_stripe(t); });
-    }
-    read_stripe(0);
-    group.Wait();
-  } else {
-    read_stripe(0);
-  }
+  for (ReadOp& op : ops) op.status = op.file->ReadAtV(op.offset, op.iov);
   for (const ReadOp& op : ops) {
     if (!op.status.ok()) return op.status;
   }
@@ -460,11 +432,8 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp>) {
 // Selection
 
 Result<std::unique_ptr<IoBackend>> MakeIoBackend(const std::string& name) {
-  const size_t default_threads = std::min<size_t>(
-      4, std::max<size_t>(1, std::thread::hardware_concurrency()));
   if (name == "pread" || name == "threaded" || name == "threaded_pread") {
-    return std::unique_ptr<IoBackend>(
-        new ThreadedPreadBackend(default_threads));
+    return std::unique_ptr<IoBackend>(new ThreadedPreadBackend());
   }
   if (name == "uring" || name == "io_uring") {
     auto made = IoUringBackend::Create();
@@ -475,8 +444,7 @@ Result<std::unique_ptr<IoBackend>> MakeIoBackend(const std::string& name) {
     if (auto made = IoUringBackend::Create(); made.ok()) {
       return std::unique_ptr<IoBackend>(std::move(made).MoveValue());
     }
-    return std::unique_ptr<IoBackend>(
-        new ThreadedPreadBackend(default_threads));
+    return std::unique_ptr<IoBackend>(new ThreadedPreadBackend());
   }
   return Status::InvalidArgument(
       "unknown io backend \"" + name +

@@ -15,8 +15,6 @@
 
 namespace tilestore {
 
-class ThreadPool;
-
 /// \brief One read in a batch handed to an `IoBackend`.
 ///
 /// The read covers `size` bytes at `offset`, scattered over the
@@ -63,27 +61,22 @@ class IoBackend {
   virtual Status SubmitBatch(std::span<ReadOp> ops) = 0;
 };
 
-/// \brief Portable backend: `File::ReadAtV` (`preadv`) per op, optionally
-/// spread over a small worker pool for large batches.
+/// \brief Portable backend: `File::ReadAtV` (`preadv`) per op, inline on
+/// the submitting thread, in op order — byte- and order-identical to the
+/// historical read loop.
 ///
-/// With `threads` <= 1 (the default on single-core machines) the ops run
-/// inline on the submitting thread, which is byte- and order-identical to
-/// the historical read loop. Otherwise a batch is cut into up to
-/// `threads` interleaved stripes: the submitting thread reads the first,
-/// pool workers the rest.
+/// Ops of one batch are not overlapped: a query overlaps its reads by
+/// submitting several batches at once (`TileIOScheduler::FetchBatch`
+/// reads neighbouring waves on different threads), so a helper pool here
+/// would only add a thread wake-up to each batch (DESIGN.md §11).
 class ThreadedPreadBackend final : public IoBackend {
  public:
-  explicit ThreadedPreadBackend(size_t threads = 0);
-  ~ThreadedPreadBackend() override;
+  /// `threads` is ignored; it is kept for existing callers.
+  explicit ThreadedPreadBackend(size_t /*threads*/ = 0) {}
 
   const char* name() const override { return "threaded_pread"; }
   int64_t code() const override { return 1; }
   Status SubmitBatch(std::span<ReadOp> ops) override;
-
- private:
-  size_t threads_;
-  std::once_flag pool_once_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// \brief Linux io_uring backend over raw syscalls (no liburing).

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "storage/compression.h"
@@ -22,10 +24,10 @@ double ElapsedMs(Clock::time_point start) {
 }
 
 // Expected payload of one wave of the parallel fetch. A wave's fixed cost
-// is one `GetBatch` and at most one backend handoff per phase (none when
-// its chains merge into one read); past that, smaller waves start the fold
-// sooner and hold less payload. On olap_cold, 256 KiB waves beat 1 MiB
-// ones on latency and held 10 MiB less (CHANGES.md).
+// is one `GetBatch`, with one backend batch per phase; past that, smaller
+// waves start the fold sooner and hold less payload. On olap_cold,
+// 256 KiB waves beat 1 MiB ones on latency and held 10 MiB less
+// (CHANGES.md).
 constexpr uint64_t kWaveBytes = uint64_t{256} << 10;
 
 // `entry`'s decoded size.
@@ -50,6 +52,7 @@ void TileIOScheduler::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.tiles = registry->counter("scheduler.tiles");
   metrics_.coalesced_runs = registry->counter("scheduler.coalesced_runs");
   metrics_.chain_fallbacks = registry->counter("scheduler.chain_fallbacks");
+  metrics_.overlapped_waves = registry->counter("scheduler.overlapped_waves");
   metrics_.cross_object_coalesced =
       registry->counter("io.cross_object_coalesced");
   metrics_.queue_depth = registry->gauge("scheduler.queue_depth");
@@ -236,12 +239,14 @@ Status TileIOScheduler::FetchBatch(
   // Parallel mode: cache hits are resolved inline on the caller first, so
   // the waves below cover exactly the misses.
   TileIOStats merged;
+  uint64_t overlapped = 0;  // waves whose read began beside another's
   auto publish_metrics = [&] {
     if (metrics_.tiles != nullptr) {
       metrics_.tiles->Add(merged.tiles);
       metrics_.coalesced_runs->Add(merged.coalesced_runs);
       metrics_.chain_fallbacks->Add(merged.chain_fallbacks);
       metrics_.cross_object_coalesced->Add(merged.cross_object_coalesced);
+      metrics_.overlapped_waves->Add(overlapped);
     }
   };
 
@@ -279,9 +284,11 @@ Status TileIOScheduler::FetchBatch(
     }
   }
 
-  // Reads wave `w` with one `GetBatch` into `payloads`.
+  // Reads wave `w` with one `GetBatch` into `payloads`, handing its
+  // disk-model charges back into `charges`.
   std::vector<std::vector<uint8_t>> payloads(miss_idx.size());
-  auto read_wave = [&](size_t w, TileIOStats* local) -> Status {
+  auto read_wave = [&](size_t w, std::vector<PageRunRequest>* charges,
+                       TileIOStats* local) -> Status {
     const size_t begin = w == 0 ? 0 : wave_end[w - 1];
     const size_t n = wave_end[w] - begin;
     std::vector<BlobId> ids(n);
@@ -297,7 +304,8 @@ Status TileIOScheduler::FetchBatch(
     const Clock::time_point io_start = Clock::now();
     std::vector<std::vector<uint8_t>> wave;
     BlobReadStats blob_stats;
-    Status st = blobs_->GetBatch(ids, &wave, &blob_stats, max_sizes, exact);
+    Status st = blobs_->GetBatch(ids, &wave, &blob_stats, max_sizes, exact,
+                                 charges);
     const double io_ms = ElapsedMs(io_start);
     local->io_summed_ms += io_ms;
     if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(io_ms);
@@ -309,49 +317,74 @@ Status TileIOScheduler::FetchBatch(
     return Status::OK();
   };
 
-  // The stream's state, guarded by `mu`. Waves are read one at a time and
-  // in order — pool probes, counters and the replayed disk-model charges
-  // come out as from one sorted batch — while the other threads fold the
-  // waves already read.
+  // The stream's state, guarded by `mu`. Any free thread reads the next
+  // wave, so neighbouring waves are read at once, while the others fold
+  // the waves already read. Waves may finish out of order: the read
+  // prefix grows over the waves read since, and each wave's disk-model
+  // charges are made as it joins — pool probes aside, counters and
+  // charges come out as from one sorted batch read wave after wave.
   std::mutex mu;
   std::condition_variable cv;
   size_t next_wave = 0;    // the next wave to read
-  bool reading = false;    // a thread is reading wave next_wave - 1
+  size_t reading = 0;      // waves being read
+  // The charges of each wave read but not yet in the prefix.
+  std::vector<std::optional<std::vector<PageRunRequest>>> owed(
+      wave_end.size());
+  size_t read_waves = 0;   // waves [0, read_waves) are read and charged
   size_t ready = 0;        // misses [0, ready) hold their payloads
   size_t next_miss = 0;    // the next miss to fold
   size_t fold_wave = 0;    // the wave holding next_miss
   uint64_t done = 0;
+  // The error returned: the earliest in sorted order of those seen, by
+  // the first miss it concerns (a wave's read error is its first miss's).
   Status first_error;
+  size_t error_at = SIZE_MAX;
+  auto fail = [&](size_t at, Status st) {
+    if (at < error_at) {
+      error_at = at;
+      first_error = std::move(st);
+    }
+    cv.notify_all();
+  };
 
   // Run by the caller and by each helper until every miss is taken or one
-  // fails. A free thread reads the next wave when no thread is reading and
-  // the fold is less than a wave behind it; else it folds the next miss
-  // already read; else it waits for the read in progress (waiting is only
-  // possible while one is).
+  // fails. A free thread reads the next wave while the fold is less than
+  // a wave behind it; else it folds the next miss already read; else it
+  // waits for a read in progress (waiting is only possible while one is)
+  // or for the fold to move that bound.
   auto drain = [&] {
     TileIOStats local;
     std::unique_lock<std::mutex> lock(mu);
     while (first_error.ok() && next_miss < miss_idx.size()) {
-      if (!reading && next_wave < wave_end.size() &&
-          next_wave <= fold_wave + 1) {
+      if (next_wave < wave_end.size() && next_wave <= fold_wave + 1) {
         const size_t w = next_wave++;
-        reading = true;
+        if (reading++ > 0) ++overlapped;
         lock.unlock();
-        Status st = read_wave(w, &local);
+        std::vector<PageRunRequest> charges;
+        Status st = read_wave(w, &charges, &local);
         lock.lock();
-        reading = false;
-        if (st.ok()) {
-          ready = wave_end[w];
-        } else if (first_error.ok()) {
-          first_error = st;
+        --reading;
+        if (!st.ok()) {
+          // A wave that fails to read charges nothing.
+          fail(w == 0 ? 0 : wave_end[w - 1], std::move(st));
+          continue;
+        }
+        owed[w] = std::move(charges);
+        while (read_waves < wave_end.size() && owed[read_waves].has_value()) {
+          blobs_->ReplayCharges(*owed[read_waves]);
+          owed[read_waves].reset();
+          ready = wave_end[read_waves++];
         }
         cv.notify_all();
       } else if (next_miss < ready) {
         const size_t i = next_miss++;
+        const size_t was_folding = fold_wave;
         while (fold_wave < wave_end.size() &&
                wave_end[fold_wave] <= next_miss) {
           ++fold_wave;
         }
+        // The bound moved: a waiting thread may read the next wave now.
+        if (fold_wave != was_folding) cv.notify_all();
         lock.unlock();
         Status st = process(miss_idx[i], &payloads[i], &local);
         if (st.ok() && metrics_.queue_depth != nullptr) {
@@ -360,9 +393,8 @@ Status TileIOScheduler::FetchBatch(
         lock.lock();
         if (st.ok()) {
           ++done;
-        } else if (first_error.ok()) {
-          first_error = st;
-          cv.notify_all();
+        } else {
+          fail(i, std::move(st));
         }
       } else {
         cv.wait(lock);
@@ -371,7 +403,8 @@ Status TileIOScheduler::FetchBatch(
     merged.Add(local);
   };
 
-  // Helpers only pay off when a wave can be folded while the next is read.
+  // Helpers only pay off when the batch has a second wave to read or fold
+  // while one is read.
   TaskGroup group(options.pool);
   if (wave_end.size() > 1) {
     for (int w = 1; w < parallelism; ++w) group.Run(drain);

@@ -94,23 +94,27 @@ struct TileIOStats {
 /// (ascending BLOB id — BLOBs are allocated front to back, so this is disk
 /// order). With `parallelism > 1` the cache misses then stream through in
 /// *waves* — runs of consecutive sorted misses of about 256 KiB expected
-/// payload. One thread at a time reads the next wave with one
-/// `BlobStore::GetBatch` (uncompressed tiles' whole chains in one physical
-/// phase, adjacent chains merged into one read), in wave order, while the
-/// other threads — the caller is one of them — decode and consume the
-/// waves already read. Pool helpers start only when the batch has more
-/// than one wave. Disk-model charges are replayed inside `GetBatch` in
-/// sorted-id order and the waves are read in order, so `model_ms`, pages
-/// and bytes are those of reading the chains one after another in that
-/// order — and independent of the backend. At `parallelism = 1` the
-/// scheduler degrades to the exact tile-at-a-time loop of the original
-/// implementation, which keeps the paper's t_o/t_cpu cost tables
-/// reproducible.
+/// payload. Any free thread — the caller is one of them — reads the next
+/// wave with one `BlobStore::GetBatch` (uncompressed tiles' whole chains
+/// in one physical phase, adjacent chains merged into one read), so
+/// neighbouring waves are read at once, while the other threads decode
+/// and consume the waves already read. A wave is claimed only while the
+/// fold is less than a wave behind it. Pool helpers start only when the
+/// batch has more than one wave. `GetBatch` hands each wave's disk-model
+/// charges back in sorted-id order, and each wave's are made when it
+/// joins the prefix of waves already read, so `model_ms`, pages, bytes
+/// and seeks are those of reading the chains one after another in sorted
+/// order, however the waves' reads interleave — and independent of the
+/// backend. At `parallelism = 1` the scheduler degrades to the exact
+/// tile-at-a-time loop of the original implementation, which keeps the
+/// paper's t_o/t_cpu cost tables reproducible.
 /// Observability: with an attached registry (`set_metrics`), batches and
-/// tiles are counted under `scheduler.*`, the `scheduler.queue_depth`
-/// gauge tracks tiles admitted but not yet consumed, and histograms record
-/// tiles per batch (`scheduler.batch_tiles`) and measured per-tile fetch
-/// latency (`scheduler.fetch_ms`). Tracing is per batch via
+/// tiles are counted under `scheduler.*` (`scheduler.overlapped_waves`:
+/// waves whose read began while another wave of the batch was being
+/// read), the `scheduler.queue_depth` gauge tracks tiles admitted but not
+/// yet consumed, and histograms record tiles per batch
+/// (`scheduler.batch_tiles`) and measured per-tile fetch latency
+/// (`scheduler.fetch_ms`). Tracing is per batch via
 /// `TileIOOptions::trace`.
 class TileIOScheduler {
  public:
@@ -130,7 +134,9 @@ class TileIOScheduler {
   /// `parallelism > 1`, the callbacks run on the caller and on worker
   /// threads and must be safe for concurrent invocations with distinct `i`
   /// (invocations with the same `i` never happen). The first error aborts
-  /// the batch and is returned once no callback runs any more. Cache hits
+  /// the batch and is returned once no callback runs any more; when
+  /// several waves fail to read, the earliest wave's error in sorted order
+  /// is the one returned. Cache hits
   /// skip the measured `scheduler.fetch_ms` histogram, which observes each
   /// tile's read at parallelism 1 and each wave's read above it. Tiles
   /// are handed out as `const Tile&` so one decoded copy can be shared
@@ -163,6 +169,7 @@ class TileIOScheduler {
     obs::Counter* tiles = nullptr;
     obs::Counter* coalesced_runs = nullptr;
     obs::Counter* chain_fallbacks = nullptr;
+    obs::Counter* overlapped_waves = nullptr;
     obs::Counter* cross_object_coalesced = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* batch_tiles = nullptr;

@@ -6,13 +6,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "query/range_query.h"
 #include "query/tile_scan.h"
 #include "storage/compression.h"
+#include "storage/env.h"
 #include "storage/tile_cache.h"
 #include "tiling/aligned.h"
 
@@ -249,7 +253,7 @@ TEST_F(ConcurrentQueryTest, ParallelColdQueryTotalsMatchSerialTransfer) {
 TEST_F(ConcurrentQueryTest, PrefetchingTileScanVisitsSameTilesAsSerial) {
   const MInterval region({{7, 50}, {9, 44}});
 
-  TileScan serial_scan(store_.get(), object_);
+  TileScan serial_scan(object_);
   ASSERT_TRUE(serial_scan.Begin(region).ok());
   std::vector<MInterval> serial_parts;
   std::vector<std::vector<uint8_t>> serial_cells;
@@ -265,7 +269,7 @@ TEST_F(ConcurrentQueryTest, PrefetchingTileScanVisitsSameTilesAsSerial) {
 
   TileScanOptions options;
   options.prefetch = 3;
-  TileScan prefetch_scan(store_.get(), object_, options);
+  TileScan prefetch_scan(object_, options);
   ASSERT_TRUE(prefetch_scan.Begin(region).ok());
   size_t i = 0;
   while (true) {
@@ -338,6 +342,68 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
     }
   }
 }
+
+/// Holds the first read of `path` at byte `offset` — the first read of a
+/// batch's wave 0 — until `release(reads)` is true, or 10 s pass. `reads`
+/// counts the reads of `path` past `offset` (later waves' reads) issued
+/// before the held read goes, whether before or while it is held.
+/// Installed for its lifetime.
+class HoldFirstRead : public FaultInjector {
+ public:
+  HoldFirstRead(std::string path, uint64_t offset,
+                std::function<bool(uint64_t)> release)
+      : path_(std::move(path)), offset_(offset), release_(std::move(release)) {
+    SetFaultInjector(this);
+  }
+  ~HoldFirstRead() override { SetFaultInjector(nullptr); }
+
+  WriteDecision OnWriteAt(const std::string&, uint64_t, size_t n) override {
+    return {n, false};
+  }
+  bool OnSync(const std::string&) override { return false; }
+  bool OnReadAt(const std::string& path, uint64_t offset, size_t) override {
+    if (path != path_) return false;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!released_ && offset > offset_) ++reads_before_release_;
+    if (held_ || offset != offset_) return false;
+    held_ = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!(released_early_ = release_(reads_before_release_)) &&
+           std::chrono::steady_clock::now() < deadline) {
+      // Polled: `release` may watch state no read touches.
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      lock.lock();
+    }
+    released_ = true;
+    return false;
+  }
+
+  bool held() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+  // Whether `release` let the read go before the timeout.
+  bool released_early() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return released_early_;
+  }
+  uint64_t reads_before_release() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_before_release_;
+  }
+
+ private:
+  const std::string path_;
+  const uint64_t offset_;
+  const std::function<bool(uint64_t)> release_;
+  mutable std::mutex mu_;
+  bool held_ = false;
+  bool released_ = false;
+  bool released_early_ = false;
+  uint64_t reads_before_release_ = 0;
+};
 
 /// The streamed parallel fetch over objects large enough that one cold
 /// query reads many waves (256 KiB of payload each): a 4 MiB
@@ -429,6 +495,15 @@ class ConcurrentQueryWaveTest : public ::testing::Test {
     return out;
   }
 
+  // The byte offset of the first read of a cold fetch of `region`: the
+  // lowest BLOB's header page, where wave 0 begins.
+  uint64_t FirstReadOffset(MDDObject* object, const MInterval& region) {
+    const std::vector<TileEntry> tiles = object->FindTiles(region);
+    BlobId first = tiles.front().blob;
+    for (const TileEntry& tile : tiles) first = std::min(first, tile.blob);
+    return first * store_->page_file()->page_size();
+  }
+
   std::string path_;
   std::unique_ptr<MDDStore> store_;
   Array plain_data_;
@@ -518,6 +593,107 @@ TEST_F(ConcurrentQueryWaveTest, CorruptTileInLastWaveStopsEveryWorker) {
       EXPECT_EQ(calls.load(), settled);
     }
     ASSERT_TRUE(pool->WritePage(last.blob, intact.data()).ok());
+  }
+}
+
+TEST_F(ConcurrentQueryWaveTest, SecondWaveIsReadWhileTheFirstIsHeld) {
+  const MInterval region({{0, 1023}, {0, 1023}});
+  obs::Counter* overlapped =
+      store_->metrics()->counter("scheduler.overlapped_waves");
+  const uint64_t before = overlapped->Value();
+  HoldFirstRead gate(store_->page_file()->path(),
+                     FirstReadOffset(plain_, region),
+                     [](uint64_t reads) { return reads > 0; });
+  RangeQueryOptions options;
+  options.cold = true;
+  options.parallelism = 2;
+  RangeQueryExecutor executor(store_.get(), options);
+  Result<double> sum =
+      executor.ExecuteAggregate(plain_, region, AggregateOp::kSum);
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  ASSERT_TRUE(gate.held());
+  EXPECT_TRUE(gate.released_early());
+  EXPECT_GE(gate.reads_before_release(), 1u);
+  EXPECT_GE(overlapped->Value() - before, 1u);
+}
+
+TEST_F(ConcurrentQueryWaveTest, WavesReadOutOfOrderChargeInWaveOrder) {
+  const MInterval region({{3, 1020}, {5, 1000}});
+  obs::Histogram* fetch_ms =
+      store_->metrics()->latency_histogram("scheduler.fetch_ms");
+  for (MDDObject* object : {plain_, rle_}) {
+    SCOPED_TRACE(object->name());
+    RangeQueryOptions options;
+    options.cold = true;
+    options.parallelism = 2;
+    RangeQueryExecutor executor(store_.get(), options);
+    QueryStats ungated;
+    Result<double> expected =
+        executor.ExecuteAggregate(object, region, AggregateOp::kSum, &ungated);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+
+    // Wave 0's first read waits until a wave has been read: wave 1.
+    const uint64_t waves_before = fetch_ms->count();
+    QueryStats gated;
+    Result<double> sum = [&] {
+      HoldFirstRead gate(
+          store_->page_file()->path(), FirstReadOffset(object, region),
+          [&](uint64_t) { return fetch_ms->count() > waves_before; });
+      Result<double> result =
+          executor.ExecuteAggregate(object, region, AggregateOp::kSum, &gated);
+      EXPECT_TRUE(gate.released_early());
+      return result;
+    }();
+    ASSERT_TRUE(sum.ok()) << sum.status();
+    EXPECT_EQ(*sum, *expected);
+    EXPECT_EQ(gated.t_o_model_ms, ungated.t_o_model_ms);
+    EXPECT_EQ(gated.pages_read, ungated.pages_read);
+    EXPECT_EQ(gated.seeks, ungated.seeks);
+  }
+}
+
+TEST_F(ConcurrentQueryWaveTest, EarliestFailedWaveNamesTheError) {
+  const MInterval region({{0, 1023}, {0, 1023}});
+  BufferPool* pool = store_->buffer_pool();
+  obs::Histogram* fetch_ms =
+      store_->metrics()->latency_histogram("scheduler.fetch_ms");
+  std::vector<TileEntry> tiles = plain_->FindTiles(region);
+  std::sort(tiles.begin(), tiles.end(),
+            [](const TileEntry& a, const TileEntry& b) { return a.blob < b.blob; });
+  ASSERT_GT(tiles.size(), 8u);
+  // Every header is corrupt, so each wave fails at its first tile.
+  const size_t page_size = store_->page_file()->page_size();
+  std::vector<std::vector<uint8_t>> intact(tiles.size());
+  for (size_t i = 0; i < tiles.size(); ++i) {
+    intact[i].resize(page_size);
+    ASSERT_TRUE(pool->ReadPage(tiles[i].blob, intact[i].data()).ok());
+    std::vector<uint8_t> header = intact[i];
+    header[0] ^= 0xff;  // the BLOB magic
+    ASSERT_TRUE(pool->WritePage(tiles[i].blob, header.data()).ok());
+  }
+  pool->Clear();
+  const uint64_t waves_before = fetch_ms->count();
+  {
+    // Wave 0's first read waits until wave 1 has failed.
+    HoldFirstRead gate(
+        store_->page_file()->path(), tiles.front().blob * page_size,
+        [&](uint64_t) { return fetch_ms->count() > waves_before; });
+    TileIOOptions io;
+    io.parallelism = 2;
+    io.pool = store_->thread_pool();
+    const Status fetched = store_->io_scheduler()->FetchBatch(
+        tiles, plain_->cell_type(), io,
+        [](size_t, const Tile&) { return Status::OK(); });
+    EXPECT_TRUE(gate.released_early());
+    EXPECT_TRUE(fetched.IsCorruption()) << fetched.ToString();
+    EXPECT_NE(fetched.ToString().find("page " +
+                                      std::to_string(tiles.front().blob) +
+                                      " is not a BLOB header"),
+              std::string::npos)
+        << fetched.ToString();
+  }
+  for (size_t i = 0; i < tiles.size(); ++i) {
+    ASSERT_TRUE(pool->WritePage(tiles[i].blob, intact[i].data()).ok());
   }
 }
 

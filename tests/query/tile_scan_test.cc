@@ -47,7 +47,7 @@ TEST_F(TileScanTest, StreamedPartsComposeTheExecutorResult) {
   RangeQueryExecutor executor(store_.get());
   Array expected = executor.Execute(object_, region).MoveValue();
 
-  TileScan scan(store_.get(), object_);
+  TileScan scan(object_);
   ASSERT_TRUE(scan.Begin(region).ok());
   Array composed = Array::Create(region, object_->cell_type()).MoveValue();
   std::vector<MInterval> parts;
@@ -67,14 +67,14 @@ TEST_F(TileScanTest, StreamedPartsComposeTheExecutorResult) {
 }
 
 TEST_F(TileScanTest, StarBoundsResolve) {
-  TileScan scan(store_.get(), object_);
+  TileScan scan(object_);
   ASSERT_TRUE(scan.Begin(MInterval::Parse("[10:12,*:*]").value()).ok());
   EXPECT_EQ(scan.region(), MInterval({{10, 12}, {0, 39}}));
   EXPECT_GT(scan.remaining(), 0u);
 }
 
 TEST_F(TileScanTest, TilesArriveInPhysicalOrder) {
-  TileScan scan(store_.get(), object_);
+  TileScan scan(object_);
   ASSERT_TRUE(scan.Begin(object_->definition_domain()).ok());
   // Blob ids are assigned in load order; the scan must not regress.
   std::vector<MInterval> domains;
@@ -92,7 +92,7 @@ TEST_F(TileScanTest, UncoveredPartsAreDerivable) {
       Array::Create(MInterval({{20, 39}}), sparse->cell_type()).MoveValue();
   ASSERT_TRUE(sparse->InsertTile(tile).ok());
 
-  TileScan scan(store_.get(), sparse);
+  TileScan scan(sparse);
   ASSERT_TRUE(scan.Begin(MInterval({{0, 59}})).ok());
   std::vector<MInterval> visited;
   while (scan.Next().value()) visited.push_back(scan.part());
@@ -104,14 +104,14 @@ TEST_F(TileScanTest, UncoveredPartsAreDerivable) {
 }
 
 TEST_F(TileScanTest, NextBeforeBeginFails) {
-  TileScan scan(store_.get(), object_);
+  TileScan scan(object_);
   Result<bool> more = scan.Next();
   EXPECT_FALSE(more.ok());
   EXPECT_TRUE(more.status().IsInvalidArgument());
 }
 
 TEST_F(TileScanTest, RestartWithNewRegion) {
-  TileScan scan(store_.get(), object_);
+  TileScan scan(object_);
   ASSERT_TRUE(scan.Begin(MInterval({{0, 4}, {0, 4}})).ok());
   while (scan.Next().value()) {
   }

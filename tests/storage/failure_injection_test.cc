@@ -315,7 +315,7 @@ TEST_F(FailureInjectionTest, CorruptTileFailsScansAndRewritesCleanly) {
     for (size_t prefetch : {0, 3}) {
       TileScanOptions scan_options;
       scan_options.prefetch = prefetch;
-      TileScan scan(store.get(), obj, scan_options);
+      TileScan scan(obj, scan_options);
       ASSERT_TRUE(scan.Begin(domain).ok());
       Status failed;
       while (failed.ok()) {

@@ -614,7 +614,7 @@ TEST_F(TileCacheStoreTest, MutationsAndScansReadThroughTheCache) {
   auto scan_all = [&](MDDObject* obj, size_t prefetch) {
     TileScanOptions options;
     options.prefetch = prefetch;
-    TileScan scan(store_.get(), obj, options);
+    TileScan scan(obj, options);
     ASSERT_TRUE(scan.Begin(MInterval({{0, 63}})).ok());
     size_t visited = 0;
     while (scan.Next().value()) ++visited;
